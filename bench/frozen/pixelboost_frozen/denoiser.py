@@ -1,0 +1,415 @@
+"""Pluggable x0 predictors: a test oracle and small trainable networks.
+
+Two trainable kinds exist.  ``affine`` is a 1x1 linear map over the
+stacked input channels; ``conv2`` is two 3x3 convolutions with a ReLU in
+between (replicate padding, under 10k parameters).  Both read the input
+stack [x_t, y0_up, eta_t-channel] and emit an x0 prediction.  Gradients
+are hand-derived and checked against finite differences in the tests.
+"""
+
+import json
+import struct
+from dataclasses import dataclass, field
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .diffusion import forward_marginal, item_loss, kl_weight
+from .errors import (CheckpointError, CheckpointVersionError, ParameterError,
+                     ShapeError, TrainingError, UnsupportedOperationError)
+from .noise import STREAM_INIT, STREAM_TRAIN, RngStream
+from .schedule import build_schedule
+
+KINDS = ("oracle", "affine", "conv2")
+
+CHECKPOINT_MAGIC = b"PXBK"
+CHECKPOINT_VERSION = 1
+_KIND_CODES = {"oracle": 0, "affine": 1, "conv2": 2}
+_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+
+INIT_WEIGHT_HALF_RANGE = 0.05
+MAX_CONV2_PARAMS = 10_000
+
+
+@dataclass(frozen=True)
+class DenoiserSpec:
+    """Architecture description.
+
+    ``channels`` is the stacked input channel count: the x_t channels,
+    the y0_up channels, and one timestep channel, so it is always
+    2 * image_channels + 1.
+    """
+
+    kind: str
+    channels: int = 3
+    hidden_width: int = 8
+    kernel_size: int = 3
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ParameterError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if self.channels < 3 or self.channels % 2 == 0:
+            raise ParameterError(
+                f"channels must be 2*image_channels + 1, got {self.channels}")
+        if self.kernel_size != 3:
+            raise ParameterError(f"only 3x3 kernels are supported, got {self.kernel_size}")
+        if self.hidden_width < 1:
+            raise ParameterError(f"hidden_width must be >= 1, got {self.hidden_width}")
+        if self.kind == "conv2" and self.param_count() >= MAX_CONV2_PARAMS:
+            raise ParameterError(
+                f"conv2 parameter count {self.param_count()} exceeds {MAX_CONV2_PARAMS}")
+
+    @property
+    def image_channels(self):
+        return (self.channels - 1) // 2
+
+    def param_count(self):
+        c_in, c_out, wh = self.channels, self.image_channels, self.hidden_width
+        if self.kind == "oracle":
+            return 0
+        if self.kind == "affine":
+            return c_in * c_out + c_out
+        return 9 * c_in * wh + wh + 9 * wh * c_out + c_out
+
+    def _unpack(self, params):
+        """Views of the flat parameter vector, in serialization order."""
+        c_in, c_out, wh = self.channels, self.image_channels, self.hidden_width
+        if self.kind == "affine":
+            w = params[: c_in * c_out].reshape(c_in, c_out)
+            b = params[c_in * c_out:]
+            return {"w": w, "b": b}
+        i = 0
+        w1 = params[i:i + 9 * c_in * wh].reshape(3, 3, c_in, wh); i += 9 * c_in * wh
+        b1 = params[i:i + wh]; i += wh
+        w2 = params[i:i + 9 * wh * c_out].reshape(3, 3, wh, c_out); i += 9 * wh * c_out
+        b2 = params[i:]
+        return {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
+
+
+def spec_for_images(kind, image_channels=1, hidden_width=8):
+    return DenoiserSpec(kind=kind, channels=2 * image_channels + 1,
+                        hidden_width=hidden_width)
+
+
+@dataclass
+class DenoiserCheckpoint:
+    """Flat float64 parameter bundle plus the metadata needed to use it."""
+
+    spec: DenoiserSpec
+    params: np.ndarray
+    step_count: int = 0
+    train_config: dict = field(default_factory=dict)
+    format_version: int = CHECKPOINT_VERSION
+
+    def __post_init__(self):
+        self.params = np.asarray(self.params, dtype=np.float64).reshape(-1)
+        if self.params.size != self.spec.param_count():
+            raise CheckpointError(
+                f"parameter count {self.params.size} does not match spec "
+                f"({self.spec.param_count()})")
+        self._schedule_cache = None
+
+    def schedule(self):
+        """Rebuild the shifting sequence recorded at training time."""
+        if self._schedule_cache is None:
+            tc = self.train_config
+            try:
+                self._schedule_cache = build_schedule(
+                    tc["steps"], t_mid=tc["t_mid"], mode=tc["mode"])
+            except KeyError as exc:
+                raise ParameterError(
+                    f"checkpoint lacks schedule metadata ({exc})") from exc
+        return self._schedule_cache
+
+
+class OracleDenoiser:
+    """Test-only predictor that always returns the attached ground truth."""
+
+    def __init__(self, x0):
+        self.x0 = np.asarray(x0, dtype=np.float64)
+
+    def __call__(self, x_t, y0_up, t):
+        return self.x0.copy()
+
+
+def as_denoiser(ckpt):
+    """Wrap a checkpoint as the (x_t, y0_up, t) -> x0_hat callable samplers expect."""
+    return lambda x_t, y0_up, t: predict(ckpt, x_t, y0_up, t)
+
+
+# --- forward / backward ------------------------------------------------------
+
+def _conv3x3(x, w, b):
+    # x (H,W,Ci), w (3,3,Ci,Co) -> (H,W,Co); replicate border padding
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    win = sliding_window_view(xp, (3, 3), axis=(0, 1))  # (H,W,Ci,3,3)
+    return np.einsum("hwcuv,uvco->hwo", win, w, optimize=True) + b
+
+
+def _conv3x3_grads(x, gout):
+    """Parameter gradients of a 3x3 conv: (dw, db)."""
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    win = sliding_window_view(xp, (3, 3), axis=(0, 1))
+    dw = np.einsum("hwcuv,hwo->uvco", win, gout, optimize=True)
+    return dw, gout.sum(axis=(0, 1))
+
+
+def _conv3x3_input_grad(w, gout, in_shape):
+    """Gradient w.r.t. the conv input, folding replicate-pad contributions."""
+    h, wd, _ = in_shape
+    gw = np.einsum("hwo,uvco->hwuvc", gout, w, optimize=True)
+    dxp = np.zeros((h + 2, wd + 2, w.shape[2]))
+    for u in range(3):
+        for v in range(3):
+            dxp[u:u + h, v:v + wd] += gw[:, :, u, v, :]
+    dx = dxp[1:h + 1, 1:wd + 1].copy()
+    dx[0, :] += dxp[0, 1:wd + 1]
+    dx[-1, :] += dxp[h + 1, 1:wd + 1]
+    dx[:, 0] += dxp[1:h + 1, 0]
+    dx[:, -1] += dxp[1:h + 1, wd + 1]
+    dx[0, 0] += dxp[0, 0]
+    dx[0, -1] += dxp[0, wd + 1]
+    dx[-1, 0] += dxp[h + 1, 0]
+    dx[-1, -1] += dxp[h + 1, wd + 1]
+    return dx
+
+
+def _stack_input(spec, schedule, x_t, y0_up, t):
+    x_t = np.asarray(x_t, dtype=np.float64)
+    y0_up = np.asarray(y0_up, dtype=np.float64)
+    if x_t.shape != y0_up.shape:
+        raise ShapeError(f"shape mismatch: {x_t.shape} vs {y0_up.shape}")
+    if x_t.ndim != 3 or x_t.shape[2] != spec.image_channels:
+        raise ShapeError(
+            f"expected (H, W, {spec.image_channels}) inputs, got {x_t.shape}")
+    if t < 1:
+        raise IndexError(f"t={t} outside 1..{schedule.steps}")
+    eta_t = schedule.eta(int(t))
+    tchan = np.full(x_t.shape[:2] + (1,), eta_t)
+    return np.concatenate([x_t, y0_up, tchan], axis=2)
+
+
+def _forward(spec, params, z):
+    """Network output plus the cache needed for the backward pass."""
+    p = spec._unpack(params)
+    if spec.kind == "affine":
+        out = np.einsum("hwc,co->hwo", z, p["w"]) + p["b"]
+        return out, (z,)
+    h = _conv3x3(z, p["w1"], p["b1"])
+    a = np.maximum(h, 0.0)
+    out = _conv3x3(a, p["w2"], p["b2"])
+    return out, (z, h, a)
+
+
+def _backward(spec, params, cache, gout):
+    """Flat gradient vector, same layout as the parameter vector."""
+    p = spec._unpack(params)
+    if spec.kind == "affine":
+        (z,) = cache
+        dw = np.einsum("hwc,hwo->co", z, gout)
+        db = gout.sum(axis=(0, 1))
+        return np.concatenate([dw.ravel(), db.ravel()])
+    z, h, a = cache
+    dw2, db2 = _conv3x3_grads(a, gout)
+    da = _conv3x3_input_grad(p["w2"], gout, a.shape)
+    dh = da * (h > 0.0)
+    dw1, db1 = _conv3x3_grads(z, dh)
+    return np.concatenate([dw1.ravel(), db1.ravel(), dw2.ravel(), db2.ravel()])
+
+
+def predict(ckpt, x_t, y0_up, t):
+    """x0 prediction; the timestep enters as a constant eta_t channel."""
+    if ckpt.spec.kind == "oracle":
+        raise UnsupportedOperationError(
+            "oracle checkpoints carry no ground truth; use OracleDenoiser")
+    z = _stack_input(ckpt.spec, ckpt.schedule(), x_t, y0_up, t)
+    out, _ = _forward(ckpt.spec, ckpt.params, z)
+    return out
+
+
+def loss_gradient(ckpt, item, t, x_t, weighting="uniform_mse"):
+    """Analytic gradient of the single-item loss w.r.t. every parameter."""
+    if ckpt.spec.kind == "oracle":
+        raise UnsupportedOperationError("the oracle has no parameters")
+    x0, y0_up = item
+    x0 = np.asarray(x0, dtype=np.float64)
+    x_t = np.asarray(x_t, dtype=np.float64)
+    cfg = _config_from_checkpoint(ckpt)
+    z = _stack_input(ckpt.spec, ckpt.schedule(), x_t, y0_up, t)
+    out, cache = _forward(ckpt.spec, ckpt.params, z)
+    diff = out - x0
+    if weighting == "uniform_mse":
+        gout = (2.0 / diff.size) * diff
+    elif weighting == "exact_kl":
+        if ckpt.schedule().etas[t - 1] == 0.0:
+            gout = 2.0 * diff
+        else:
+            gout = 2.0 * kl_weight(t, cfg) * diff
+    else:
+        raise ParameterError(f"unknown weighting {weighting!r}")
+    return _backward(ckpt.spec, ckpt.params, cache, gout)
+
+
+def item_loss_value(ckpt, item, t, x_t, weighting="uniform_mse"):
+    """The loss whose gradient loss_gradient returns; used by tests and train."""
+    x0, y0_up = item
+    x0 = np.asarray(x0, dtype=np.float64)
+    cfg = _config_from_checkpoint(ckpt)
+    z = _stack_input(ckpt.spec, ckpt.schedule(), x_t, y0_up, t)
+    out, _ = _forward(ckpt.spec, ckpt.params, z)
+    return item_loss(x0, out, t, cfg, weighting)
+
+
+def _config_from_checkpoint(ckpt):
+    from .diffusion import DiffusionConfig
+    tc = ckpt.train_config
+    return DiffusionConfig(steps=int(tc["steps"]), sigma=float(tc["sigma"]),
+                           schedule=ckpt.schedule(),
+                           convention=tc.get("convention", "eq5_variance"),
+                           seed=int(tc.get("seed", 0)))
+
+
+# --- training ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TrainOptions:
+    step_size: float = 1e-2
+    steps: int = 500
+    batch_size: int = 8
+    weighting: str = "uniform_mse"
+
+    def __post_init__(self):
+        if not self.step_size > 0:
+            raise ParameterError(f"step_size must be positive, got {self.step_size}")
+        if self.steps < 0:
+            raise ParameterError(f"steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+
+
+def init_checkpoint(spec, cfg, rng=None):
+    """Fresh checkpoint: weights i.i.d. uniform +-0.05, biases zero."""
+    if rng is None:
+        rng = RngStream(cfg.seed, STREAM_INIT)
+    params = np.zeros(spec.param_count())
+    views = spec._unpack(params) if spec.kind != "oracle" else {}
+    for name, view in views.items():
+        if name.startswith("w"):
+            view[...] = rng.uniform(-INIT_WEIGHT_HALF_RANGE,
+                                    INIT_WEIGHT_HALF_RANGE, view.shape)
+    train_config = {
+        "steps": cfg.steps,
+        "t_mid": cfg.schedule.t_mid,
+        "mode": cfg.schedule.mode,
+        "sigma": cfg.sigma,
+        "convention": cfg.convention,
+        "seed": cfg.seed,
+    }
+    return DenoiserCheckpoint(spec=spec, params=params, step_count=0,
+                              train_config=train_config)
+
+
+def train(dataset, cfg, opt=None, spec=None):
+    """Plain SGD on the diffusion loss; deterministic given cfg.seed.
+
+    ``dataset`` is a list of (x_0, y0_up) pairs on the HR grid.  Returns
+    the trained checkpoint and the per-step batch losses.
+    """
+    if len(dataset) == 0:
+        raise ParameterError("dataset must be nonempty")
+    if opt is None:
+        opt = TrainOptions()
+    dataset = [(np.asarray(x0, dtype=np.float64), np.asarray(y, dtype=np.float64))
+               for x0, y in dataset]
+    channels = dataset[0][0].shape[2]
+    if spec is None:
+        spec = spec_for_images("conv2", image_channels=channels)
+    if spec.kind == "oracle":
+        raise UnsupportedOperationError("the oracle has no parameters to train")
+
+    ckpt = init_checkpoint(spec, cfg, RngStream(cfg.seed, STREAM_INIT))
+    ckpt.train_config.update(step_size=opt.step_size, batch_size=opt.batch_size,
+                             weighting=opt.weighting)
+    params = ckpt.params
+    rng = RngStream(cfg.seed, STREAM_TRAIN)
+    history = []
+    n = len(dataset)
+    for step in range(opt.steps):
+        idx = rng.integers(0, n, opt.batch_size)
+        grad = np.zeros_like(params)
+        loss_acc = 0.0
+        for i in idx:
+            x0, y0_up = dataset[int(i)]
+            t = int(rng.integers(1, cfg.steps + 1))
+            x_t = forward_marginal(x0, y0_up - x0, t, cfg, rng)
+            loss_acc += item_loss_value(ckpt, (x0, y0_up), t, x_t, opt.weighting)
+            grad += loss_gradient(ckpt, (x0, y0_up), t, x_t, opt.weighting)
+        loss = loss_acc / opt.batch_size
+        if not np.isfinite(loss):
+            raise TrainingError(f"loss became non-finite at step {step}")
+        params -= opt.step_size * (grad / opt.batch_size)
+        history.append(loss)
+    ckpt.step_count = opt.steps
+    return ckpt, history
+
+
+# --- checkpoint file format --------------------------------------------------
+# magic "PXBK" | u32 version | u8 kind | u8 image_channels | u32 hidden_width
+# | u32 kernel_size | u64 step_count | u32 json_len | json train_config
+# | u64 param_count | param_count * f64, all little-endian.
+
+def save_checkpoint(ckpt, path):
+    meta = json.dumps(ckpt.train_config, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    spec = ckpt.spec
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", ckpt.format_version))
+        fh.write(struct.pack("<BBII", _KIND_CODES[spec.kind], spec.image_channels,
+                             spec.hidden_width, spec.kernel_size))
+        fh.write(struct.pack("<Q", ckpt.step_count))
+        fh.write(struct.pack("<I", len(meta)))
+        fh.write(meta)
+        fh.write(struct.pack("<Q", ckpt.params.size))
+        fh.write(ckpt.params.astype("<f8").tobytes())
+
+
+def _read_exact(fh, n, what):
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise CheckpointError(f"truncated checkpoint: short read in {what}")
+    return buf
+
+
+def load_checkpoint(path):
+    with open(path, "rb") as fh:
+        magic = fh.read(4)
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"bad magic {magic!r}; not a checkpoint file")
+        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        if version > CHECKPOINT_VERSION:
+            raise CheckpointVersionError(
+                f"format version {version} is newer than supported "
+                f"({CHECKPOINT_VERSION})")
+        kind_code, img_c, hidden, ksize = struct.unpack(
+            "<BBII", _read_exact(fh, 10, "spec"))
+        if kind_code not in _CODE_KINDS:
+            raise CheckpointError(f"unknown denoiser kind code {kind_code}")
+        (step_count,) = struct.unpack("<Q", _read_exact(fh, 8, "step count"))
+        (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
+        try:
+            meta = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"corrupt metadata: {exc}") from exc
+        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "parameter count"))
+        raw = _read_exact(fh, 8 * count, "parameters")
+        if fh.read(1) != b"":
+            raise CheckpointError("trailing bytes after parameter block")
+    try:
+        spec = DenoiserSpec(kind=_CODE_KINDS[kind_code], channels=2 * img_c + 1,
+                            hidden_width=hidden, kernel_size=ksize)
+    except ParameterError as exc:
+        raise CheckpointError(f"inconsistent spec fields: {exc}") from exc
+    params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return DenoiserCheckpoint(spec=spec, params=params, step_count=step_count,
+                              train_config=meta, format_version=version)

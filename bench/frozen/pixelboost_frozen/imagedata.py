@@ -1,0 +1,261 @@
+"""Image tensors, the bicubic x4 degradation pipeline, and PGM/PPM I/O.
+
+Images are float64 arrays of shape (H, W, C) with C = 1 or 3 and values
+nominally in [0, 1].  Values may leave [0, 1] mid-diffusion; only the
+codec clamps, and only on write.
+"""
+
+import io
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import CodecError, ParameterError, ShapeError, UnsupportedFormatError
+
+
+def as_image(arr):
+    """Coerce to a float64 (H, W, C) image array, validating the contract."""
+    a = np.asarray(arr, dtype=np.float64)
+    if a.ndim == 2:
+        a = a[:, :, None]
+    if a.ndim != 3 or a.shape[2] not in (1, 3):
+        raise ShapeError(f"expected (H, W, C) with C in {{1, 3}}, got {a.shape}")
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise ShapeError(f"image dims must be positive, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ParameterError("image contains non-finite values")
+    return a
+
+
+def check_same_shape(a, b):
+    if a.shape != b.shape:
+        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
+
+
+@dataclass(frozen=True)
+class SrPair:
+    """A HR image with its x4 degradation products.
+
+    delta0 = lr_up - hr lives on the HR grid; hr + delta0 == lr_up exactly.
+    """
+
+    hr: np.ndarray
+    lr: np.ndarray
+    lr_up: np.ndarray
+    delta0: np.ndarray
+
+
+# --- bicubic resampling ------------------------------------------------------
+
+def _cubic_kernel(x):
+    """Cubic convolution kernel, a = -0.5 (Catmull-Rom family)."""
+    x = np.abs(x)
+    out = np.zeros_like(x)
+    near = x <= 1.0
+    far = (x > 1.0) & (x < 2.0)
+    out[near] = (1.5 * x[near] - 2.5) * x[near] * x[near] + 1.0
+    out[far] = ((-0.5 * x[far] + 2.5) * x[far] - 4.0) * x[far] + 2.0
+    return out
+
+
+def resize_weights(n_in, n_out):
+    """Dense (n_out, n_in) bicubic weight matrix.
+
+    Sampling uses the align-centers convention src = (dst + 0.5)/scale - 0.5
+    with scale = n_out/n_in; out-of-range taps are clipped to the border
+    (replicate handling), so every row still sums to 1.
+    """
+    if n_out < 1:
+        raise ParameterError(f"target size must be >= 1, got {n_out}")
+    scale = n_out / n_in
+    src = (np.arange(n_out, dtype=np.float64) + 0.5) / scale - 0.5
+    base = np.floor(src).astype(np.int64)
+    frac = src - base
+    weights = np.zeros((n_out, n_in), dtype=np.float64)
+    rows = np.arange(n_out)
+    for k in range(-1, 3):
+        w = _cubic_kernel(frac - k)
+        idx = np.clip(base + k, 0, n_in - 1)
+        np.add.at(weights, (rows, idx), w)
+    return weights
+
+
+def bicubic_resize(img, scale):
+    """Separable bicubic resize by a rational scale factor.
+
+    Dimensions are rounded to the nearest integer; scale 1 returns the
+    input values unchanged.
+    """
+    img = as_image(img)
+    h, w, _ = img.shape
+    h_out = int(round(h * scale))
+    w_out = int(round(w * scale))
+    if h_out < 1 or w_out < 1:
+        raise ParameterError(f"scale {scale} collapses {h}x{w} to {h_out}x{w_out}")
+    wr = resize_weights(h, h_out)
+    wc = resize_weights(w, w_out)
+    # rows then columns; separability makes the order irrelevant
+    return np.einsum("oh,hwc->owc", wr, np.einsum("ow,hwc->hoc", wc, img))
+
+
+def make_lr_pair(hr):
+    """Degrade a HR image: bicubic 1/4 down, bicubic x4 back up, residual."""
+    hr = as_image(hr)
+    if hr.shape[0] % 4 or hr.shape[1] % 4:
+        raise ParameterError(f"HR dims must be divisible by 4, got {hr.shape[:2]}")
+    lr = bicubic_resize(hr, 0.25)
+    lr_up = bicubic_resize(lr, 4)
+    return SrPair(hr=hr, lr=lr, lr_up=lr_up, delta0=lr_up - hr)
+
+
+# --- synthetic datasets ------------------------------------------------------
+
+SYNTH_KINDS = ("gradients", "checkers", "blobs", "mixed")
+
+
+def _synth_gradient(size, rng):
+    y, x = np.mgrid[0:size, 0:size] / (size - 1)
+    theta = rng.uniform(0.0, 2.0 * np.pi)
+    ramp = np.cos(theta) * x + np.sin(theta) * y
+    lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
+    rmin, rmax = ramp.min(), ramp.max()
+    img = lo + (hi - lo + 0.05) * (ramp - rmin) / (rmax - rmin)
+    return np.clip(img, 0.0, 1.0)[:, :, None]
+
+
+def _synth_checker(size, rng):
+    # cells and phases snap to the x4 grid: cells of >= 8 px stay >= 2 px
+    # after downsampling, and aligned edges make the round trip blurry but
+    # unambiguous, so the board is structure a model can re-sharpen
+    cell = 4 * int(rng.integers(2, size // 4 + 1))
+    phase_y = 4 * int(rng.integers(0, cell // 4))
+    phase_x = 4 * int(rng.integers(0, cell // 4))
+    lo = rng.uniform(0.0, 0.4)
+    hi = rng.uniform(0.6, 1.0)
+    y, x = np.mgrid[0:size, 0:size]
+    parity = (((y + phase_y) // cell) + ((x + phase_x) // cell)) % 2
+    return np.where(parity > 0, hi, lo)[:, :, None]
+
+
+def _synth_blobs(size, rng):
+    # widths of >= 2 px survive x4 decimation as blurred bumps whose lost
+    # peak amplitude a model can restore
+    base = rng.uniform(0.05, 0.35)
+    img = np.full((size, size), base)
+    y, x = np.mgrid[0:size, 0:size]
+    for _ in range(int(rng.integers(1, 5))):
+        cy = rng.uniform(0.15 * size, 0.85 * size)
+        cx = rng.uniform(0.15 * size, 0.85 * size)
+        width = rng.uniform(0.13 * size, 0.3 * size)
+        amp = rng.uniform(0.3, 0.65)
+        img = img + amp * np.exp(-((y - cy) ** 2 + (x - cx) ** 2) / (2 * width**2))
+    return np.clip(img, 0.0, 1.0)[:, :, None]
+
+
+def _synth_mixed(size, rng):
+    # superpose all three structures, edge-dominant: a checkerboard base
+    # modulated by smooth ramps and blobs keeps difficulty homogeneous
+    # and leaves recoverable sharp structure in every image
+    smooth = 0.55 * _synth_gradient(size, rng) + 0.45 * _synth_blobs(size, rng)
+    weight = rng.uniform(0.65, 0.9)
+    img = weight * _synth_checker(size, rng) + (1 - weight) * smooth
+    return np.clip(img, 0.0, 1.0)
+
+
+def synth_dataset(kind, count, size, rng):
+    """Deterministic-per-seed synthetic HR images in [0, 1], shape (size, size, 1)."""
+    if kind not in SYNTH_KINDS:
+        raise ParameterError(f"kind must be one of {SYNTH_KINDS}, got {kind!r}")
+    if size % 4:
+        raise ParameterError(f"size must be divisible by 4, got {size}")
+    if size < 8:
+        raise ParameterError(f"size must be at least 8, got {size}")
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
+    makers = {"gradients": _synth_gradient, "checkers": _synth_checker,
+              "blobs": _synth_blobs, "mixed": _synth_mixed}
+    return [makers[kind](size, rng) for _ in range(count)]
+
+
+# --- PGM (P5) / PPM (P6) codec, binary, maxval 255 ---------------------------
+
+def quantize(img):
+    """Clamp to [0, 1] then round-half-up to a uint8 byte image."""
+    img = as_image(img)
+    return np.floor(np.clip(img, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+
+
+def write_image(img, path):
+    """Write a PGM (1 channel) or PPM (3 channels) binary file, maxval 255."""
+    data = quantize(img)
+    h, w, c = data.shape
+    magic = b"P5" if c == 1 else b"P6"
+    with open(path, "wb") as fh:
+        fh.write(magic + b"\n%d %d\n255\n" % (w, h))
+        fh.write(data.tobytes())
+
+
+def _read_token(fh):
+    # netpbm tokens are whitespace separated; '#' starts a comment to EOL
+    token = b""
+    while True:
+        ch = fh.read(1)
+        if ch == b"":
+            if token:
+                return token
+            raise CodecError("unexpected end of header")
+        if ch == b"#":
+            while ch not in (b"", b"\n"):
+                ch = fh.read(1)
+            continue
+        if ch.isspace():
+            if token:
+                return token
+            continue
+        token += ch
+
+
+def read_image(path):
+    """Read a binary PGM/PPM file back to a float image with values k/255."""
+    with open(path, "rb") as fh:
+        magic = fh.read(2)
+        if magic == b"P5":
+            channels = 1
+        elif magic == b"P6":
+            channels = 3
+        else:
+            raise UnsupportedFormatError(f"unsupported magic {magic!r}; need P5 or P6")
+        try:
+            width = int(_read_token(fh))
+            height = int(_read_token(fh))
+            maxval = int(_read_token(fh))
+        except ValueError as exc:
+            raise CodecError(f"malformed header: {exc}") from exc
+        if width < 1 or height < 1:
+            raise CodecError(f"bad dimensions {width}x{height}")
+        if maxval != 255:
+            raise UnsupportedFormatError(f"only maxval 255 is supported, got {maxval}")
+        payload = fh.read(width * height * channels)
+        if len(payload) != width * height * channels:
+            raise CodecError(
+                f"truncated payload: expected {width * height * channels} bytes, "
+                f"got {len(payload)}")
+    data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    return data.astype(np.float64) / 255.0
+
+
+def write_image_bytes(img):
+    """The exact byte string write_image would produce (for tests and hashing)."""
+    data = quantize(img)
+    h, w, c = data.shape
+    magic = b"P5" if c == 1 else b"P6"
+    buf = io.BytesIO()
+    buf.write(magic + b"\n%d %d\n255\n" % (w, h))
+    buf.write(data.tobytes())
+    return buf.getvalue()
+
+
+def image_roundtrip(img, path):
+    """Write then re-read; the result equals quantize(img)/255 exactly."""
+    write_image(img, path)
+    return read_image(path)

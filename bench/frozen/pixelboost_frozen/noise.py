@@ -1,0 +1,154 @@
+"""Seedable random streams and the standardized noise families.
+
+Every sampling routine in the package draws from an :class:`RngStream`,
+a counter-based generator keyed by ``(seed, stream_id)``.  The same key
+always reproduces the same sample sequence, and distinct stream ids give
+statistically independent substreams, so pipelines can hand out one
+stream per purpose (dataset synthesis, weight init, training, sampling)
+and stay bit-reproducible end to end.
+"""
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import ParameterError
+
+_MASK64 = (1 << 64) - 1
+
+# Conventional substream ids used by the pipeline entry points.
+STREAM_DATASET = 1
+STREAM_INIT = 2
+STREAM_TRAIN = 3
+STREAM_SAMPLER = 4
+STREAM_ANALYSIS = 5
+STREAM_FORWARD = 6
+
+FAMILIES = ("gaussian", "brownian", "laplacian", "poisson", "uniform")
+
+
+def _mix(a, b):
+    # splitmix64 finalizer over a golden-ratio combine; decorrelates ids
+    x = (a * 0x9E3779B97F4A7C15 + b + 1) & _MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _MASK64
+    x ^= x >> 31
+    return x
+
+
+@dataclass
+class RngStream:
+    """Deterministic random stream keyed by (seed, stream_id).
+
+    Wraps a Philox counter-based bit generator; the key is exactly the
+    (seed, stream_id) pair, so construction is cheap and reproducible.
+    A stream is single-owner mutable state: never share one instance
+    across concurrent tasks, spawn substreams instead.
+    """
+
+    seed: int
+    stream_id: int = 0
+    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        seed = int(self.seed) & _MASK64
+        sid = int(self.stream_id) & _MASK64
+        self.seed = seed
+        self.stream_id = sid
+        self._gen = np.random.Generator(np.random.Philox(key=[seed, sid]))
+
+    @property
+    def generator(self):
+        return self._gen
+
+    def substream(self, k):
+        """Derive an independent stream; same (seed, stream_id, k) -> same stream."""
+        return RngStream(self.seed, _mix(self.stream_id, int(k)))
+
+    # Thin draws used throughout the package; all consume this stream's state.
+    def standard_normal(self, shape=None):
+        return self._gen.standard_normal(shape)
+
+    def uniform(self, low, high, shape=None):
+        return self._gen.uniform(low, high, shape)
+
+    def integers(self, low, high, shape=None):
+        return self._gen.integers(low, high, shape)
+
+    def poisson(self, lam, shape=None):
+        return self._gen.poisson(lam, shape)
+
+    def laplace(self, scale, shape=None):
+        return self._gen.laplace(0.0, scale, shape)
+
+
+@dataclass(frozen=True)
+class NoiseKind:
+    """A noise family tag plus its per-family parameters.
+
+    All families are standardized to mean 0 / unit variance before the
+    optional rescale: ``brownian`` rescales by sigma * sqrt(alpha) (the
+    per-step increment of a Brownian path with time step alpha),
+    ``poisson`` is the lattice (X - lam)/sqrt(lam), ``laplacian`` uses
+    scale b with 2 b^2 = 1 and ``uniform`` is centered with half-width
+    sqrt(3).
+    """
+
+    tag: str
+    sigma: float = 1.0   # brownian only
+    alpha: float = 1.0   # brownian only
+    lam: float = 10.0    # poisson only
+
+    FAMILIES = FAMILIES
+
+    def __post_init__(self):
+        if self.tag not in self.FAMILIES:
+            raise ParameterError(f"unknown noise family {self.tag!r}")
+        if self.tag == "poisson" and not self.lam > 0:
+            raise ParameterError(f"poisson rate must be positive, got {self.lam}")
+        if self.tag == "brownian":
+            if not self.sigma > 0:
+                raise ParameterError(f"brownian strength must be positive, got {self.sigma}")
+            if not self.alpha > 0:
+                raise ParameterError(f"brownian drift must be positive, got {self.alpha}")
+
+
+def sample_noise(kind, shape, rng):
+    """Draw an i.i.d. field from the given standardized noise family.
+
+    ``shape`` may be an int or a tuple of ints with at least one element.
+    Returns a float64 array of that shape.
+    """
+    if isinstance(shape, (int, np.integer)):
+        shape = (int(shape),)
+    else:
+        shape = tuple(int(n) for n in shape)
+    if len(shape) == 0 or any(n <= 0 for n in shape):
+        raise ParameterError(f"shape must be nonempty with positive dims, got {shape}")
+
+    tag = kind.tag
+    if tag == "gaussian":
+        return rng.standard_normal(shape)
+    if tag == "brownian":
+        return kind.sigma * np.sqrt(kind.alpha) * rng.standard_normal(shape)
+    if tag == "laplacian":
+        # variance of Laplace(b) is 2 b^2; b = 1/sqrt(2) standardizes it
+        return rng.laplace(1.0 / np.sqrt(2.0), shape)
+    if tag == "poisson":
+        lam = kind.lam
+        return (rng.poisson(lam, shape).astype(np.float64) - lam) / np.sqrt(lam)
+    if tag == "uniform":
+        root3 = np.sqrt(3.0)
+        return rng.uniform(-root3, root3, shape)
+    raise ParameterError(f"unknown noise family {tag!r}")
+
+
+def brownian_field(sigma, alpha_t, shape, rng):
+    """One per-step Brownian increment: N(0, sigma^2 * alpha_t) per element."""
+    if not sigma > 0:
+        raise ParameterError(f"brownian strength must be positive, got {sigma}")
+    if not alpha_t > 0:
+        raise ParameterError(f"drift must be positive, got {alpha_t}")
+    return sample_noise(NoiseKind("brownian", sigma=sigma, alpha=alpha_t), shape, rng)
