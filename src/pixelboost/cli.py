@@ -216,11 +216,7 @@ def cmd_sr(cfg):
     _require(cfg, "input", "checkpoint", "out")
     lr = read_image(cfg.input)
     ckpt = load_checkpoint(cfg.checkpoint)
-    tc = ckpt.train_config
-    dcfg = make_config(steps=int(tc["steps"]), sigma=float(tc["sigma"]),
-                       t_mid=tc["t_mid"], mode=tc["mode"],
-                       convention=tc.get("convention", "eq5_variance"),
-                       seed=cfg.seed)
+    dcfg = ckpt.config(cfg.seed)
     lr_up = bicubic_resize(lr, 4)
     rng = RngStream(cfg.seed, STREAM_SAMPLER)
     sr, _ = reverse_sample(lr_up, as_denoiser(ckpt), dcfg, rng)

@@ -8,13 +8,15 @@ are hand-derived and checked against finite differences in the tests.
 """
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .diffusion import forward_marginal, item_loss, kl_weight
+from .diffusion import DiffusionConfig, forward_marginal, item_loss, kl_weight
 from .errors import (CheckpointError, CheckpointVersionError, ParameterError,
                      ShapeError, TrainingError, UnsupportedOperationError)
 from .noise import STREAM_INIT, STREAM_TRAIN, RngStream
@@ -113,13 +115,34 @@ class DenoiserCheckpoint:
         """Rebuild the shifting sequence recorded at training time."""
         if self._schedule_cache is None:
             tc = self.train_config
-            try:
+            with _metadata_errors():
                 self._schedule_cache = build_schedule(
                     tc["steps"], t_mid=tc["t_mid"], mode=tc["mode"])
-            except KeyError as exc:
-                raise ParameterError(
-                    f"checkpoint lacks schedule metadata ({exc})") from exc
         return self._schedule_cache
+
+    def config(self, seed=0):
+        """The diffusion config recorded at training time, with the given seed.
+
+        Missing or invalid metadata raises CheckpointError.
+        """
+        schedule = self.schedule()
+        tc = self.train_config
+        with _metadata_errors():
+            return DiffusionConfig(steps=int(tc["steps"]), sigma=float(tc["sigma"]),
+                                   schedule=schedule,
+                                   convention=tc.get("convention", "eq5_variance"),
+                                   seed=int(seed))
+
+
+@contextmanager
+def _metadata_errors():
+    """Report missing or malformed training metadata as a CheckpointError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint lacks metadata {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"invalid checkpoint metadata: {exc}") from exc
 
 
 class OracleDenoiser:
@@ -138,43 +161,73 @@ def as_denoiser(ckpt):
 
 
 # --- forward / backward ------------------------------------------------------
+# The network runs on a batch of shape (B, H, W, C).  Every BLAS call is one
+# matmul per item on exactly the operands that the single-image einsums
+# (np.einsum(..., optimize=True), kept as the reference in the tests) pass:
+# the conv is W(o, u*v*c) @ cols(u*v*c, H*W), the weight gradient
+# gout(o, H*W) @ patches(H*W, c*u*v), the input gradient gout(H*W, o) @
+# W(o, u*v*c).  Transposed operands are views, patches are C-contiguous.  A
+# batch is then bit-identical to its items run one at a time, on any image
+# size.  A contiguous copy of a transposed view, another order of a summed
+# axis, or one matmul over all B*H*W columns lets BLAS pick another kernel or
+# blocking and can change the last bit.  (With o = 1 the input gradient's
+# entries are single products, which every method rounds alike.)  The affine
+# kind's einsums do not use BLAS and sum each item's terms in per-item order.
 
-def _conv3x3(x, w, b):
-    # x (H,W,Ci), w (3,3,Ci,Co) -> (H,W,Co); replicate border padding
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    win = sliding_window_view(xp, (3, 3), axis=(0, 1))  # (H,W,Ci,3,3)
-    return np.einsum("hwcuv,uvco->hwo", win, w, optimize=True) + b
+def _pad(x):
+    """Replicate-pad the H and W axes of a (B, H, W, C) batch by one pixel."""
+    xp = np.empty((x.shape[0], x.shape[1] + 2, x.shape[2] + 2, x.shape[3]))
+    xp[:, 1:-1, 1:-1] = x
+    xp[:, 1:-1, 0] = x[:, :, 0]
+    xp[:, 1:-1, -1] = x[:, :, -1]
+    xp[:, 0] = xp[:, 1]
+    xp[:, -1] = xp[:, -2]
+    return xp
 
 
-def _conv3x3_grads(x, gout):
-    """Parameter gradients of a 3x3 conv: (dw, db)."""
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    win = sliding_window_view(xp, (3, 3), axis=(0, 1))
-    dw = np.einsum("hwcuv,hwo->uvco", win, gout, optimize=True)
-    return dw, gout.sum(axis=(0, 1))
+def _conv3x3(xp, w, bias):
+    """3x3 conv of a padded batch: (B, H, W, Co)."""
+    b, h, wd, c = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2, xp.shape[3]
+    win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B, H, W, C, 3, 3)
+    cols = win.transpose(0, 4, 5, 3, 1, 2).reshape(b, 9 * c, h * wd)
+    out = np.matmul(w.reshape(9 * c, -1).T, cols)
+    return out.transpose(0, 2, 1).reshape(b, h, wd, -1) + bias
 
 
-def _conv3x3_input_grad(w, gout, in_shape):
+def _conv3x3_grads(xp, gout):
+    """Per-item parameter gradients of a 3x3 conv: dw (B, 3, 3, Ci, Co), db (B, Co)."""
+    b, h, wd, o = gout.shape
+    c = xp.shape[3]
+    g = gout.reshape(b, h * wd, o)
+    win = sliding_window_view(xp, (3, 3), axis=(1, 2))
+    dw = np.matmul(g.transpose(0, 2, 1), win.reshape(b, h * wd, 9 * c))
+    return dw.reshape(b, o, c, 3, 3).transpose(0, 3, 4, 2, 1), g.sum(axis=1)
+
+
+def _conv3x3_input_grad(w, gout):
     """Gradient w.r.t. the conv input, folding replicate-pad contributions."""
-    h, wd, _ = in_shape
-    gw = np.einsum("hwo,uvco->hwuvc", gout, w, optimize=True)
-    dxp = np.zeros((h + 2, wd + 2, w.shape[2]))
+    b, h, wd, o = gout.shape
+    c = w.shape[2]
+    gw = np.matmul(gout.reshape(b, h * wd, o), w.transpose(3, 0, 1, 2).reshape(o, 9 * c))
+    gw = gw.reshape(b, h, wd, 3, 3, c)
+    dxp = np.zeros((b, h + 2, wd + 2, c))
     for u in range(3):
         for v in range(3):
-            dxp[u:u + h, v:v + wd] += gw[:, :, u, v, :]
-    dx = dxp[1:h + 1, 1:wd + 1].copy()
-    dx[0, :] += dxp[0, 1:wd + 1]
-    dx[-1, :] += dxp[h + 1, 1:wd + 1]
-    dx[:, 0] += dxp[1:h + 1, 0]
-    dx[:, -1] += dxp[1:h + 1, wd + 1]
-    dx[0, 0] += dxp[0, 0]
-    dx[0, -1] += dxp[0, wd + 1]
-    dx[-1, 0] += dxp[h + 1, 0]
-    dx[-1, -1] += dxp[h + 1, wd + 1]
+            dxp[:, u:u + h, v:v + wd] += gw[:, :, :, u, v]
+    dx = dxp[:, 1:h + 1, 1:wd + 1].copy()
+    dx[:, 0] += dxp[:, 0, 1:wd + 1]
+    dx[:, -1] += dxp[:, h + 1, 1:wd + 1]
+    dx[:, :, 0] += dxp[:, 1:h + 1, 0]
+    dx[:, :, -1] += dxp[:, 1:h + 1, wd + 1]
+    dx[:, 0, 0] += dxp[:, 0, 0]
+    dx[:, 0, -1] += dxp[:, 0, wd + 1]
+    dx[:, -1, 0] += dxp[:, h + 1, 0]
+    dx[:, -1, -1] += dxp[:, h + 1, wd + 1]
     return dx
 
 
-def _stack_input(spec, schedule, x_t, y0_up, t):
+def _check_pair(spec, x_t, y0_up):
+    """One (H, W, C) input pair as float64 arrays, validated against the spec."""
     x_t = np.asarray(x_t, dtype=np.float64)
     y0_up = np.asarray(y0_up, dtype=np.float64)
     if x_t.shape != y0_up.shape:
@@ -182,39 +235,89 @@ def _stack_input(spec, schedule, x_t, y0_up, t):
     if x_t.ndim != 3 or x_t.shape[2] != spec.image_channels:
         raise ShapeError(
             f"expected (H, W, {spec.image_channels}) inputs, got {x_t.shape}")
-    if t < 1:
-        raise IndexError(f"t={t} outside 1..{schedule.steps}")
-    eta_t = schedule.eta(int(t))
-    tchan = np.full(x_t.shape[:2] + (1,), eta_t)
-    return np.concatenate([x_t, y0_up, tchan], axis=2)
+    return x_t, y0_up
+
+
+def _stack_input(schedule, x_t, y0_up, ts):
+    """Network input (B, H, W, 2C+1): x_t, y0_up and a constant eta_t channel."""
+    for t in ts:
+        if t < 1:
+            raise IndexError(f"t={t} outside 1..{schedule.steps}")
+    etas = np.array([schedule.eta(int(t)) for t in ts])
+    tchan = np.broadcast_to(etas[:, None, None, None], x_t.shape[:3] + (1,))
+    return np.concatenate([x_t, y0_up, tchan], axis=3)
 
 
 def _forward(spec, params, z):
-    """Network output plus the cache needed for the backward pass."""
+    """Network output on the batch z, plus the cache _backward needs.
+
+    The cache holds padded activations, not patch matrices, so predict
+    builds one patch matrix at a time and frees it before the next.
+    """
     p = spec._unpack(params)
     if spec.kind == "affine":
-        out = np.einsum("hwc,co->hwo", z, p["w"]) + p["b"]
+        out = np.einsum("bhwc,co->bhwo", z, p["w"]) + p["b"]
         return out, (z,)
-    h = _conv3x3(z, p["w1"], p["b1"])
-    a = np.maximum(h, 0.0)
-    out = _conv3x3(a, p["w2"], p["b2"])
-    return out, (z, h, a)
+    zp = _pad(z)
+    h = _conv3x3(zp, p["w1"], p["b1"])
+    ap = _pad(np.maximum(h, 0.0))
+    out = _conv3x3(ap, p["w2"], p["b2"])
+    return out, (zp, h, ap)
 
 
 def _backward(spec, params, cache, gout):
-    """Flat gradient vector, same layout as the parameter vector."""
+    """Per-item flat gradients (B, param_count), in parameter-vector layout."""
     p = spec._unpack(params)
+    b = gout.shape[0]
     if spec.kind == "affine":
         (z,) = cache
-        dw = np.einsum("hwc,hwo->co", z, gout)
-        db = gout.sum(axis=(0, 1))
-        return np.concatenate([dw.ravel(), db.ravel()])
-    z, h, a = cache
-    dw2, db2 = _conv3x3_grads(a, gout)
-    da = _conv3x3_input_grad(p["w2"], gout, a.shape)
-    dh = da * (h > 0.0)
-    dw1, db1 = _conv3x3_grads(z, dh)
-    return np.concatenate([dw1.ravel(), db1.ravel(), dw2.ravel(), db2.ravel()])
+        dw = np.einsum("bhwc,bhwo->bco", z, gout)
+        db = gout.sum(axis=(1, 2))
+        return np.concatenate([dw.reshape(b, -1), db], axis=1)
+    zp, h, ap = cache
+    dw2, db2 = _conv3x3_grads(ap, gout)
+    dh = _conv3x3_input_grad(p["w2"], gout) * (h > 0.0)
+    dw1, db1 = _conv3x3_grads(zp, dh)
+    return np.concatenate([dw1.reshape(b, -1), db1, dw2.reshape(b, -1), db2], axis=1)
+
+
+def _gradient_scale(t, cfg, weighting, size):
+    """d loss / d prediction = scale * (prediction - x0) for one item."""
+    if weighting == "uniform_mse":
+        return 2.0 / size
+    if weighting == "exact_kl":
+        if cfg.schedule.etas[t - 1] == 0.0:
+            return 2.0
+        return 2.0 * kl_weight(t, cfg)
+    raise ParameterError(f"unknown weighting {weighting!r}")
+
+
+def _batch_forward(ckpt, x_t, y0_up, ts):
+    z = _stack_input(ckpt.schedule(), x_t, y0_up, ts)
+    return _forward(ckpt.spec, ckpt.params, z)
+
+
+def _losses_and_gradients(ckpt, cfg, items, weighting):
+    """Per-item losses and gradients of (x0, y0_up, t, x_t) items, in item order.
+
+    Items of one image shape share one forward and one backward pass.
+    """
+    losses = [0.0] * len(items)
+    grads = np.empty((len(items), ckpt.params.size))
+    groups = {}
+    for k, item in enumerate(items):
+        groups.setdefault(item[0].shape, []).append(k)
+    for ks in groups.values():
+        x0, y0_up, x_t = (np.stack([items[k][j] for k in ks]) for j in (0, 1, 3))
+        ts = [items[k][2] for k in ks]
+        out, cache = _batch_forward(ckpt, x_t, y0_up, ts)
+        diff = out - x0
+        scale = [_gradient_scale(t, cfg, weighting, diff[0].size) for t in ts]
+        gout = np.array(scale)[:, None, None, None] * diff
+        grads[ks] = _backward(ckpt.spec, ckpt.params, cache, gout)
+        for i, k in enumerate(ks):
+            losses[k] = item_loss(x0[i], out[i], ts[i], cfg, weighting)
+    return losses, grads
 
 
 def predict(ckpt, x_t, y0_up, t):
@@ -222,9 +325,8 @@ def predict(ckpt, x_t, y0_up, t):
     if ckpt.spec.kind == "oracle":
         raise UnsupportedOperationError(
             "oracle checkpoints carry no ground truth; use OracleDenoiser")
-    z = _stack_input(ckpt.spec, ckpt.schedule(), x_t, y0_up, t)
-    out, _ = _forward(ckpt.spec, ckpt.params, z)
-    return out
+    x_t, y0_up = _check_pair(ckpt.spec, x_t, y0_up)
+    return _batch_forward(ckpt, x_t[None], y0_up[None], [t])[0][0]
 
 
 def loss_gradient(ckpt, item, t, x_t, weighting="uniform_mse"):
@@ -233,40 +335,19 @@ def loss_gradient(ckpt, item, t, x_t, weighting="uniform_mse"):
         raise UnsupportedOperationError("the oracle has no parameters")
     x0, y0_up = item
     x0 = np.asarray(x0, dtype=np.float64)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    cfg = _config_from_checkpoint(ckpt)
-    z = _stack_input(ckpt.spec, ckpt.schedule(), x_t, y0_up, t)
-    out, cache = _forward(ckpt.spec, ckpt.params, z)
-    diff = out - x0
-    if weighting == "uniform_mse":
-        gout = (2.0 / diff.size) * diff
-    elif weighting == "exact_kl":
-        if ckpt.schedule().etas[t - 1] == 0.0:
-            gout = 2.0 * diff
-        else:
-            gout = 2.0 * kl_weight(t, cfg) * diff
-    else:
-        raise ParameterError(f"unknown weighting {weighting!r}")
-    return _backward(ckpt.spec, ckpt.params, cache, gout)
+    x_t, y0_up = _check_pair(ckpt.spec, x_t, y0_up)
+    _, grads = _losses_and_gradients(ckpt, ckpt.config(), [(x0, y0_up, t, x_t)],
+                                     weighting)
+    return grads[0]
 
 
 def item_loss_value(ckpt, item, t, x_t, weighting="uniform_mse"):
-    """The loss whose gradient loss_gradient returns; used by tests and train."""
+    """The loss whose gradient loss_gradient returns."""
     x0, y0_up = item
     x0 = np.asarray(x0, dtype=np.float64)
-    cfg = _config_from_checkpoint(ckpt)
-    z = _stack_input(ckpt.spec, ckpt.schedule(), x_t, y0_up, t)
-    out, _ = _forward(ckpt.spec, ckpt.params, z)
-    return item_loss(x0, out, t, cfg, weighting)
-
-
-def _config_from_checkpoint(ckpt):
-    from .diffusion import DiffusionConfig
-    tc = ckpt.train_config
-    return DiffusionConfig(steps=int(tc["steps"]), sigma=float(tc["sigma"]),
-                           schedule=ckpt.schedule(),
-                           convention=tc.get("convention", "eq5_variance"),
-                           seed=int(tc.get("seed", 0)))
+    x_t, y0_up = _check_pair(ckpt.spec, x_t, y0_up)
+    out, _ = _batch_forward(ckpt, x_t[None], y0_up[None], [t])
+    return item_loss(x0, out[0], t, ckpt.config(), weighting)
 
 
 # --- training ----------------------------------------------------------------
@@ -319,31 +400,34 @@ def train(dataset, cfg, opt=None, spec=None):
         raise ParameterError("dataset must be nonempty")
     if opt is None:
         opt = TrainOptions()
-    dataset = [(np.asarray(x0, dtype=np.float64), np.asarray(y, dtype=np.float64))
-               for x0, y in dataset]
-    channels = dataset[0][0].shape[2]
     if spec is None:
-        spec = spec_for_images("conv2", image_channels=channels)
+        spec = spec_for_images("conv2", image_channels=np.shape(dataset[0][0])[2])
     if spec.kind == "oracle":
         raise UnsupportedOperationError("the oracle has no parameters to train")
+    dataset = [_check_pair(spec, x0, y0_up) for x0, y0_up in dataset]
 
     ckpt = init_checkpoint(spec, cfg, RngStream(cfg.seed, STREAM_INIT))
     ckpt.train_config.update(step_size=opt.step_size, batch_size=opt.batch_size,
                              weighting=opt.weighting)
+    loss_cfg = ckpt.config(cfg.seed)
     params = ckpt.params
     rng = RngStream(cfg.seed, STREAM_TRAIN)
     history = []
     n = len(dataset)
     for step in range(opt.steps):
-        idx = rng.integers(0, n, opt.batch_size)
-        grad = np.zeros_like(params)
-        loss_acc = 0.0
-        for i in idx:
+        # draw order: the batch indices, then t and the noise of each item
+        items = []
+        for i in rng.integers(0, n, opt.batch_size):
             x0, y0_up = dataset[int(i)]
             t = int(rng.integers(1, cfg.steps + 1))
-            x_t = forward_marginal(x0, y0_up - x0, t, cfg, rng)
-            loss_acc += item_loss_value(ckpt, (x0, y0_up), t, x_t, opt.weighting)
-            grad += loss_gradient(ckpt, (x0, y0_up), t, x_t, opt.weighting)
+            items.append((x0, y0_up, t, forward_marginal(x0, y0_up - x0, t, cfg, rng)))
+        losses, grads = _losses_and_gradients(ckpt, loss_cfg, items, opt.weighting)
+        # summed in item order, as the per-item reference does
+        grad = np.zeros_like(params)
+        loss_acc = 0.0
+        for value, item_grad in zip(losses, grads):
+            loss_acc += value
+            grad += item_grad
         loss = loss_acc / opt.batch_size
         if not np.isfinite(loss):
             raise TrainingError(f"loss became non-finite at step {step}")
@@ -381,6 +465,14 @@ def _read_exact(fh, n, what):
     return buf
 
 
+def _check_remaining(fh, n, what):
+    """Refuse a declared length before reading it if the file is shorter."""
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > remaining:
+        raise CheckpointError(
+            f"truncated checkpoint: {what} declares {n} bytes, {remaining} remain")
+
+
 def load_checkpoint(path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -397,11 +489,13 @@ def load_checkpoint(path):
             raise CheckpointError(f"unknown denoiser kind code {kind_code}")
         (step_count,) = struct.unpack("<Q", _read_exact(fh, 8, "step count"))
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
+        _check_remaining(fh, meta_len, "metadata")
         try:
             meta = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"corrupt metadata: {exc}") from exc
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "parameter count"))
+        _check_remaining(fh, 8 * count, "parameter block")
         raw = _read_exact(fh, 8 * count, "parameters")
         if fh.read(1) != b"":
             raise CheckpointError("trailing bytes after parameter block")

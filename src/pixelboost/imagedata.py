@@ -6,6 +6,7 @@ codec clamps, and only on write.
 """
 
 import io
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,11 +236,15 @@ def read_image(path):
             raise CodecError(f"bad dimensions {width}x{height}")
         if maxval != 255:
             raise UnsupportedFormatError(f"only maxval 255 is supported, got {maxval}")
-        payload = fh.read(width * height * channels)
-        if len(payload) != width * height * channels:
+        size = width * height * channels
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size > remaining:
             raise CodecError(
-                f"truncated payload: expected {width * height * channels} bytes, "
-                f"got {len(payload)}")
+                f"truncated payload: expected {size} bytes, got {remaining}")
+        payload = fh.read(size)
+        if len(payload) != size:
+            raise CodecError(
+                f"truncated payload: expected {size} bytes, got {len(payload)}")
     data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
     return data.astype(np.float64) / 255.0
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from pixelboost import (STREAM_DATASET, RngStream, build_schedule,
-                        load_checkpoint, make_lr_pair, read_image,
-                        synth_dataset, write_image)
+                        init_checkpoint, load_checkpoint, make_config,
+                        make_lr_pair, read_image, save_checkpoint,
+                        spec_for_images, synth_dataset, write_image)
 from pixelboost.cli import SEED_ENV, RunConfig, main
 
 
@@ -267,6 +268,18 @@ class TestTrainAndSr:
         assert main(["sr", "--input", str(lr_path), "--checkpoint", str(bad),
                      "--out", str(tmp_path / "o.pgm")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_checkpoint_without_sigma(self, tmp_path, capsys):
+        cfg = make_config(seed=0)
+        ckpt = init_checkpoint(spec_for_images("conv2"), cfg)
+        del ckpt.train_config["sigma"]
+        ckpt_path = tmp_path / "nosigma.pxbk"
+        save_checkpoint(ckpt, ckpt_path)
+        lr_path = tmp_path / "lr.pgm"
+        _make_image(lr_path, size=8)
+        assert main(["sr", "--input", str(lr_path), "--checkpoint", str(ckpt_path),
+                     "--out", str(tmp_path / "o.pgm")]) == 1
+        assert "sigma" in capsys.readouterr().err
 
     def test_future_checkpoint_version(self, tmp_path, capsys):
         manifest = self._manifest(tmp_path, count=2)

@@ -2,16 +2,20 @@
 gradients against finite differences, SGD training, and the checkpoint
 file format."""
 
+import struct
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import pixelboost as pb
 from pixelboost import (CheckpointError, CheckpointVersionError,
                         ParameterError, ShapeError, TrainingError,
                         UnsupportedOperationError)
 from pixelboost.denoiser import (CHECKPOINT_MAGIC, INIT_WEIGHT_HALF_RANGE,
-                                 KINDS, MAX_CONV2_PARAMS, item_loss_value)
-from pixelboost.noise import STREAM_DATASET, STREAM_INIT
+                                 KINDS, MAX_CONV2_PARAMS, _batch_forward,
+                                 _losses_and_gradients, item_loss_value)
+from pixelboost.noise import STREAM_DATASET, STREAM_INIT, STREAM_TRAIN
 
 
 def _ckpt(kind="conv2", hidden_width=8, sigma=1.5, seed=0, steps=15):
@@ -173,6 +177,26 @@ class TestInit:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_config_rebuilds_training_config(self):
+        ckpt = _ckpt(sigma=0.7, steps=11)
+        cfg = ckpt.config(seed=5)
+        assert (cfg.steps, cfg.sigma, cfg.seed) == (11, 0.7, 5)
+        assert cfg.schedule is ckpt.schedule()
+        assert cfg.convention == "eq5_variance"
+
+    @pytest.mark.parametrize("key", ["steps", "sigma", "t_mid", "mode"])
+    def test_config_needs_metadata(self, key):
+        ckpt = _ckpt()
+        del ckpt.train_config[key]
+        with pytest.raises(CheckpointError, match=key):
+            ckpt.config()
+
+    def test_config_rejects_invalid_metadata(self):
+        ckpt = _ckpt()
+        ckpt.train_config["sigma"] = -1.0
+        with pytest.raises(CheckpointError):
+            ckpt.config()
+
     def test_train_config_records_schedule(self):
         ckpt = _ckpt(sigma=0.7, steps=11)
         tc = ckpt.train_config
@@ -185,6 +209,178 @@ def _dataset(count=6, seed=0):
     images = pb.synth_dataset("mixed", count, 16,
                               pb.RngStream(seed, STREAM_DATASET))
     return [(p.hr, p.lr_up) for p in map(pb.make_lr_pair, images)]
+
+
+# --- per-item reference ------------------------------------------------------
+# The network, loss and SGD loop as they ran one item at a time, before the
+# batched core.  The library must match them bit for bit.
+
+def _ref_conv3x3(x, w, b):
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    win = sliding_window_view(xp, (3, 3), axis=(0, 1))
+    return np.einsum("hwcuv,uvco->hwo", win, w, optimize=True) + b
+
+
+def _ref_conv3x3_grads(x, gout):
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode="edge")
+    win = sliding_window_view(xp, (3, 3), axis=(0, 1))
+    dw = np.einsum("hwcuv,hwo->uvco", win, gout, optimize=True)
+    return dw, gout.sum(axis=(0, 1))
+
+
+def _ref_conv3x3_input_grad(w, gout, in_shape):
+    h, wd, _ = in_shape
+    gw = np.einsum("hwo,uvco->hwuvc", gout, w, optimize=True)
+    dxp = np.zeros((h + 2, wd + 2, w.shape[2]))
+    for u in range(3):
+        for v in range(3):
+            dxp[u:u + h, v:v + wd] += gw[:, :, u, v, :]
+    dx = dxp[1:h + 1, 1:wd + 1].copy()
+    dx[0, :] += dxp[0, 1:wd + 1]
+    dx[-1, :] += dxp[h + 1, 1:wd + 1]
+    dx[:, 0] += dxp[1:h + 1, 0]
+    dx[:, -1] += dxp[1:h + 1, wd + 1]
+    dx[0, 0] += dxp[0, 0]
+    dx[0, -1] += dxp[0, wd + 1]
+    dx[-1, 0] += dxp[h + 1, 0]
+    dx[-1, -1] += dxp[h + 1, wd + 1]
+    return dx
+
+
+def _ref_forward(ckpt, x_t, y0_up, t):
+    tchan = np.full(x_t.shape[:2] + (1,), ckpt.schedule().eta(t))
+    z = np.concatenate([x_t, y0_up, tchan], axis=2)
+    p = ckpt.spec._unpack(ckpt.params)
+    if ckpt.spec.kind == "affine":
+        return np.einsum("hwc,co->hwo", z, p["w"]) + p["b"], (z,)
+    h = _ref_conv3x3(z, p["w1"], p["b1"])
+    a = np.maximum(h, 0.0)
+    return _ref_conv3x3(a, p["w2"], p["b2"]), (z, h, a)
+
+
+def _ref_backward(ckpt, cache, gout):
+    p = ckpt.spec._unpack(ckpt.params)
+    if ckpt.spec.kind == "affine":
+        (z,) = cache
+        dw = np.einsum("hwc,hwo->co", z, gout)
+        return np.concatenate([dw.ravel(), gout.sum(axis=(0, 1)).ravel()])
+    z, h, a = cache
+    dw2, db2 = _ref_conv3x3_grads(a, gout)
+    dh = _ref_conv3x3_input_grad(p["w2"], gout, a.shape) * (h > 0.0)
+    dw1, db1 = _ref_conv3x3_grads(z, dh)
+    return np.concatenate([dw1.ravel(), db1.ravel(), dw2.ravel(), db2.ravel()])
+
+
+def _ref_loss_and_gradient(ckpt, cfg, x0, y0_up, t, x_t, weighting):
+    out, cache = _ref_forward(ckpt, x_t, y0_up, t)
+    diff = out - x0
+    if weighting == "uniform_mse":
+        gout = (2.0 / diff.size) * diff
+    elif ckpt.schedule().etas[t - 1] == 0.0:
+        gout = 2.0 * diff
+    else:
+        gout = 2.0 * pb.kl_weight(t, cfg) * diff
+    return (pb.item_loss(x0, out, t, cfg, weighting),
+            _ref_backward(ckpt, cache, gout))
+
+
+def _ref_train(dataset, cfg, opt, spec):
+    ckpt = pb.init_checkpoint(spec, cfg)
+    params = ckpt.params
+    rng = pb.RngStream(cfg.seed, STREAM_TRAIN)
+    history = []
+    for _ in range(opt.steps):
+        idx = rng.integers(0, len(dataset), opt.batch_size)
+        grad = np.zeros_like(params)
+        loss_acc = 0.0
+        for i in idx:
+            x0, y0_up = dataset[int(i)]
+            t = int(rng.integers(1, cfg.steps + 1))
+            x_t = pb.forward_marginal(x0, y0_up - x0, t, cfg, rng)
+            loss, item_grad = _ref_loss_and_gradient(ckpt, cfg, x0, y0_up, t, x_t,
+                                                     opt.weighting)
+            loss_acc += loss
+            grad += item_grad
+        params -= opt.step_size * (grad / opt.batch_size)
+        history.append(loss_acc / opt.batch_size)
+    return params, history
+
+
+def _mixed_dataset(seed=0):
+    """Pairs of three image sizes, interleaved so batches mix them."""
+    rng = pb.RngStream(seed, STREAM_DATASET)
+    groups = [[pb.make_lr_pair(hr) for hr in pb.synth_dataset("mixed", 4, size, rng)]
+              for size in (16, 8, 12)]
+    return [(p.hr, p.lr_up) for trio in zip(*groups) for p in trio]
+
+
+class TestBatchedCore:
+    """The batched core against the per-item reference, bit for bit."""
+
+    # exact_kl weights reach ~1e3 near t = 2, so it needs a far smaller step
+    STEP_SIZES = {"uniform_mse": 0.2, "exact_kl": 1e-5}
+
+    @pytest.mark.parametrize("weighting", ["uniform_mse", "exact_kl"])
+    @pytest.mark.parametrize("kind", ["conv2", "affine"])
+    def test_train_matches_reference(self, kind, weighting):
+        cfg = pb.make_config(steps=15, sigma=1.5, seed=4)
+        opt = pb.TrainOptions(step_size=self.STEP_SIZES[weighting], steps=50,
+                              batch_size=8, weighting=weighting)
+        spec = pb.spec_for_images(kind)
+        data = _dataset(count=12, seed=4)
+        ckpt, history = pb.train(data, cfg, opt, spec)
+        params, ref_history = _ref_train(data, cfg, opt, spec)
+        assert history == ref_history
+        np.testing.assert_array_equal(ckpt.params, params)
+        assert not np.array_equal(params, pb.init_checkpoint(spec, cfg).params)
+
+    def test_mixed_sizes_match_reference(self):
+        cfg = pb.make_config(steps=15, sigma=1.5, seed=6)
+        opt = pb.TrainOptions(step_size=0.2, steps=20, batch_size=8)
+        spec = pb.spec_for_images("conv2")
+        data = _mixed_dataset(seed=6)
+        ckpt, history = pb.train(data, cfg, opt, spec)
+        params, ref_history = _ref_train(data, cfg, opt, spec)
+        assert history == ref_history
+        np.testing.assert_array_equal(ckpt.params, params)
+
+    @pytest.mark.parametrize("kind,channels,hidden", [
+        ("conv2", 1, 8), ("conv2", 3, 1), ("affine", 3, 8)])
+    def test_batch_gradients_match_reference(self, kind, channels, hidden):
+        # odd sizes and a 1x1 image: every item must be independent of the
+        # others, however BLAS blocks the columns
+        spec = pb.spec_for_images(kind, image_channels=channels, hidden_width=hidden)
+        cfg = pb.make_config(seed=7)
+        ckpt = pb.init_checkpoint(spec, cfg)
+        rng = pb.RngStream(7, STREAM_DATASET)
+        items = []
+        for k, (h, w) in enumerate([(5, 7), (1, 1), (5, 7), (16, 16), (5, 7), (1, 1)]):
+            x0, y0_up, x_t = (rng.uniform(0.0, 1.0, (h, w, channels)) for _ in range(3))
+            items.append((x0, y0_up, 1 + 2 * k, x_t))
+        losses, grads = _losses_and_gradients(ckpt, cfg, items, "exact_kl")
+        for (x0, y0_up, t, x_t), loss, grad in zip(items, losses, grads):
+            ref_loss, ref_grad = _ref_loss_and_gradient(ckpt, cfg, x0, y0_up, t, x_t,
+                                                        "exact_kl")
+            assert loss == ref_loss
+            np.testing.assert_array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("size", [(16, 16), (5, 7), (64, 64)])
+    def test_predict_matches_reference(self, size):
+        ckpt = _ckpt(seed=9)
+        rng = pb.RngStream(9, STREAM_DATASET)
+        x_t, y0_up = (rng.uniform(0.0, 1.0, size + (1,)) for _ in range(2))
+        for t in (1, 8, 15):
+            np.testing.assert_array_equal(pb.predict(ckpt, x_t, y0_up, t),
+                                          _ref_forward(ckpt, x_t, y0_up, t)[0])
+
+    def test_stacked_batch_matches_per_image_predict(self):
+        ckpt = _ckpt(seed=10)
+        rng = pb.RngStream(10, STREAM_DATASET)
+        x_t, y0_up = (rng.uniform(0.0, 1.0, (5, 12, 9, 1)) for _ in range(2))
+        ts = [1, 4, 4, 9, 15]
+        out, _ = _batch_forward(ckpt, x_t, y0_up, ts)
+        for i, t in enumerate(ts):
+            np.testing.assert_array_equal(out[i], pb.predict(ckpt, x_t[i], y0_up[i], t))
 
 
 class TestTrain:
@@ -298,6 +494,21 @@ class TestCheckpointIO:
         pb.save_checkpoint(_ckpt(), path)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError):
+            pb.load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["metadata", "parameters"])
+    def test_forged_length_refused_before_reading(self, tmp_path, field):
+        # a length beyond the file is refused without allocating or reading it
+        path = tmp_path / "f.pxbk"
+        pb.save_checkpoint(_ckpt(), path)
+        raw = bytearray(path.read_bytes())
+        (meta_len,) = struct.unpack_from("<I", raw, 26)
+        if field == "metadata":
+            struct.pack_into("<I", raw, 26, 2**32 - 1)
+        else:
+            struct.pack_into("<Q", raw, 30 + meta_len, 2**62)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="truncated"):
             pb.load_checkpoint(path)
 
     def test_newer_version_refused(self, tmp_path):

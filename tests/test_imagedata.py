@@ -181,6 +181,15 @@ class TestCodec:
         with pytest.raises(CodecError):
             pb.read_image(path)
 
+    @pytest.mark.parametrize("header", [b"P5\n99999999999999999999 1\n255\n",
+                                        b"P6\n2 99999999999999999999\n255\n"])
+    def test_oversized_dimensions(self, tmp_path, header):
+        # the declared payload is checked against the file before any read
+        path = tmp_path / "big.pgm"
+        path.write_bytes(header + b"\x00" * 12)
+        with pytest.raises(CodecError):
+            pb.read_image(path)
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "h.pgm"
         path.write_bytes(b"P5\nxx yy\n255\n")
