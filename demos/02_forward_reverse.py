@@ -21,13 +21,13 @@ print(f"HR {pair.hr.shape} -> LR {pair.lr.shape} -> upsampled "
 
 # Run the forward chain and compare each visited state against the
 # closed-form marginal N(x_0 + eta_t delta_0, sigma^2 eta_t).
-state = pb.forward_chain(pair.hr, pair.delta0, cfg,
-                         pb.RngStream(0, STREAM_FORWARD),
-                         keep_trajectory=True)
+_, path = pb.forward_chain(pair.hr, pair.delta0, cfg,
+                           pb.RngStream(0, STREAM_FORWARD),
+                           keep_trajectory=True)
 print(f"\n{'t':>3} {'eta_t':>8} {'mean |x_t - x_0|':>18} {'expected':>10}")
 for t in (0, 3, 8, 12, 15):
     eta = cfg.schedule.etas[t]
-    drift = np.mean(np.abs(state.trajectory[t] - pair.hr))
+    drift = np.mean(np.abs(path[t] - pair.hr))
     # per-pixel |N(eta*delta, sigma^2 eta)| has mean near its std when
     # the drift is small compared to the noise
     expected = np.mean(np.abs(eta * pair.delta0)) + 0.8 * np.sqrt(

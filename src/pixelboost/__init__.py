@@ -14,14 +14,14 @@ from .denoiser import (DenoiserCheckpoint, DenoiserSpec, OracleDenoiser,
                        load_checkpoint, loss_gradient, predict,
                        save_checkpoint, spec_for_images, train)
 from .diffusion import (CONVENTIONS, WEIGHTINGS, DiffusionConfig,
-                        DiffusionState, diffusion_loss, forward_chain,
-                        forward_marginal, forward_step, item_loss, kl_weight,
+                        diffusion_loss, forward_chain, forward_marginal,
+                        forward_step, item_loss, kl_weight, loss_weight,
                         make_config, posterior_params, reverse_sample,
                         step_increment)
 from .errors import (CheckpointError, CheckpointVersionError, CodecError,
                      DegenerateFitError, NumericError, ParameterError,
                      PixelBoostError, ShapeError, TrainingError,
-                     UnsupportedFormatError, UnsupportedOperationError)
+                     UnsupportedFormatError)
 from .imagedata import (SYNTH_KINDS, SrPair, as_image, bicubic_resize,
                         image_roundtrip, make_lr_pair, quantize, read_image,
                         resize_weights, synth_dataset, write_image,
@@ -31,7 +31,7 @@ from .metrics import (EdgeReport, MetricReport, edge_report, grid_csv,
                       sobel_magnitude, ssim)
 from .noise import (FAMILIES, STREAM_ANALYSIS, STREAM_DATASET, STREAM_FORWARD,
                     STREAM_INIT, STREAM_SAMPLER, STREAM_TRAIN, NoiseKind,
-                    RngStream, brownian_field, sample_noise)
+                    RngStream, sample_noise)
 from .schedule import (MODES, Schedule, alpha_at, build_schedule,
                        default_t_mid)
 

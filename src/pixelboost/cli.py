@@ -14,8 +14,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from typing import Optional, get_args
 
 import numpy as np
 
@@ -72,6 +72,9 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
+# the value type of each field, with Optional[X] read as X
+_FIELD_TYPES = {f.name: (get_args(f.type) or (f.type,))[0] for f in fields(RunConfig)}
+_OPTIONAL_FIELDS = {f.name for f in fields(RunConfig) if f.default is None}
 
 
 def _parse_sigmas(value):
@@ -88,6 +91,28 @@ def _parse_sigmas(value):
     return sigmas
 
 
+def _coerce(name, value):
+    """A --config file value converted to the type of its RunConfig field.
+
+    Numbers may be JSON numbers or numeric strings; an int field refuses a
+    fractional value rather than truncating it.  ``None`` is allowed where
+    it is the field's default.
+    """
+    kind = _FIELD_TYPES[name]
+    if kind is tuple or (value is None and name in _OPTIONAL_FIELDS):
+        return value  # sigmas are parsed by _parse_sigmas
+    accepted = str if kind is str else (int, float, str)
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise _UsageError(
+            f"config value {name}={value!r} is not of type {kind.__name__}")
+    try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("not an integer")
+        return kind(value)
+    except (ValueError, OverflowError) as exc:
+        raise _UsageError(f"bad config value {name}={value!r}: {exc}") from exc
+
+
 def _resolve(args):
     """Merge flags, config file, environment, and defaults into a RunConfig."""
     file_cfg = {}
@@ -95,7 +120,7 @@ def _resolve(args):
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise _UsageError(f"cannot read config {args.config}: {exc}")
         if not isinstance(file_cfg, dict):
             raise _UsageError("config file must hold a JSON object")
@@ -109,7 +134,7 @@ def _resolve(args):
         if flag is not None:
             value = flag
         elif name in file_cfg:
-            value = file_cfg[name]
+            value = _coerce(name, file_cfg[name])
         elif name == "seed" and SEED_ENV in os.environ:
             try:
                 value = int(os.environ[SEED_ENV])
@@ -147,6 +172,11 @@ def _diffusion_config(cfg):
                        mode=cfg.mode, convention=cfg.convention, seed=cfg.seed)
 
 
+def _train_options(cfg):
+    return TrainOptions(step_size=cfg.step_size, steps=cfg.train_steps,
+                        batch_size=cfg.batch_size, weighting=cfg.weighting)
+
+
 # --- subcommands ---------------------------------------------------------
 
 def cmd_schedule(cfg):
@@ -176,9 +206,9 @@ def cmd_forward(cfg):
     pair = make_lr_pair(hr)
     dcfg = _diffusion_config(cfg)
     rng = RngStream(cfg.seed, STREAM_FORWARD)
-    state = forward_chain(pair.hr, pair.delta0, dcfg, rng, keep_trajectory=True)
+    _, frames = forward_chain(pair.hr, pair.delta0, dcfg, rng, keep_trajectory=True)
     os.makedirs(cfg.out, exist_ok=True)
-    for t, frame in enumerate(state.trajectory):
+    for t, frame in enumerate(frames):
         write_image(np.clip(frame, 0.0, 1.0),
                     os.path.join(cfg.out, _img_name(f"frame_{t:03d}", frame)))
     return 0
@@ -201,9 +231,7 @@ def cmd_train(cfg):
     dcfg = _diffusion_config(cfg)
     spec = spec_for_images("conv2", image_channels=dataset[0][0].shape[2],
                            hidden_width=cfg.hidden_width)
-    opt = TrainOptions(step_size=cfg.step_size, steps=cfg.train_steps,
-                       batch_size=cfg.batch_size, weighting=cfg.weighting)
-    ckpt, history = train(dataset, dcfg, opt, spec)
+    ckpt, history = train(dataset, dcfg, _train_options(cfg), spec)
     save_checkpoint(ckpt, cfg.checkpoint)
     if cfg.out is not None:
         rows = ["step,loss"]
@@ -273,13 +301,10 @@ def cmd_sweep(cfg):
     eval_pairs = pairs[cfg.count:]
     spec = spec_for_images("conv2", image_channels=images[0].shape[2],
                            hidden_width=cfg.hidden_width)
-    opt = TrainOptions(step_size=cfg.step_size, steps=cfg.train_steps,
-                       batch_size=cfg.batch_size, weighting=cfg.weighting)
+    opt = _train_options(cfg)
     rows = ["sigma,psnr_db,ssim,loe"]
     for i, sigma in enumerate(cfg.sigmas):
-        dcfg = make_config(steps=cfg.steps, sigma=sigma, t_mid=cfg.t_mid,
-                           mode=cfg.mode, convention=cfg.convention,
-                           seed=cfg.seed)
+        dcfg = _diffusion_config(replace(cfg, sigma=sigma))
         ckpt, _ = train(train_set, dcfg, opt, spec)
         scores = []
         for j, pair in enumerate(eval_pairs):

@@ -16,17 +16,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .diffusion import DiffusionConfig, forward_marginal, item_loss, kl_weight
+from .diffusion import (WEIGHTINGS, DiffusionConfig, forward_marginal,
+                        item_loss, loss_weight)
 from .errors import (CheckpointError, CheckpointVersionError, ParameterError,
-                     ShapeError, TrainingError, UnsupportedOperationError)
+                     ShapeError, TrainingError)
 from .noise import STREAM_INIT, STREAM_TRAIN, RngStream
 from .schedule import build_schedule
 
-KINDS = ("oracle", "affine", "conv2")
+KINDS = ("affine", "conv2")
 
 CHECKPOINT_MAGIC = b"PXBK"
 CHECKPOINT_VERSION = 1
-_KIND_CODES = {"oracle": 0, "affine": 1, "conv2": 2}
+_KIND_CODES = {"affine": 1, "conv2": 2}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
 INIT_WEIGHT_HALF_RANGE = 0.05
@@ -67,8 +68,6 @@ class DenoiserSpec:
 
     def param_count(self):
         c_in, c_out, wh = self.channels, self.image_channels, self.hidden_width
-        if self.kind == "oracle":
-            return 0
         if self.kind == "affine":
             return c_in * c_out + c_out
         return 9 * c_in * wh + wh + 9 * wh * c_out + c_out
@@ -281,17 +280,6 @@ def _backward(spec, params, cache, gout):
     return np.concatenate([dw1.reshape(b, -1), db1, dw2.reshape(b, -1), db2], axis=1)
 
 
-def _gradient_scale(t, cfg, weighting, size):
-    """d loss / d prediction = scale * (prediction - x0) for one item."""
-    if weighting == "uniform_mse":
-        return 2.0 / size
-    if weighting == "exact_kl":
-        if cfg.schedule.etas[t - 1] == 0.0:
-            return 2.0
-        return 2.0 * kl_weight(t, cfg)
-    raise ParameterError(f"unknown weighting {weighting!r}")
-
-
 def _batch_forward(ckpt, x_t, y0_up, ts):
     z = _stack_input(ckpt.schedule(), x_t, y0_up, ts)
     return _forward(ckpt.spec, ckpt.params, z)
@@ -312,7 +300,8 @@ def _losses_and_gradients(ckpt, cfg, items, weighting):
         ts = [items[k][2] for k in ks]
         out, cache = _batch_forward(ckpt, x_t, y0_up, ts)
         diff = out - x0
-        scale = [_gradient_scale(t, cfg, weighting, diff[0].size) for t in ts]
+        # d loss / d prediction = 2 w (prediction - x0)
+        scale = [2.0 * loss_weight(t, cfg, weighting, diff[0].size) for t in ts]
         gout = np.array(scale)[:, None, None, None] * diff
         grads[ks] = _backward(ckpt.spec, ckpt.params, cache, gout)
         for i, k in enumerate(ks):
@@ -322,17 +311,12 @@ def _losses_and_gradients(ckpt, cfg, items, weighting):
 
 def predict(ckpt, x_t, y0_up, t):
     """x0 prediction; the timestep enters as a constant eta_t channel."""
-    if ckpt.spec.kind == "oracle":
-        raise UnsupportedOperationError(
-            "oracle checkpoints carry no ground truth; use OracleDenoiser")
     x_t, y0_up = _check_pair(ckpt.spec, x_t, y0_up)
     return _batch_forward(ckpt, x_t[None], y0_up[None], [t])[0][0]
 
 
 def loss_gradient(ckpt, item, t, x_t, weighting="uniform_mse"):
     """Analytic gradient of the single-item loss w.r.t. every parameter."""
-    if ckpt.spec.kind == "oracle":
-        raise UnsupportedOperationError("the oracle has no parameters")
     x0, y0_up = item
     x0 = np.asarray(x0, dtype=np.float64)
     x_t, y0_up = _check_pair(ckpt.spec, x_t, y0_up)
@@ -366,6 +350,9 @@ class TrainOptions:
             raise ParameterError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.weighting not in WEIGHTINGS:
+            raise ParameterError(
+                f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
 
 
 def init_checkpoint(spec, cfg, rng=None):
@@ -373,8 +360,7 @@ def init_checkpoint(spec, cfg, rng=None):
     if rng is None:
         rng = RngStream(cfg.seed, STREAM_INIT)
     params = np.zeros(spec.param_count())
-    views = spec._unpack(params) if spec.kind != "oracle" else {}
-    for name, view in views.items():
+    for name, view in spec._unpack(params).items():
         if name.startswith("w"):
             view[...] = rng.uniform(-INIT_WEIGHT_HALF_RANGE,
                                     INIT_WEIGHT_HALF_RANGE, view.shape)
@@ -402,8 +388,6 @@ def train(dataset, cfg, opt=None, spec=None):
         opt = TrainOptions()
     if spec is None:
         spec = spec_for_images("conv2", image_channels=np.shape(dataset[0][0])[2])
-    if spec.kind == "oracle":
-        raise UnsupportedOperationError("the oracle has no parameters to train")
     dataset = [_check_pair(spec, x0, y0_up) for x0, y0_up in dataset]
 
     ckpt = init_checkpoint(spec, cfg, RngStream(cfg.seed, STREAM_INIT))
@@ -440,7 +424,8 @@ def train(dataset, cfg, opt=None, spec=None):
 # --- checkpoint file format --------------------------------------------------
 # magic "PXBK" | u32 version | u8 kind | u8 image_channels | u32 hidden_width
 # | u32 kernel_size | u64 step_count | u32 json_len | json train_config
-# | u64 param_count | param_count * f64, all little-endian.
+# | u64 param_count | param_count * f64, all little-endian.  Kind codes are
+# 1 affine and 2 conv2; no other code loads.
 
 def save_checkpoint(ckpt, path):
     meta = json.dumps(ckpt.train_config, sort_keys=True,

@@ -13,14 +13,12 @@ sigma^2 eta_t I).  The reverse chain samples the Gaussian posterior of
 x_{t-1} given x_t and a denoiser's x0 prediction.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
 from .imagedata import as_image, check_same_shape
-from .noise import RngStream, brownian_field
 from .schedule import Schedule, alpha_at, build_schedule
 
 CONVENTIONS = ("eq5_variance", "eq4_literal")
@@ -62,19 +60,6 @@ def make_config(steps=15, sigma=1.5, t_mid=None, mode="normalized",
                            convention=convention, seed=int(seed))
 
 
-@dataclass
-class DiffusionState:
-    """A point of the chain, optionally with the trajectory that led to it."""
-
-    x_t: np.ndarray
-    t: int
-    trajectory: Optional[list] = field(default=None)
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.x_t)):
-            raise NumericError(f"non-finite state at t={self.t}")
-
-
 def _check_t(t, steps):
     t = int(t)
     if not 1 <= t <= steps:
@@ -104,6 +89,18 @@ def step_increment(delta0, alpha_t, sigma, noise, convention="eq5_variance"):
     return alpha_t * delta0 + sigma * np.sqrt(alpha_t) * noise
 
 
+def _noise_for(shape, rng, noise):
+    """The given standard-normal field, else a fresh draw from ``rng``."""
+    if noise is None:
+        if rng is None:
+            raise ParameterError("need an RngStream when noise is not supplied")
+        return rng.standard_normal(shape)
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != shape:
+        raise ShapeError(f"noise shape {noise.shape} != state shape {shape}")
+    return noise
+
+
 def forward_step(x_prev, delta0, t, cfg, rng=None, noise=None):
     """One forward transition x_{t-1} -> x_t.
 
@@ -117,14 +114,7 @@ def forward_step(x_prev, delta0, t, cfg, rng=None, noise=None):
     check_same_shape(x_prev, delta0)
     t = _check_t(t, cfg.steps)
     a_t = alpha_at(cfg.schedule, t)
-    if noise is None:
-        if rng is None:
-            raise ParameterError("need an RngStream when noise is not supplied")
-        noise = rng.standard_normal(x_prev.shape)
-    else:
-        noise = np.asarray(noise, dtype=np.float64)
-        if noise.shape != x_prev.shape:
-            raise ShapeError(f"noise shape {noise.shape} != state shape {x_prev.shape}")
+    noise = _noise_for(x_prev.shape, rng, noise)
     return x_prev + step_increment(delta0, a_t, cfg.sigma, noise, cfg.convention)
 
 
@@ -140,19 +130,16 @@ def forward_marginal(x0, delta0, t, cfg, rng=None, noise=None):
     check_same_shape(x0, delta0)
     t = _check_t(t, cfg.steps)
     eta = cfg.schedule.etas[t] - cfg.schedule.etas[0]
-    if noise is None:
-        if rng is None:
-            raise ParameterError("need an RngStream when noise is not supplied")
-        noise = rng.standard_normal(x0.shape)
-    else:
-        noise = np.asarray(noise, dtype=np.float64)
-        if noise.shape != x0.shape:
-            raise ShapeError(f"noise shape {noise.shape} != state shape {x0.shape}")
+    noise = _noise_for(x0.shape, rng, noise)
     return x0 + eta * delta0 + cfg.sigma * np.sqrt(eta) * noise
 
 
 def forward_chain(x0, delta0, cfg, rng, keep_trajectory=False):
-    """Compose forward_step from t=1..T; returns the final DiffusionState."""
+    """Compose forward_step from t=1..T.
+
+    Returns ``(x_T, frames)``; ``frames`` lists x_0..x_T when
+    ``keep_trajectory`` is set and is None otherwise.
+    """
     x = np.asarray(x0, dtype=np.float64)
     frames = [x] if keep_trajectory else None
     for t in range(1, cfg.steps + 1):
@@ -161,7 +148,7 @@ def forward_chain(x0, delta0, cfg, rng, keep_trajectory=False):
             raise NumericError(f"non-finite values at forward step {t}")
         if keep_trajectory:
             frames.append(x)
-    return DiffusionState(x_t=x, t=cfg.steps, trajectory=frames)
+    return x, frames
 
 
 def posterior_params(x_t, x0_hat, t, cfg):
@@ -231,17 +218,30 @@ def kl_weight(t, cfg):
     return float((eta_t - eta_prev) / (2.0 * cfg.sigma**2 * eta_prev * eta_t))
 
 
+def loss_weight(t, cfg, weighting, size):
+    """The weight w of one item's loss w * sum((x0_hat - x0)^2) over ``size`` values.
+
+    ``uniform_mse`` weighs every value by 1/size.  ``exact_kl`` uses the
+    KL weight, except at the deterministic terminal step (eta_{t-1} = 0),
+    where the loss is the plain squared error.
+    """
+    if weighting == "uniform_mse":
+        return 1.0 / size
+    if weighting == "exact_kl":
+        if cfg.schedule.etas[t - 1] == 0.0:
+            return 1.0
+        return kl_weight(t, cfg)
+    raise ParameterError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
+
+
 def item_loss(x0, x0_hat, t, cfg, weighting="uniform_mse"):
     """Per-item training loss given a prediction at sampled step t."""
     diff = x0_hat - x0
+    sq = diff * diff
     if weighting == "uniform_mse":
-        return float(np.mean(diff * diff))
-    if weighting == "exact_kl":
-        sq = float(np.sum(diff * diff))
-        if cfg.schedule.etas[t - 1] == 0.0:
-            return sq  # deterministic terminal step: plain squared error
-        return kl_weight(t, cfg) * sq
-    raise ParameterError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
+        # mean(d^2) is not bit-equal to (1/n) * sum(d^2)
+        return float(np.mean(sq))
+    return loss_weight(t, cfg, weighting, sq.size) * float(np.sum(sq))
 
 
 def diffusion_loss(denoiser, batch, cfg, rng, weighting="uniform_mse"):

@@ -37,9 +37,5 @@ class CheckpointVersionError(CheckpointError):
     """A checkpoint file declares a format version newer than this code."""
 
 
-class UnsupportedOperationError(PixelBoostError, TypeError):
-    """The operation is not defined for this denoiser kind."""
-
-
 class DegenerateFitError(PixelBoostError, ValueError):
     """A goodness-of-fit comparison has no usable bins."""

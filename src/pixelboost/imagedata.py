@@ -5,7 +5,6 @@ nominally in [0, 1].  Values may leave [0, 1] mid-diffusion; only the
 codec clamps, and only on write.
 """
 
-import io
 import os
 from dataclasses import dataclass
 
@@ -188,12 +187,9 @@ def quantize(img):
 
 def write_image(img, path):
     """Write a PGM (1 channel) or PPM (3 channels) binary file, maxval 255."""
-    data = quantize(img)
-    h, w, c = data.shape
-    magic = b"P5" if c == 1 else b"P6"
+    data = write_image_bytes(img)  # before open: a bad image leaves no file
     with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n255\n" % (w, h))
-        fh.write(data.tobytes())
+        fh.write(data)
 
 
 def _read_token(fh):
@@ -250,14 +246,11 @@ def read_image(path):
 
 
 def write_image_bytes(img):
-    """The exact byte string write_image would produce (for tests and hashing)."""
+    """The PGM/PPM file contents of an image, exactly as write_image writes them."""
     data = quantize(img)
     h, w, c = data.shape
     magic = b"P5" if c == 1 else b"P6"
-    buf = io.BytesIO()
-    buf.write(magic + b"\n%d %d\n255\n" % (w, h))
-    buf.write(data.tobytes())
-    return buf.getvalue()
+    return magic + b"\n%d %d\n255\n" % (w, h) + data.tobytes()
 
 
 def image_roundtrip(img, path):

@@ -143,12 +143,3 @@ def sample_noise(kind, shape, rng):
         root3 = np.sqrt(3.0)
         return rng.uniform(-root3, root3, shape)
     raise ParameterError(f"unknown noise family {tag!r}")
-
-
-def brownian_field(sigma, alpha_t, shape, rng):
-    """One per-step Brownian increment: N(0, sigma^2 * alpha_t) per element."""
-    if not sigma > 0:
-        raise ParameterError(f"brownian strength must be positive, got {sigma}")
-    if not alpha_t > 0:
-        raise ParameterError(f"drift must be positive, got {alpha_t}")
-    return sample_noise(NoiseKind("brownian", sigma=sigma, alpha=alpha_t), shape, rng)

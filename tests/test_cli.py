@@ -99,6 +99,40 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{not json")
         assert main(["schedule", "--config", str(cfg)]) == 2
+        cfg.write_bytes(b'\xff{"seed": 1}')
+        assert main(["schedule", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command,values", [
+        ("forward", {"sigma": "abc"}),
+        ("schedule", {"steps": "abc"}),
+        ("schedule", {"steps": 15.5}),
+        ("schedule", {"steps": None}),
+        ("schedule", {"mode": 1}),
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, command, values):
+        hr = tmp_path / "hr.pgm"
+        _make_image(hr)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "forward":
+            argv += ["--input", str(hr)]
+        assert main(argv) == 2
+        assert next(iter(values)) in capsys.readouterr().err
+
+    def test_config_values_take_their_field_type(self, tmp_path):
+        # numeric strings and integral floats run as the equivalent flags do
+        hr = tmp_path / "hr.pgm"
+        _make_image(hr)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": "6", "sigma": "0.5", "seed": 3.0}))
+        blobs = []
+        for tag, extra in (("a", ["--config", str(cfg)]),
+                           ("b", ["--steps", "6", "--sigma", "0.5", "--seed", "3"])):
+            out = tmp_path / tag
+            assert main(["forward", "--input", str(hr), "--out", str(out)] + extra) == 0
+            blobs.append(b"".join(p.read_bytes() for p in sorted(out.iterdir())))
+        assert blobs[0] == blobs[1]
 
     def test_non_object_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

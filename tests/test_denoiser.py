@@ -10,8 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import pixelboost as pb
 from pixelboost import (CheckpointError, CheckpointVersionError,
-                        ParameterError, ShapeError, TrainingError,
-                        UnsupportedOperationError)
+                        ParameterError, ShapeError, TrainingError)
 from pixelboost.denoiser import (CHECKPOINT_MAGIC, INIT_WEIGHT_HALF_RANGE,
                                  KINDS, MAX_CONV2_PARAMS, _batch_forward,
                                  _losses_and_gradients, item_loss_value)
@@ -48,7 +47,7 @@ def _fd_gradient(ckpt, item, t, x_t, weighting, eps=1e-6):
 
 class TestSpec:
     def test_kinds(self):
-        assert KINDS == ("oracle", "affine", "conv2")
+        assert KINDS == ("affine", "conv2")
 
     def test_channel_layout(self):
         spec = pb.spec_for_images("conv2", image_channels=3)
@@ -60,7 +59,6 @@ class TestSpec:
         assert conv.param_count() == 9 * 3 * 8 + 8 + 9 * 8 * 1 + 1
         aff = pb.spec_for_images("affine", image_channels=1)
         assert aff.param_count() == 3 * 1 + 1
-        assert pb.spec_for_images("oracle").param_count() == 0
 
     def test_parameter_budget_enforced(self):
         with pytest.raises(ParameterError):
@@ -69,6 +67,8 @@ class TestSpec:
     def test_validation(self):
         with pytest.raises(ParameterError):
             pb.DenoiserSpec(kind="mlp")
+        with pytest.raises(ParameterError):
+            pb.DenoiserSpec(kind="oracle")
         with pytest.raises(ParameterError):
             pb.DenoiserSpec(kind="conv2", channels=4)
         with pytest.raises(ParameterError):
@@ -106,12 +106,6 @@ class TestPredict:
         a = pb.predict(ckpt, x_t, y, 2)
         b = pb.predict(ckpt, x_t, y, 14)
         assert not np.array_equal(a, b)
-
-    def test_oracle_kind_cannot_predict(self):
-        ckpt = _ckpt(kind="oracle")
-        x0, y, x_t = _item()
-        with pytest.raises(UnsupportedOperationError):
-            pb.predict(ckpt, x_t, y, 1)
 
     def test_shape_checks(self):
         ckpt = _ckpt()
@@ -151,12 +145,6 @@ class TestGradients:
         fd = _fd_gradient(ckpt, (x0, y), 1, x_t, "exact_kl")
         scale = np.maximum(np.abs(fd), 1e-8)
         assert np.max(np.abs(analytic - fd) / scale) < 1e-4
-
-    def test_oracle_has_no_gradient(self):
-        ckpt = _ckpt(kind="oracle")
-        x0, y, x_t = _item()
-        with pytest.raises(UnsupportedOperationError):
-            pb.loss_gradient(ckpt, (x0, y), 1, x_t)
 
 
 class TestInit:
@@ -413,16 +401,13 @@ class TestTrain:
         with pytest.raises(ParameterError):
             pb.train([], pb.make_config())
 
-    def test_oracle_spec_rejected(self):
-        with pytest.raises(UnsupportedOperationError):
-            pb.train(_dataset(), pb.make_config(),
-                     spec=pb.spec_for_images("oracle"))
-
     def test_options_validation(self):
         with pytest.raises(ParameterError):
             pb.TrainOptions(step_size=0.0)
         with pytest.raises(ParameterError):
             pb.TrainOptions(batch_size=0)
+        with pytest.raises(ParameterError):
+            pb.TrainOptions(weighting="bogus", steps=0)
 
     def test_smoothed_loss_trend_is_downward(self, toy_runs):
         # window-50 moving average over the last 80% of the reference run:
@@ -488,6 +473,16 @@ class TestCheckpointIO:
             path.write_bytes(raw[:cut])
             with pytest.raises(CheckpointError):
                 pb.load_checkpoint(path)
+
+    def test_unknown_kind_code(self, tmp_path):
+        # code 0 is assigned to no kind; only 1 (affine) and 2 (conv2) load
+        path = tmp_path / "k.pxbk"
+        pb.save_checkpoint(_ckpt(), path)
+        raw = bytearray(path.read_bytes())
+        raw[8] = 0
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="kind code 0"):
+            pb.load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "x.pxbk"

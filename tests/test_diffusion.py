@@ -152,18 +152,19 @@ class TestForwardChain:
         cfg = pb.make_config(steps=6, sigma=0.5, seed=1)
         x0 = np.full((4, 4, 1), 0.5)
         delta0 = np.full((4, 4, 1), -0.1)
-        state = pb.forward_chain(x0, delta0, cfg, _rng(1), keep_trajectory=True)
-        assert state.t == 6
-        assert len(state.trajectory) == 7
-        np.testing.assert_array_equal(state.trajectory[-1], state.x_t)
+        x_t, frames = pb.forward_chain(x0, delta0, cfg, _rng(1), keep_trajectory=True)
+        assert len(frames) == 7
+        np.testing.assert_array_equal(frames[0], x0)
+        np.testing.assert_array_equal(frames[-1], x_t)
 
     def test_reproducible(self):
         cfg = pb.make_config(steps=6, sigma=0.5)
         x0 = np.full((4, 4, 1), 0.5)
         d = np.full((4, 4, 1), -0.1)
-        a = pb.forward_chain(x0, d, cfg, _rng(9)).x_t
-        b = pb.forward_chain(x0, d, cfg, _rng(9)).x_t
+        a, frames = pb.forward_chain(x0, d, cfg, _rng(9))
+        b, _ = pb.forward_chain(x0, d, cfg, _rng(9))
         np.testing.assert_array_equal(a, b)
+        assert frames is None
 
 
 class TestPosterior:
@@ -298,6 +299,14 @@ class TestLosses:
         cfg = pb.make_config(steps=15)
         with pytest.raises(ParameterError):
             pb.kl_weight(1, cfg)
+
+    def test_loss_weight(self):
+        cfg = pb.make_config(steps=15, sigma=1.5)
+        assert pb.loss_weight(8, cfg, "uniform_mse", 4) == 0.25
+        assert pb.loss_weight(1, cfg, "exact_kl", 4) == 1.0
+        assert pb.loss_weight(8, cfg, "exact_kl", 4) == pb.kl_weight(8, cfg)
+        with pytest.raises(ParameterError):
+            pb.loss_weight(8, cfg, "l1", 4)
 
     def test_unknown_weighting(self):
         cfg = pb.make_config()

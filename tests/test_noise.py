@@ -5,8 +5,7 @@ import pytest
 from scipy import stats
 
 from pixelboost import ParameterError
-from pixelboost.noise import (FAMILIES, NoiseKind, RngStream, brownian_field,
-                              sample_noise)
+from pixelboost.noise import FAMILIES, NoiseKind, RngStream, sample_noise
 
 
 class TestRngStream:
@@ -120,24 +119,27 @@ class TestBrownianField:
     def test_variance_scaling(self):
         # Var = sigma^2 * alpha within 1% at 10^6 samples
         rng = RngStream(31, 9)
-        x = brownian_field(1.5, 0.25, (1_000_000,), rng)
+        x = sample_noise(NoiseKind("brownian", sigma=1.5, alpha=0.25), (1_000_000,),
+                         rng)
         np.testing.assert_allclose(x.std(), 0.75, rtol=0.01)
 
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
-            brownian_field(0.0, 0.25, (4,), RngStream(0))
+            NoiseKind("brownian", sigma=0.0, alpha=0.25)
         with pytest.raises(ParameterError):
-            brownian_field(1.0, 0.0, (4,), RngStream(0))
+            NoiseKind("brownian", sigma=1.0, alpha=0.0)
 
     def test_unit_parameters_match_gaussian_family(self):
         # same distribution by construction; check with a two-sample KS test
-        a = brownian_field(1.0, 1.0, (100_000,), RngStream(41, 9))
+        a = sample_noise(NoiseKind("brownian", sigma=1.0, alpha=1.0), (100_000,),
+                         RngStream(41, 9))
         b = sample_noise(NoiseKind("gaussian"), (100_000,), RngStream(42, 9))
         assert stats.ks_2samp(a, b).pvalue > 0.01
 
     def test_increment_independence(self):
         # lag-1 sample autocorrelation of an i.i.d. field stays near zero
-        x = brownian_field(1.5, 0.3, (1_000_000,), RngStream(43, 9))
+        x = sample_noise(NoiseKind("brownian", sigma=1.5, alpha=0.3), (1_000_000,),
+                         RngStream(43, 9))
         x = x - x.mean()
         rho = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
         assert abs(rho) < 0.01
