@@ -293,6 +293,8 @@ def cmd_edge_report(cfg):
 def cmd_sweep(cfg):
     if not cfg.sigmas:
         raise _UsageError("sweep requires --sigmas")
+    if cfg.eval_count < 1:
+        raise _UsageError(f"--eval-count must be >= 1, got {cfg.eval_count}")
     data_rng = RngStream(cfg.seed, STREAM_DATASET)
     images = synth_dataset(cfg.kind, cfg.count + cfg.eval_count, cfg.size,
                            data_rng)

@@ -160,41 +160,45 @@ def as_denoiser(ckpt):
 
 
 # --- forward / backward ------------------------------------------------------
-# The network runs on a batch of shape (B, H, W, C).  Every BLAS call is one
-# matmul per item on exactly the operands that the single-image einsums
-# (np.einsum(..., optimize=True), kept as the reference in the tests) pass:
-# the conv is W(o, u*v*c) @ cols(u*v*c, H*W), the weight gradient
-# gout(o, H*W) @ patches(H*W, c*u*v), the input gradient gout(H*W, o) @
-# W(o, u*v*c).  Transposed operands are views, patches are C-contiguous.  A
-# batch is then bit-identical to its items run one at a time, on any image
-# size.  A contiguous copy of a transposed view, another order of a summed
-# axis, or one matmul over all B*H*W columns lets BLAS pick another kernel or
-# blocking and can change the last bit.  (With o = 1 the input gradient's
-# entries are single products, which every method rounds alike.)  The affine
-# kind's einsums do not use BLAS and sum each item's terms in per-item order.
+# The forward holds activations channel-first as replicate-padded
+# (B, C, H+2, W+2) buffers; the backward copies them to channel-last
+# (B, H+2, W+2, C) arrays.  Every BLAS call is one matmul per item on exactly
+# the operands that the single-image einsums (np.einsum(..., optimize=True),
+# kept as the reference in the tests) pass: the conv is W(o, u*v*c) @
+# cols(u*v*c, H*W), the weight gradient gout(o, H*W) @ patches(H*W, c*u*v),
+# the input gradient gout(H*W, o) @ W(o, u*v*c).  Transposed operands are
+# views, cols and patches are C-contiguous copies.  A batch is then
+# bit-identical to its items run one at a time, on any image size.  A
+# contiguous copy of a transposed view, another order of a summed axis, or
+# one matmul over all B*H*W columns lets BLAS pick another kernel or blocking
+# and can change the last bit.  (With o = 1 the input gradient's entries are
+# single products, which every method rounds alike.)  The affine kind's
+# einsums do not use BLAS and sum each item's terms in per-item order.
 
-def _pad(x):
-    """Replicate-pad the H and W axes of a (B, H, W, C) batch by one pixel."""
-    xp = np.empty((x.shape[0], x.shape[1] + 2, x.shape[2] + 2, x.shape[3]))
-    xp[:, 1:-1, 1:-1] = x
-    xp[:, 1:-1, 0] = x[:, :, 0]
-    xp[:, 1:-1, -1] = x[:, :, -1]
-    xp[:, 0] = xp[:, 1]
-    xp[:, -1] = xp[:, -2]
-    return xp
+def _fill_border(xp):
+    """Replicate the interior's edge pixels into the border of (B, C, H+2, W+2)."""
+    xp[:, :, 1:-1, 0] = xp[:, :, 1:-1, 1]
+    xp[:, :, 1:-1, -1] = xp[:, :, 1:-1, -2]
+    xp[:, :, 0] = xp[:, :, 1]
+    xp[:, :, -1] = xp[:, :, -2]
 
 
-def _conv3x3(xp, w, bias):
-    """3x3 conv of a padded batch: (B, H, W, Co)."""
-    b, h, wd, c = xp.shape[0], xp.shape[1] - 2, xp.shape[2] - 2, xp.shape[3]
-    win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # (B, H, W, C, 3, 3)
-    cols = win.transpose(0, 4, 5, 3, 1, 2).reshape(b, 9 * c, h * wd)
-    out = np.matmul(w.reshape(9 * c, -1).T, cols)
-    return out.transpose(0, 2, 1).reshape(b, h, wd, -1) + bias
+def _conv3x3(xp, w):
+    """3x3 conv of a padded channel-first batch, without bias: (B, Co, H*W)."""
+    b, c, h, wd = xp.shape[0], xp.shape[1], xp.shape[2] - 2, xp.shape[3] - 2
+    # the patch matrix (B, 9C, H*W), rows in (u, v, c) order, from row copies
+    cols = np.empty((b, 3, 3, c, h, wd))
+    for u in range(3):
+        for v in range(3):
+            cols[:, u, v] = xp[:, :, u:u + h, v:v + wd]
+    return np.matmul(w.reshape(9 * c, -1).T, cols.reshape(b, 9 * c, h * wd))
 
 
 def _conv3x3_grads(xp, gout):
-    """Per-item parameter gradients of a 3x3 conv: dw (B, 3, 3, Ci, Co), db (B, Co)."""
+    """Per-item parameter gradients of a 3x3 conv: dw (B, 3, 3, Ci, Co), db (B, Co).
+
+    ``xp`` is the padded input as a channel-last (B, H+2, W+2, Ci) array.
+    """
     b, h, wd, o = gout.shape
     c = xp.shape[3]
     g = gout.reshape(b, h * wd, o)
@@ -238,30 +242,43 @@ def _check_pair(spec, x_t, y0_up):
 
 
 def _stack_input(schedule, x_t, y0_up, ts):
-    """Network input (B, H, W, 2C+1): x_t, y0_up and a constant eta_t channel."""
+    """Padded network input (B, 2C+1, H+2, W+2): x_t, y0_up, a constant eta_t channel."""
     for t in ts:
         if t < 1:
             raise IndexError(f"t={t} outside 1..{schedule.steps}")
     etas = np.array([schedule.eta(int(t)) for t in ts])
-    tchan = np.broadcast_to(etas[:, None, None, None], x_t.shape[:3] + (1,))
-    return np.concatenate([x_t, y0_up, tchan], axis=3)
+    b, h, w, c = x_t.shape
+    zp = np.empty((b, 2 * c + 1, h + 2, w + 2))
+    z = zp[:, :, 1:-1, 1:-1]
+    z[:, :c] = x_t.transpose(0, 3, 1, 2)
+    z[:, c:2 * c] = y0_up.transpose(0, 3, 1, 2)
+    z[:, 2 * c] = etas[:, None, None]
+    _fill_border(zp)
+    return zp
 
 
-def _forward(spec, params, z):
-    """Network output on the batch z, plus the cache _backward needs.
+def _forward(spec, params, zp):
+    """Network output (B, H, W, Co) on the padded input zp, plus _backward's cache.
 
     The cache holds padded activations, not patch matrices, so predict
     builds one patch matrix at a time and frees it before the next.
     """
     p = spec._unpack(params)
     if spec.kind == "affine":
+        # einsum sums a strided view in another order, so copy channel-last
+        z = np.ascontiguousarray(zp[:, :, 1:-1, 1:-1].transpose(0, 2, 3, 1))
         out = np.einsum("bhwc,co->bhwo", z, p["w"]) + p["b"]
         return out, (z,)
-    zp = _pad(z)
-    h = _conv3x3(zp, p["w1"], p["b1"])
-    ap = _pad(np.maximum(h, 0.0))
-    out = _conv3x3(ap, p["w2"], p["b2"])
-    return out, (zp, h, ap)
+    b, h, w = zp.shape[0], zp.shape[2] - 2, zp.shape[3] - 2
+    hid = _conv3x3(zp, p["w1"])
+    hid += p["b1"][:, None]
+    ap = np.empty((b, hid.shape[1], h + 2, w + 2))
+    np.maximum(hid.reshape(b, -1, h, w), 0.0, out=ap[:, :, 1:-1, 1:-1])
+    _fill_border(ap)
+    out = _conv3x3(ap, p["w2"])
+    out += p["b2"][:, None]
+    out = np.ascontiguousarray(out.reshape(b, -1, h, w).transpose(0, 2, 3, 1))
+    return out, (zp, ap)
 
 
 def _backward(spec, params, cache, gout):
@@ -273,16 +290,18 @@ def _backward(spec, params, cache, gout):
         dw = np.einsum("bhwc,bhwo->bco", z, gout)
         db = gout.sum(axis=(1, 2))
         return np.concatenate([dw.reshape(b, -1), db], axis=1)
-    zp, h, ap = cache
+    # channel-last copies: their patch matrices gather faster than the views'
+    zp, ap = (np.ascontiguousarray(x.transpose(0, 2, 3, 1)) for x in cache)
     dw2, db2 = _conv3x3_grads(ap, gout)
-    dh = _conv3x3_input_grad(p["w2"], gout) * (h > 0.0)
+    # ap's interior is relu(h), so it is > 0 exactly where h > 0
+    dh = _conv3x3_input_grad(p["w2"], gout) * (ap[:, 1:-1, 1:-1] > 0.0)
     dw1, db1 = _conv3x3_grads(zp, dh)
     return np.concatenate([dw1.reshape(b, -1), db1, dw2.reshape(b, -1), db2], axis=1)
 
 
 def _batch_forward(ckpt, x_t, y0_up, ts):
-    z = _stack_input(ckpt.schedule(), x_t, y0_up, ts)
-    return _forward(ckpt.spec, ckpt.params, z)
+    zp = _stack_input(ckpt.schedule(), x_t, y0_up, ts)
+    return _forward(ckpt.spec, ckpt.params, zp)
 
 
 def _losses_and_gradients(ckpt, cfg, items, weighting):

@@ -418,3 +418,12 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].startswith("0.5,")
         assert lines[2].startswith("1.5,")
+
+    @pytest.mark.parametrize("eval_count", ["0", "-1"])
+    def test_eval_count_must_be_positive(self, tmp_path, capsys, eval_count):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--sigmas", "1.5", "--count", "2", "--eval-count",
+                eval_count, "--train-steps", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

@@ -17,9 +17,10 @@ from pixelboost.denoiser import (CHECKPOINT_MAGIC, INIT_WEIGHT_HALF_RANGE,
 from pixelboost.noise import STREAM_DATASET, STREAM_INIT, STREAM_TRAIN
 
 
-def _ckpt(kind="conv2", hidden_width=8, sigma=1.5, seed=0, steps=15):
+def _ckpt(kind="conv2", hidden_width=8, sigma=1.5, seed=0, steps=15,
+          image_channels=1):
     cfg = pb.make_config(steps=steps, sigma=sigma, seed=seed)
-    spec = pb.spec_for_images(kind, image_channels=1,
+    spec = pb.spec_for_images(kind, image_channels=image_channels,
                               hidden_width=hidden_width)
     return pb.init_checkpoint(spec, cfg)
 
@@ -352,23 +353,39 @@ class TestBatchedCore:
             assert loss == ref_loss
             np.testing.assert_array_equal(grad, ref_grad)
 
-    @pytest.mark.parametrize("size", [(16, 16), (5, 7), (64, 64)])
-    def test_predict_matches_reference(self, size):
-        ckpt = _ckpt(seed=9)
+    @staticmethod
+    def _check_predict(ckpt, size):
         rng = pb.RngStream(9, STREAM_DATASET)
-        x_t, y0_up = (rng.uniform(0.0, 1.0, size + (1,)) for _ in range(2))
+        shape = size + (ckpt.spec.image_channels,)
+        x_t, y0_up = (rng.uniform(0.0, 1.0, shape) for _ in range(2))
         for t in (1, 8, 15):
             np.testing.assert_array_equal(pb.predict(ckpt, x_t, y0_up, t),
                                           _ref_forward(ckpt, x_t, y0_up, t)[0])
 
-    def test_stacked_batch_matches_per_image_predict(self):
-        ckpt = _ckpt(seed=10)
+    @staticmethod
+    def _check_stacked(ckpt):
         rng = pb.RngStream(10, STREAM_DATASET)
-        x_t, y0_up = (rng.uniform(0.0, 1.0, (5, 12, 9, 1)) for _ in range(2))
+        shape = (5, 12, 9, ckpt.spec.image_channels)
+        x_t, y0_up = (rng.uniform(0.0, 1.0, shape) for _ in range(2))
         ts = [1, 4, 4, 9, 15]
         out, _ = _batch_forward(ckpt, x_t, y0_up, ts)
         for i, t in enumerate(ts):
             np.testing.assert_array_equal(out[i], pb.predict(ckpt, x_t[i], y0_up[i], t))
+
+    @pytest.mark.parametrize("size", [(16, 16), (5, 7), (64, 64), (96, 160)])
+    def test_predict_matches_reference(self, size):
+        self._check_predict(_ckpt(seed=9), size)
+
+    # 33x1: reshaping a one-pixel-wide image's windows can give a strided view
+    @pytest.mark.parametrize("hidden,size", [(8, (16, 16)), (8, (96, 160)), (1, (33, 1))])
+    def test_colour_predict_matches_reference(self, hidden, size):
+        self._check_predict(_ckpt(hidden_width=hidden, seed=9, image_channels=3), size)
+
+    def test_stacked_batch_matches_per_image_predict(self):
+        self._check_stacked(_ckpt(seed=10))
+
+    def test_stacked_colour_batch_matches_per_image_predict(self):
+        self._check_stacked(_ckpt(seed=10, image_channels=3))
 
 
 class TestTrain:

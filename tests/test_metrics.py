@@ -5,14 +5,29 @@ import pytest
 
 from pixelboost import ParameterError, ShapeError
 from pixelboost.metrics import (EDGE_PATCH_DEFAULT, LOE_GRID_DEFAULT,
-                                SSIM_K1, SSIM_K2, MetricReport, edge_report,
-                                grid_csv, intensity_profile, lightness, loe,
-                                metric_report, psnr, sobel_magnitude, ssim)
+                                SSIM_K1, SSIM_K2, MetricReport, _loe_sites,
+                                edge_report, grid_csv, intensity_profile,
+                                lightness, loe, metric_report, psnr,
+                                sobel_magnitude, ssim)
 from pixelboost.noise import RngStream
 
 
 def _random_image(shape, seed=0):
     return RngStream(seed, 5).uniform(0.0, 1.0, shape)
+
+
+def _ref_loe(enhanced, original, grid=LOE_GRID_DEFAULT):
+    """LOE from the two n x n lightness-order matrices, as first written."""
+    sites = lambda img: _loe_sites(lightness(img), grid)
+    u, v = sites(enhanced), sites(original)
+    order_u = u[:, None] >= u[None, :]
+    order_v = v[:, None] >= v[None, :]
+    flips = (order_u ^ order_v).sum(axis=1)
+    return float(flips.mean())
+
+
+def _quantised(shape, levels, seed):
+    return np.floor(_random_image(shape, seed) * levels) / levels
 
 
 class TestLightness:
@@ -129,6 +144,22 @@ class TestLoe:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             loe(np.zeros((4, 4)), np.zeros((5, 4)))
+
+    @pytest.mark.parametrize("levels", [2, 3, 256])
+    @pytest.mark.parametrize("shape", [(64, 64), (37, 50, 3), (1, 1), (1, 29), (29, 1)])
+    def test_tie_heavy_images_match_reference(self, shape, levels):
+        a = _quantised(shape, levels, seed=20)
+        b = _quantised(shape, levels, seed=21)
+        for grid in (1, 7, 64):
+            assert loe(a, b, grid) == _ref_loe(a, b, grid)
+            assert loe(b, a, grid) == _ref_loe(b, a, grid)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (70, 45, 3), (1, 17)])
+    def test_continuous_images_match_reference(self, shape):
+        a = _random_image(shape, seed=22)
+        for b in (_random_image(shape, seed=23), a ** 2.2, 1.0 - a, a):
+            for grid in (1, 7, 64):
+                assert loe(a, b, grid) == _ref_loe(a, b, grid)
 
 
 class TestSobelMagnitude:
