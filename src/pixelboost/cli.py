@@ -24,7 +24,7 @@ from .denoiser import (TrainOptions, as_denoiser, load_checkpoint,
                        save_checkpoint, spec_for_images, train)
 from .diffusion import (CONVENTIONS, WEIGHTINGS, forward_chain, make_config,
                         reverse_sample)
-from .errors import PixelBoostError
+from .errors import CodecError, PixelBoostError
 from .imagedata import (bicubic_resize, make_lr_pair, read_image,
                         synth_dataset, write_image, SYNTH_KINDS)
 from .metrics import edge_report, grid_csv, metric_report
@@ -172,6 +172,13 @@ def _diffusion_config(cfg):
                        mode=cfg.mode, convention=cfg.convention, seed=cfg.seed)
 
 
+def _require_normalized(cfg):
+    """A trained model is only usable by the sampler on a normalized schedule."""
+    if cfg.mode != "normalized":
+        raise _UsageError(f"{cfg.command} needs --mode normalized, got {cfg.mode}: "
+                          "reverse sampling requires a normalized schedule")
+
+
 def _train_options(cfg):
     return TrainOptions(step_size=cfg.step_size, steps=cfg.train_steps,
                         batch_size=cfg.batch_size, weighting=cfg.weighting)
@@ -216,8 +223,11 @@ def cmd_forward(cfg):
 
 def _load_manifest(path):
     base = os.path.dirname(os.path.abspath(path))
-    with open(path) as fh:
-        names = [line.strip() for line in fh if line.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            names = [line.strip() for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"manifest {path} is not UTF-8: {exc}")
     if not names:
         raise _UsageError(f"manifest {path} lists no images")
     return [read_image(os.path.join(base, name)) for name in names]
@@ -225,6 +235,7 @@ def _load_manifest(path):
 
 def cmd_train(cfg):
     _require(cfg, "manifest", "checkpoint")
+    _require_normalized(cfg)
     images = _load_manifest(cfg.manifest)
     pairs = [make_lr_pair(hr) for hr in images]
     dataset = [(p.hr, p.lr_up) for p in pairs]
@@ -254,6 +265,10 @@ def cmd_sr(cfg):
 
 def cmd_analyze_noise(cfg):
     if cfg.input is not None:
+        size = os.path.getsize(cfg.input)
+        if size % 8:
+            raise CodecError(f"{cfg.input} holds {size} bytes, "
+                             "not a whole number of float64 values")
         sample = np.fromfile(cfg.input, dtype="<f8")
     elif cfg.gt is not None and cfg.test is not None:
         sample = (read_image(cfg.test) - read_image(cfg.gt)).ravel()
@@ -295,6 +310,7 @@ def cmd_sweep(cfg):
         raise _UsageError("sweep requires --sigmas")
     if cfg.eval_count < 1:
         raise _UsageError(f"--eval-count must be >= 1, got {cfg.eval_count}")
+    _require_normalized(cfg)
     data_rng = RngStream(cfg.seed, STREAM_DATASET)
     images = synth_dataset(cfg.kind, cfg.count + cfg.eval_count, cfg.size,
                            data_rng)

@@ -1,9 +1,8 @@
-"""Pluggable x0 predictors: a test oracle and small trainable networks.
+"""x0 predictors: a test oracle and one small trainable network.
 
-Two trainable kinds exist.  ``affine`` is a 1x1 linear map over the
-stacked input channels; ``conv2`` is two 3x3 convolutions with a ReLU in
-between (replicate padding, under 10k parameters).  Both read the input
-stack [x_t, y0_up, eta_t-channel] and emit an x0 prediction.  Gradients
+The trainable kind, ``conv2``, is two 3x3 convolutions with a ReLU in
+between (replicate padding, under 10k parameters).  It reads the input
+stack [x_t, y0_up, eta_t-channel] and emits an x0 prediction.  Gradients
 are hand-derived and checked against finite differences in the tests.
 """
 
@@ -23,12 +22,12 @@ from .errors import (CheckpointError, CheckpointVersionError, ParameterError,
 from .noise import STREAM_INIT, STREAM_TRAIN, RngStream
 from .schedule import build_schedule
 
-KINDS = ("affine", "conv2")
+KINDS = ("conv2",)
 
 CHECKPOINT_MAGIC = b"PXBK"
 CHECKPOINT_VERSION = 1
-_KIND_CODES = {"affine": 1, "conv2": 2}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+_CONV2_CODE = 2
+_KERNEL_SIZE = 3
 
 INIT_WEIGHT_HALF_RANGE = 0.05
 MAX_CONV2_PARAMS = 10_000
@@ -46,7 +45,6 @@ class DenoiserSpec:
     kind: str
     channels: int = 3
     hidden_width: int = 8
-    kernel_size: int = 3
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -54,11 +52,9 @@ class DenoiserSpec:
         if self.channels < 3 or self.channels % 2 == 0:
             raise ParameterError(
                 f"channels must be 2*image_channels + 1, got {self.channels}")
-        if self.kernel_size != 3:
-            raise ParameterError(f"only 3x3 kernels are supported, got {self.kernel_size}")
         if self.hidden_width < 1:
             raise ParameterError(f"hidden_width must be >= 1, got {self.hidden_width}")
-        if self.kind == "conv2" and self.param_count() >= MAX_CONV2_PARAMS:
+        if self.param_count() >= MAX_CONV2_PARAMS:
             raise ParameterError(
                 f"conv2 parameter count {self.param_count()} exceeds {MAX_CONV2_PARAMS}")
 
@@ -68,17 +64,11 @@ class DenoiserSpec:
 
     def param_count(self):
         c_in, c_out, wh = self.channels, self.image_channels, self.hidden_width
-        if self.kind == "affine":
-            return c_in * c_out + c_out
         return 9 * c_in * wh + wh + 9 * wh * c_out + c_out
 
     def _unpack(self, params):
         """Views of the flat parameter vector, in serialization order."""
         c_in, c_out, wh = self.channels, self.image_channels, self.hidden_width
-        if self.kind == "affine":
-            w = params[: c_in * c_out].reshape(c_in, c_out)
-            b = params[c_in * c_out:]
-            return {"w": w, "b": b}
         i = 0
         w1 = params[i:i + 9 * c_in * wh].reshape(3, 3, c_in, wh); i += 9 * c_in * wh
         b1 = params[i:i + wh]; i += wh
@@ -100,7 +90,6 @@ class DenoiserCheckpoint:
     params: np.ndarray
     step_count: int = 0
     train_config: dict = field(default_factory=dict)
-    format_version: int = CHECKPOINT_VERSION
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=np.float64).reshape(-1)
@@ -140,7 +129,7 @@ def _metadata_errors():
         yield
     except KeyError as exc:
         raise CheckpointError(f"checkpoint lacks metadata {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"invalid checkpoint metadata: {exc}") from exc
 
 
@@ -172,8 +161,7 @@ def as_denoiser(ckpt):
 # contiguous copy of a transposed view, another order of a summed axis, or
 # one matmul over all B*H*W columns lets BLAS pick another kernel or blocking
 # and can change the last bit.  (With o = 1 the input gradient's entries are
-# single products, which every method rounds alike.)  The affine kind's
-# einsums do not use BLAS and sum each item's terms in per-item order.
+# single products, which every method rounds alike.)
 
 def _fill_border(xp):
     """Replicate the interior's edge pixels into the border of (B, C, H+2, W+2)."""
@@ -264,11 +252,6 @@ def _forward(spec, params, zp):
     builds one patch matrix at a time and frees it before the next.
     """
     p = spec._unpack(params)
-    if spec.kind == "affine":
-        # einsum sums a strided view in another order, so copy channel-last
-        z = np.ascontiguousarray(zp[:, :, 1:-1, 1:-1].transpose(0, 2, 3, 1))
-        out = np.einsum("bhwc,co->bhwo", z, p["w"]) + p["b"]
-        return out, (z,)
     b, h, w = zp.shape[0], zp.shape[2] - 2, zp.shape[3] - 2
     hid = _conv3x3(zp, p["w1"])
     hid += p["b1"][:, None]
@@ -285,11 +268,6 @@ def _backward(spec, params, cache, gout):
     """Per-item flat gradients (B, param_count), in parameter-vector layout."""
     p = spec._unpack(params)
     b = gout.shape[0]
-    if spec.kind == "affine":
-        (z,) = cache
-        dw = np.einsum("bhwc,bhwo->bco", z, gout)
-        db = gout.sum(axis=(1, 2))
-        return np.concatenate([dw.reshape(b, -1), db], axis=1)
     # channel-last copies: their patch matrices gather faster than the views'
     zp, ap = (np.ascontiguousarray(x.transpose(0, 2, 3, 1)) for x in cache)
     dw2, db2 = _conv3x3_grads(ap, gout)
@@ -443,8 +421,8 @@ def train(dataset, cfg, opt=None, spec=None):
 # --- checkpoint file format --------------------------------------------------
 # magic "PXBK" | u32 version | u8 kind | u8 image_channels | u32 hidden_width
 # | u32 kernel_size | u64 step_count | u32 json_len | json train_config
-# | u64 param_count | param_count * f64, all little-endian.  Kind codes are
-# 1 affine and 2 conv2; no other code loads.
+# | u64 param_count | param_count * f64, all little-endian.  Only kind code 2
+# (conv2) and kernel size 3 load.
 
 def save_checkpoint(ckpt, path):
     meta = json.dumps(ckpt.train_config, sort_keys=True,
@@ -452,9 +430,9 @@ def save_checkpoint(ckpt, path):
     spec = ckpt.spec
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", ckpt.format_version))
-        fh.write(struct.pack("<BBII", _KIND_CODES[spec.kind], spec.image_channels,
-                             spec.hidden_width, spec.kernel_size))
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<BBII", _CONV2_CODE, spec.image_channels,
+                             spec.hidden_width, _KERNEL_SIZE))
         fh.write(struct.pack("<Q", ckpt.step_count))
         fh.write(struct.pack("<I", len(meta)))
         fh.write(meta)
@@ -489,8 +467,10 @@ def load_checkpoint(path):
                 f"({CHECKPOINT_VERSION})")
         kind_code, img_c, hidden, ksize = struct.unpack(
             "<BBII", _read_exact(fh, 10, "spec"))
-        if kind_code not in _CODE_KINDS:
+        if kind_code != _CONV2_CODE:
             raise CheckpointError(f"unknown denoiser kind code {kind_code}")
+        if ksize != _KERNEL_SIZE:
+            raise CheckpointError(f"only 3x3 kernels load, got kernel size {ksize}")
         (step_count,) = struct.unpack("<Q", _read_exact(fh, 8, "step count"))
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
         _check_remaining(fh, meta_len, "metadata")
@@ -498,16 +478,19 @@ def load_checkpoint(path):
             meta = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"corrupt metadata: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise CheckpointError("checkpoint metadata must be a JSON object")
         (count,) = struct.unpack("<Q", _read_exact(fh, 8, "parameter count"))
         _check_remaining(fh, 8 * count, "parameter block")
         raw = _read_exact(fh, 8 * count, "parameters")
         if fh.read(1) != b"":
             raise CheckpointError("trailing bytes after parameter block")
     try:
-        spec = DenoiserSpec(kind=_CODE_KINDS[kind_code], channels=2 * img_c + 1,
-                            hidden_width=hidden, kernel_size=ksize)
+        spec = DenoiserSpec(kind="conv2", channels=2 * img_c + 1, hidden_width=hidden)
     except ParameterError as exc:
         raise CheckpointError(f"inconsistent spec fields: {exc}") from exc
     params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return DenoiserCheckpoint(spec=spec, params=params, step_count=step_count,
-                              train_config=meta, format_version=version)
+    ckpt = DenoiserCheckpoint(spec=spec, params=params, step_count=step_count,
+                              train_config=meta)
+    ckpt.config()  # refuse missing or invalid metadata now, not on first use
+    return ckpt

@@ -8,7 +8,6 @@ non-overlapping patches.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.ndimage import correlate, uniform_filter
@@ -210,7 +209,6 @@ class MetricReport:
     ssim: float
     loe: float
     loe_grid: int = LOE_GRID_DEFAULT
-    patch_diff: Optional[np.ndarray] = None
 
     def csv(self):
         header = "gt,test,psnr_db,ssim,loe,loe_grid"
@@ -226,12 +224,11 @@ def grid_csv(grid):
 
 
 def metric_report(gt, test, gt_id="gt", test_id="test", grid=LOE_GRID_DEFAULT,
-                  data_range=1.0, patch=None):
+                  data_range=1.0):
     """One-stop comparison used by the command-line front end."""
     gt, test = _pair(gt, test)
-    diff = edge_report(test, gt, patch=patch).diff if patch else None
     return MetricReport(gt_id=gt_id, test_id=test_id,
                         psnr_db=psnr(gt, test, data_range),
                         ssim=ssim(gt, test, data_range),
                         loe=loe(test, gt, grid=grid),
-                        loe_grid=grid, patch_diff=diff)
+                        loe_grid=grid)

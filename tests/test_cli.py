@@ -294,6 +294,23 @@ class TestTrainAndSr:
         assert main(["train", "--manifest", str(manifest),
                      "--checkpoint", str(tmp_path / "m.pxbk")]) == 2
 
+    def test_manifest_not_utf8(self, tmp_path, capsys):
+        manifest = tmp_path / "bad.txt"
+        manifest.write_bytes(b"\xff\xfe\n")
+        ckpt_path = tmp_path / "m.pxbk"
+        assert main(["train", "--manifest", str(manifest),
+                     "--checkpoint", str(ckpt_path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+        assert not ckpt_path.exists()
+
+    def test_raw_mode_refused_before_training(self, tmp_path, capsys):
+        manifest = self._manifest(tmp_path, count=1)
+        ckpt_path = tmp_path / "m.pxbk"
+        assert main(["train", "--manifest", str(manifest), "--mode", "raw",
+                     "--checkpoint", str(ckpt_path), "--train-steps", "2"]) == 2
+        assert "normalized" in capsys.readouterr().err
+        assert not ckpt_path.exists()
+
     def test_corrupt_checkpoint(self, tmp_path, capsys):
         lr_path = tmp_path / "lr.pgm"
         _make_image(lr_path, size=8)
@@ -357,6 +374,15 @@ class TestAnalyzeNoise:
 
     def test_requires_some_input(self, tmp_path, capsys):
         assert main(["analyze-noise", "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_partial_float_refused(self, tmp_path, capsys):
+        sample = _residual_file(tmp_path / "odd.f64")
+        sample.write_bytes(sample.read_bytes() + b"\x00\x00\x00\x00")
+        out = tmp_path / "x.csv"
+        assert main(["analyze-noise", "--input", str(sample),
+                     "--out", str(out)]) == 1
+        assert "float64" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_few_samples(self, tmp_path, capsys):
         sample = _residual_file(tmp_path / "tiny.f64", n=100)
@@ -426,4 +452,12 @@ class TestSweep:
                 eval_count, "--train-steps", "2", "--out", str(out)]
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_raw_mode_refused_before_training(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--sigmas", "1.5", "--count", "2", "--eval-count", "1",
+                "--train-steps", "2", "--mode", "raw", "--out", str(out)]
+        assert main(argv) == 2
+        assert "normalized" in capsys.readouterr().err
         assert not out.exists()

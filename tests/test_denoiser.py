@@ -2,7 +2,9 @@
 gradients against finite differences, SGD training, and the checkpoint
 file format."""
 
+import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,9 @@ from pixelboost.denoiser import (CHECKPOINT_MAGIC, INIT_WEIGHT_HALF_RANGE,
                                  KINDS, MAX_CONV2_PARAMS, _batch_forward,
                                  _losses_and_gradients, item_loss_value)
 from pixelboost.noise import STREAM_DATASET, STREAM_INIT, STREAM_TRAIN
+
+BENCH_CHECKPOINT = (Path(__file__).resolve().parents[1]
+                    / "bench" / "data" / "conv2_toy_seed0.pxbk")
 
 
 def _ckpt(kind="conv2", hidden_width=8, sigma=1.5, seed=0, steps=15,
@@ -48,7 +53,7 @@ def _fd_gradient(ckpt, item, t, x_t, weighting, eps=1e-6):
 
 class TestSpec:
     def test_kinds(self):
-        assert KINDS == ("affine", "conv2")
+        assert KINDS == ("conv2",)
 
     def test_channel_layout(self):
         spec = pb.spec_for_images("conv2", image_channels=3)
@@ -58,8 +63,6 @@ class TestSpec:
     def test_param_counts(self):
         conv = pb.spec_for_images("conv2", image_channels=1, hidden_width=8)
         assert conv.param_count() == 9 * 3 * 8 + 8 + 9 * 8 * 1 + 1
-        aff = pb.spec_for_images("affine", image_channels=1)
-        assert aff.param_count() == 3 * 1 + 1
 
     def test_parameter_budget_enforced(self):
         with pytest.raises(ParameterError):
@@ -71,9 +74,9 @@ class TestSpec:
         with pytest.raises(ParameterError):
             pb.DenoiserSpec(kind="oracle")
         with pytest.raises(ParameterError):
-            pb.DenoiserSpec(kind="conv2", channels=4)
+            pb.DenoiserSpec(kind="affine")
         with pytest.raises(ParameterError):
-            pb.DenoiserSpec(kind="conv2", kernel_size=5)
+            pb.DenoiserSpec(kind="conv2", channels=4)
         with pytest.raises(ParameterError):
             pb.DenoiserSpec(kind="conv2", hidden_width=0)
 
@@ -128,7 +131,7 @@ class TestPredict:
 
 class TestGradients:
     @pytest.mark.parametrize("weighting", ["uniform_mse", "exact_kl"])
-    @pytest.mark.parametrize("kind", ["conv2", "affine"])
+    @pytest.mark.parametrize("kind", ["conv2"])
     def test_analytic_matches_finite_difference(self, kind, weighting):
         ckpt = _ckpt(kind=kind, hidden_width=4, seed=11)
         x0, y, x_t = _item(size=5, seed=11)
@@ -240,8 +243,6 @@ def _ref_forward(ckpt, x_t, y0_up, t):
     tchan = np.full(x_t.shape[:2] + (1,), ckpt.schedule().eta(t))
     z = np.concatenate([x_t, y0_up, tchan], axis=2)
     p = ckpt.spec._unpack(ckpt.params)
-    if ckpt.spec.kind == "affine":
-        return np.einsum("hwc,co->hwo", z, p["w"]) + p["b"], (z,)
     h = _ref_conv3x3(z, p["w1"], p["b1"])
     a = np.maximum(h, 0.0)
     return _ref_conv3x3(a, p["w2"], p["b2"]), (z, h, a)
@@ -249,10 +250,6 @@ def _ref_forward(ckpt, x_t, y0_up, t):
 
 def _ref_backward(ckpt, cache, gout):
     p = ckpt.spec._unpack(ckpt.params)
-    if ckpt.spec.kind == "affine":
-        (z,) = cache
-        dw = np.einsum("hwc,hwo->co", z, gout)
-        return np.concatenate([dw.ravel(), gout.sum(axis=(0, 1)).ravel()])
     z, h, a = cache
     dw2, db2 = _ref_conv3x3_grads(a, gout)
     dh = _ref_conv3x3_input_grad(p["w2"], gout, a.shape) * (h > 0.0)
@@ -310,7 +307,7 @@ class TestBatchedCore:
     STEP_SIZES = {"uniform_mse": 0.2, "exact_kl": 1e-5}
 
     @pytest.mark.parametrize("weighting", ["uniform_mse", "exact_kl"])
-    @pytest.mark.parametrize("kind", ["conv2", "affine"])
+    @pytest.mark.parametrize("kind", ["conv2"])
     def test_train_matches_reference(self, kind, weighting):
         cfg = pb.make_config(steps=15, sigma=1.5, seed=4)
         opt = pb.TrainOptions(step_size=self.STEP_SIZES[weighting], steps=50,
@@ -334,7 +331,7 @@ class TestBatchedCore:
         np.testing.assert_array_equal(ckpt.params, params)
 
     @pytest.mark.parametrize("kind,channels,hidden", [
-        ("conv2", 1, 8), ("conv2", 3, 1), ("affine", 3, 8)])
+        ("conv2", 1, 8), ("conv2", 3, 1), ("conv2", 3, 8)])
     def test_batch_gradients_match_reference(self, kind, channels, hidden):
         # odd sizes and a 1x1 image: every item must be independent of the
         # others, however BLAS blocks the columns
@@ -491,14 +488,65 @@ class TestCheckpointIO:
             with pytest.raises(CheckpointError):
                 pb.load_checkpoint(path)
 
-    def test_unknown_kind_code(self, tmp_path):
-        # code 0 is assigned to no kind; only 1 (affine) and 2 (conv2) load
+    @pytest.mark.parametrize("code", [0, 1])
+    def test_unknown_kind_code(self, tmp_path, code):
+        # only kind code 2 (conv2) loads
         path = tmp_path / "k.pxbk"
         pb.save_checkpoint(_ckpt(), path)
         raw = bytearray(path.read_bytes())
-        raw[8] = 0
+        raw[8] = code
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="kind code 0"):
+        with pytest.raises(CheckpointError, match=f"kind code {code}"):
+            pb.load_checkpoint(path)
+
+    def test_kernel_size_other_than_3(self, tmp_path):
+        path = tmp_path / "k5.pxbk"
+        pb.save_checkpoint(_ckpt(), path)
+        raw = bytearray(path.read_bytes())
+        # magic(4) + version(4) + kind(1) + image_channels(1) + hidden_width(4)
+        assert struct.unpack_from("<I", raw, 14) == (3,)
+        struct.pack_into("<I", raw, 14, 5)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="kernel size 5"):
+            pb.load_checkpoint(path)
+
+    def test_committed_bench_checkpoint_resaves_identically(self, tmp_path):
+        src = BENCH_CHECKPOINT.read_bytes()
+        path = tmp_path / "resaved.pxbk"
+        pb.save_checkpoint(pb.load_checkpoint(BENCH_CHECKPOINT), path)
+        assert path.read_bytes() == src
+
+    @staticmethod
+    def _with_metadata(path, meta):
+        """Rewrite a saved checkpoint's JSON metadata block in place."""
+        raw = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<I", raw, 26)
+        blob = meta.encode("utf-8")
+        path.write_bytes(raw[:26] + struct.pack("<I", len(blob)) + blob
+                         + raw[30 + meta_len:])
+
+    def test_metadata_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.pxbk"
+        pb.save_checkpoint(_ckpt(), path)
+        self._with_metadata(path, "[]")
+        with pytest.raises(CheckpointError, match="JSON object"):
+            pb.load_checkpoint(path)
+
+    def test_metadata_checked_on_load(self, tmp_path):
+        ckpt = _ckpt()
+        del ckpt.train_config["sigma"]
+        path = tmp_path / "nosigma.pxbk"
+        pb.save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointError, match="sigma"):
+            pb.load_checkpoint(path)
+
+    def test_overflowing_metadata_value(self, tmp_path):
+        path = tmp_path / "inf.pxbk"
+        ckpt = _ckpt()
+        pb.save_checkpoint(ckpt, path)
+        meta = dict(ckpt.train_config, steps=float("inf"))
+        self._with_metadata(path, json.dumps(meta))
+        with pytest.raises(CheckpointError, match="invalid checkpoint metadata"):
             pb.load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):

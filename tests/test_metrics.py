@@ -250,13 +250,6 @@ class TestMetricReport:
         assert rep.ssim == ssim(gt, test)
         assert rep.loe == loe(test, gt)
         assert rep.loe_grid == LOE_GRID_DEFAULT
-        assert rep.patch_diff is None
-
-    def test_patch_request_fills_diff(self):
-        gt = _random_image((16, 16), seed=24)
-        rep = metric_report(gt, gt, patch=8)
-        assert rep.patch_diff.shape == (2, 2)
-        np.testing.assert_array_equal(rep.patch_diff, 0.0)
 
     def test_csv_layout(self):
         rep = MetricReport(gt_id="a.ppm", test_id="b.ppm", psnr_db=20.0,
