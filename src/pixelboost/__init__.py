@@ -14,10 +14,9 @@ from .denoiser import (DenoiserCheckpoint, DenoiserSpec, OracleDenoiser,
                        load_checkpoint, loss_gradient, predict,
                        save_checkpoint, spec_for_images, train)
 from .diffusion import (CONVENTIONS, WEIGHTINGS, DiffusionConfig,
-                        diffusion_loss, forward_chain, forward_marginal,
-                        forward_step, item_loss, kl_weight, loss_weight,
-                        make_config, posterior_params, reverse_sample,
-                        step_increment)
+                        forward_chain, forward_marginal, forward_step,
+                        item_loss, kl_weight, loss_weight, make_config,
+                        posterior_params, reverse_sample, step_increment)
 from .errors import (CheckpointError, CheckpointVersionError, CodecError,
                      DegenerateFitError, NumericError, ParameterError,
                      PixelBoostError, ShapeError, TrainingError,
@@ -32,7 +31,7 @@ from .metrics import (EdgeReport, MetricReport, edge_report, grid_csv,
 from .noise import (FAMILIES, STREAM_ANALYSIS, STREAM_DATASET, STREAM_FORWARD,
                     STREAM_INIT, STREAM_SAMPLER, STREAM_TRAIN, NoiseKind,
                     RngStream, sample_noise)
-from .schedule import (MODES, Schedule, alpha_at, build_schedule,
+from .schedule import (MAX_STEPS, MODES, Schedule, build_schedule,
                        default_t_mid)
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ from .denoiser import (TrainOptions, as_denoiser, load_checkpoint,
 from .diffusion import (CONVENTIONS, WEIGHTINGS, forward_chain, make_config,
                         reverse_sample)
 from .errors import CodecError, PixelBoostError
-from .imagedata import (bicubic_resize, make_lr_pair, read_image,
-                        synth_dataset, write_image, SYNTH_KINDS)
+from .imagedata import (bicubic_resize, check_same_shape, make_lr_pair,
+                        read_image, synth_dataset, write_image, SYNTH_KINDS)
 from .metrics import edge_report, grid_csv, metric_report
 from .noise import (STREAM_ANALYSIS, STREAM_DATASET, STREAM_FORWARD,
                     STREAM_SAMPLER, RngStream)
@@ -84,7 +84,7 @@ def _parse_sigmas(value):
         items = [s for s in str(value).split(",") if s.strip()]
     try:
         sigmas = tuple(float(s) for s in items)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a config's [[1.5]]
         raise _UsageError(f"bad --sigmas value: {exc}") from exc
     if not sigmas:
         raise _UsageError("--sigmas needs at least one value")
@@ -96,7 +96,8 @@ def _coerce(name, value):
 
     Numbers may be JSON numbers or numeric strings; an int field refuses a
     fractional value rather than truncating it.  ``None`` is allowed where
-    it is the field's default.
+    it is the field's default.  A string may not hold a NUL character,
+    which no file path can contain.
     """
     kind = _FIELD_TYPES[name]
     if kind is tuple or (value is None and name in _OPTIONAL_FIELDS):
@@ -108,6 +109,8 @@ def _coerce(name, value):
     try:
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError("not an integer")
+        if kind is str and "\0" in value:
+            raise ValueError("contains a NUL character")
         return kind(value)
     except (ValueError, OverflowError) as exc:
         raise _UsageError(f"bad config value {name}={value!r}: {exc}") from exc
@@ -172,11 +175,14 @@ def _diffusion_config(cfg):
                        mode=cfg.mode, convention=cfg.convention, seed=cfg.seed)
 
 
-def _require_normalized(cfg):
-    """A trained model is only usable by the sampler on a normalized schedule."""
+def _require_sampleable(cfg):
+    """Training and sampling need a normalized schedule and the eq5_variance kernel."""
     if cfg.mode != "normalized":
         raise _UsageError(f"{cfg.command} needs --mode normalized, got {cfg.mode}: "
                           "reverse sampling requires a normalized schedule")
+    if cfg.convention != "eq5_variance":
+        raise _UsageError(f"{cfg.command} needs --convention eq5_variance, got "
+                          f"{cfg.convention}: training and sampling use its closed forms")
 
 
 def _train_options(cfg):
@@ -230,12 +236,14 @@ def _load_manifest(path):
         raise _UsageError(f"manifest {path} is not UTF-8: {exc}")
     if not names:
         raise _UsageError(f"manifest {path} lists no images")
+    if any("\0" in name for name in names):
+        raise _UsageError(f"manifest {path} holds a NUL character")
     return [read_image(os.path.join(base, name)) for name in names]
 
 
 def cmd_train(cfg):
     _require(cfg, "manifest", "checkpoint")
-    _require_normalized(cfg)
+    _require_sampleable(cfg)
     images = _load_manifest(cfg.manifest)
     pairs = [make_lr_pair(hr) for hr in images]
     dataset = [(p.hr, p.lr_up) for p in pairs]
@@ -271,7 +279,9 @@ def cmd_analyze_noise(cfg):
                              "not a whole number of float64 values")
         sample = np.fromfile(cfg.input, dtype="<f8")
     elif cfg.gt is not None and cfg.test is not None:
-        sample = (read_image(cfg.test) - read_image(cfg.gt)).ravel()
+        gt, test = read_image(cfg.gt), read_image(cfg.test)
+        check_same_shape(gt, test)
+        sample = (test - gt).ravel()
     else:
         raise _UsageError("analyze-noise needs --input or both --gt and --test")
     rng = RngStream(cfg.seed, STREAM_ANALYSIS)
@@ -310,7 +320,7 @@ def cmd_sweep(cfg):
         raise _UsageError("sweep requires --sigmas")
     if cfg.eval_count < 1:
         raise _UsageError(f"--eval-count must be >= 1, got {cfg.eval_count}")
-    _require_normalized(cfg)
+    _require_sampleable(cfg)
     data_rng = RngStream(cfg.seed, STREAM_DATASET)
     images = synth_dataset(cfg.kind, cfg.count + cfg.eval_count, cfg.size,
                            data_rng)

@@ -19,6 +19,7 @@ from .diffusion import (WEIGHTINGS, DiffusionConfig, forward_marginal,
                         item_loss, loss_weight)
 from .errors import (CheckpointError, CheckpointVersionError, ParameterError,
                      ShapeError, TrainingError)
+from .imagedata import check_same_shape
 from .noise import STREAM_INIT, STREAM_TRAIN, RngStream
 from .schedule import build_schedule
 
@@ -35,23 +36,18 @@ MAX_CONV2_PARAMS = 10_000
 
 @dataclass(frozen=True)
 class DenoiserSpec:
-    """Architecture description.
-
-    ``channels`` is the stacked input channel count: the x_t channels,
-    the y0_up channels, and one timestep channel, so it is always
-    2 * image_channels + 1.
-    """
+    """Architecture description for images of ``image_channels`` channels."""
 
     kind: str
-    channels: int = 3
+    image_channels: int = 1
     hidden_width: int = 8
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.channels < 3 or self.channels % 2 == 0:
+        if self.image_channels < 1:
             raise ParameterError(
-                f"channels must be 2*image_channels + 1, got {self.channels}")
+                f"image_channels must be >= 1, got {self.image_channels}")
         if self.hidden_width < 1:
             raise ParameterError(f"hidden_width must be >= 1, got {self.hidden_width}")
         if self.param_count() >= MAX_CONV2_PARAMS:
@@ -59,8 +55,9 @@ class DenoiserSpec:
                 f"conv2 parameter count {self.param_count()} exceeds {MAX_CONV2_PARAMS}")
 
     @property
-    def image_channels(self):
-        return (self.channels - 1) // 2
+    def channels(self):
+        """Stacked input channels: x_t, y0_up and one timestep channel."""
+        return 2 * self.image_channels + 1
 
     def param_count(self):
         c_in, c_out, wh = self.channels, self.image_channels, self.hidden_width
@@ -78,7 +75,7 @@ class DenoiserSpec:
 
 
 def spec_for_images(kind, image_channels=1, hidden_width=8):
-    return DenoiserSpec(kind=kind, channels=2 * image_channels + 1,
+    return DenoiserSpec(kind=kind, image_channels=image_channels,
                         hidden_width=hidden_width)
 
 
@@ -116,8 +113,7 @@ class DenoiserCheckpoint:
         schedule = self.schedule()
         tc = self.train_config
         with _metadata_errors():
-            return DiffusionConfig(steps=int(tc["steps"]), sigma=float(tc["sigma"]),
-                                   schedule=schedule,
+            return DiffusionConfig(sigma=float(tc["sigma"]), schedule=schedule,
                                    convention=tc.get("convention", "eq5_variance"),
                                    seed=int(seed))
 
@@ -221,8 +217,7 @@ def _check_pair(spec, x_t, y0_up):
     """One (H, W, C) input pair as float64 arrays, validated against the spec."""
     x_t = np.asarray(x_t, dtype=np.float64)
     y0_up = np.asarray(y0_up, dtype=np.float64)
-    if x_t.shape != y0_up.shape:
-        raise ShapeError(f"shape mismatch: {x_t.shape} vs {y0_up.shape}")
+    check_same_shape(x_t, y0_up)
     if x_t.ndim != 3 or x_t.shape[2] != spec.image_channels:
         raise ShapeError(
             f"expected (H, W, {spec.image_channels}) inputs, got {x_t.shape}")
@@ -486,7 +481,7 @@ def load_checkpoint(path):
         if fh.read(1) != b"":
             raise CheckpointError("trailing bytes after parameter block")
     try:
-        spec = DenoiserSpec(kind="conv2", channels=2 * img_c + 1, hidden_width=hidden)
+        spec = DenoiserSpec(kind="conv2", image_channels=img_c, hidden_width=hidden)
     except ParameterError as exc:
         raise CheckpointError(f"inconsistent spec fields: {exc}") from exc
     params = np.frombuffer(raw, dtype="<f8").astype(np.float64)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, ShapeError
 from .imagedata import as_image, check_same_shape
-from .schedule import Schedule, alpha_at, build_schedule
+from .schedule import Schedule, build_schedule
 
 CONVENTIONS = ("eq5_variance", "eq4_literal")
 
@@ -29,7 +29,6 @@ SIGMA_ADVISORY_RANGE = (0.1, 2.0)
 
 @dataclass(frozen=True)
 class DiffusionConfig:
-    steps: int
     sigma: float
     schedule: Schedule
     convention: str = "eq5_variance"
@@ -38,12 +37,14 @@ class DiffusionConfig:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
-        if self.schedule.steps != self.steps:
-            raise ParameterError(
-                f"schedule has {self.schedule.steps} steps, config says {self.steps}")
         if self.convention not in CONVENTIONS:
             raise ParameterError(
                 f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
+
+    @property
+    def steps(self):
+        """T, as the schedule defines it."""
+        return self.schedule.steps
 
     @property
     def sigma_advisory(self):
@@ -56,7 +57,7 @@ def make_config(steps=15, sigma=1.5, t_mid=None, mode="normalized",
                 convention="eq5_variance", seed=0):
     """Convenience constructor building the schedule alongside the config."""
     sched = build_schedule(steps, t_mid=t_mid, mode=mode)
-    return DiffusionConfig(steps=steps, sigma=float(sigma), schedule=sched,
+    return DiffusionConfig(sigma=float(sigma), schedule=sched,
                            convention=convention, seed=int(seed))
 
 
@@ -65,6 +66,13 @@ def _check_t(t, steps):
     if not 1 <= t <= steps:
         raise IndexError(f"t={t} outside 1..{steps}")
     return t
+
+
+def _require_eq5(cfg, what):
+    """The closed forms below hold only for the eq5_variance forward kernel."""
+    if cfg.convention != "eq5_variance":
+        raise ParameterError(
+            f"{what} is the eq5_variance closed form; config has {cfg.convention}")
 
 
 def step_increment(delta0, alpha_t, sigma, noise, convention="eq5_variance"):
@@ -113,7 +121,8 @@ def forward_step(x_prev, delta0, t, cfg, rng=None, noise=None):
     delta0 = np.asarray(delta0, dtype=np.float64)
     check_same_shape(x_prev, delta0)
     t = _check_t(t, cfg.steps)
-    a_t = alpha_at(cfg.schedule, t)
+    etas = cfg.schedule.etas
+    a_t = etas[t] - etas[t - 1]
     noise = _noise_for(x_prev.shape, rng, noise)
     return x_prev + step_increment(delta0, a_t, cfg.sigma, noise, cfg.convention)
 
@@ -123,8 +132,9 @@ def forward_marginal(x0, delta0, t, cfg, rng=None, noise=None):
 
     The injected-residual fraction is eta_t - eta_0, which equals eta_t
     for normalized schedules and keeps the marginal exactly equal to the
-    composed per-step chain in raw mode too.
+    composed per-step chain in raw mode too.  eq5_variance only.
     """
+    _require_eq5(cfg, "forward_marginal")
     x0 = np.asarray(x0, dtype=np.float64)
     delta0 = np.asarray(delta0, dtype=np.float64)
     check_same_shape(x0, delta0)
@@ -158,8 +168,9 @@ def posterior_params(x_t, x0_hat, t, cfg):
     var  = sigma^2 * eta_{t-1} * alpha_t / eta_t
 
     Exact for schedules anchored at eta_0 = 0; at t=1 the posterior
-    collapses to the prediction with zero variance.
+    collapses to the prediction with zero variance.  eq5_variance only.
     """
+    _require_eq5(cfg, "posterior_params")
     x_t = np.asarray(x_t, dtype=np.float64)
     x0_hat = np.asarray(x0_hat, dtype=np.float64)
     check_same_shape(x_t, x0_hat)
@@ -242,29 +253,3 @@ def item_loss(x0, x0_hat, t, cfg, weighting="uniform_mse"):
         # mean(d^2) is not bit-equal to (1/n) * sum(d^2)
         return float(np.mean(sq))
     return loss_weight(t, cfg, weighting, sq.size) * float(np.sum(sq))
-
-
-def diffusion_loss(denoiser, batch, cfg, rng, weighting="uniform_mse"):
-    """Monte-Carlo training objective over a batch of (x_0, y0_up) pairs.
-
-    For every item: t ~ Uniform{1..T}, x_t ~ forward marginal, then the
-    denoiser's x0 prediction is scored.  Reduction is the mean over items
-    in index order, so results are bit-reproducible.
-    """
-    if weighting not in WEIGHTINGS:
-        raise ParameterError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-    if len(batch) == 0:
-        raise ParameterError("batch must be nonempty")
-    total = 0.0
-    for x0, y0_up in batch:
-        x0 = np.asarray(x0, dtype=np.float64)
-        y0_up = np.asarray(y0_up, dtype=np.float64)
-        check_same_shape(x0, y0_up)
-        t = int(rng.integers(1, cfg.steps + 1))
-        x_t = forward_marginal(x0, y0_up - x0, t, cfg, rng)
-        x0_hat = np.asarray(denoiser(x_t, y0_up, t), dtype=np.float64)
-        if x0_hat.shape != x0.shape:
-            raise ShapeError(
-                f"denoiser returned shape {x0_hat.shape}, expected {x0.shape}")
-        total += item_loss(x0, x0_hat, t, cfg, weighting)
-    return total / len(batch)

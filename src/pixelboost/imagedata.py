@@ -34,15 +34,16 @@ def check_same_shape(a, b):
 
 @dataclass(frozen=True)
 class SrPair:
-    """A HR image with its x4 degradation products.
-
-    delta0 = lr_up - hr lives on the HR grid; hr + delta0 == lr_up exactly.
-    """
+    """A HR image with its x4 degradation products."""
 
     hr: np.ndarray
     lr: np.ndarray
     lr_up: np.ndarray
-    delta0: np.ndarray
+
+    @property
+    def delta0(self):
+        """The residual lr_up - hr, on the HR grid."""
+        return self.lr_up - self.hr
 
 
 # --- bicubic resampling ------------------------------------------------------
@@ -105,7 +106,7 @@ def make_lr_pair(hr):
         raise ParameterError(f"HR dims must be divisible by 4, got {hr.shape[:2]}")
     lr = bicubic_resize(hr, 0.25)
     lr_up = bicubic_resize(lr, 4)
-    return SrPair(hr=hr, lr=lr, lr_up=lr_up, delta0=lr_up - hr)
+    return SrPair(hr=hr, lr=lr, lr_up=lr_up)
 
 
 # --- synthetic datasets ------------------------------------------------------

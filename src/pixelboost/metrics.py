@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate, uniform_filter
 
-from .errors import ParameterError, ShapeError
-from .imagedata import as_image
+from .errors import ParameterError
+from .imagedata import as_image, check_same_shape
 
 SSIM_WINDOW = 7
 SSIM_K1 = 0.01
@@ -30,8 +30,7 @@ SOBEL_Y = SOBEL_X.T
 def _pair(a, b):
     a = as_image(a)
     b = as_image(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
+    check_same_shape(a, b)
     return a, b
 
 

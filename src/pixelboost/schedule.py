@@ -16,6 +16,10 @@ from .errors import ParameterError
 
 MODES = ("raw", "normalized")
 
+# far past saturation: with the default t_mid no schedule over 76 steps is
+# strictly increasing; the bound refuses a huge count before allocating
+MAX_STEPS = 1000
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -25,7 +29,6 @@ class Schedule:
     anchor needed so that alpha_1 = eta_1 - eta_0 is well defined.
     """
 
-    steps: int
     t_mid: float
     etas: np.ndarray
     mode: str
@@ -34,15 +37,20 @@ class Schedule:
         etas = np.asarray(self.etas, dtype=np.float64)
         etas.setflags(write=False)
         object.__setattr__(self, "etas", etas)
-        if etas.shape != (self.steps + 1,):
+        if etas.ndim != 1 or etas.size < 2:
             raise ParameterError(
-                f"expected {self.steps + 1} eta values, got {etas.shape}")
+                f"need a 1-D sequence of at least 2 eta values, got shape {etas.shape}")
         if not np.all(np.diff(etas) > 0):
             raise ParameterError("eta sequence must be strictly increasing")
         if etas[0] < 0 or etas[-1] > 1:
             raise ParameterError("eta values must lie in [0, 1]")
         if self.mode == "normalized" and (etas[0] != 0.0 or etas[-1] != 1.0):
             raise ParameterError("normalized schedule must have eta_0 = 0, eta_T = 1")
+
+    @property
+    def steps(self):
+        """T, the number of steps."""
+        return self.etas.size - 1
 
     def eta(self, t):
         """eta_t for 0 <= t <= T."""
@@ -71,8 +79,8 @@ def build_schedule(steps, t_mid=None, mode="normalized"):
     at t = 8.
     """
     steps = int(steps)
-    if steps < 2:
-        raise ParameterError(f"need at least 2 steps, got {steps}")
+    if not 2 <= steps <= MAX_STEPS:
+        raise ParameterError(f"steps must lie in 2..{MAX_STEPS}, got {steps}")
     if t_mid is None:
         t_mid = default_t_mid(steps)
     t_mid = float(t_mid)
@@ -89,15 +97,7 @@ def build_schedule(steps, t_mid=None, mode="normalized"):
         etas[-1] = 1.0  # pinned here against any rounding in the subtraction)
     else:
         etas = s
-    return Schedule(steps=steps, t_mid=t_mid, etas=etas, mode=mode)
-
-
-def alpha_at(schedule, t):
-    """Per-step drift alpha_t = eta_t - eta_{t-1}, strictly positive."""
-    t = int(t)
-    if not 1 <= t <= schedule.steps:
-        raise IndexError(f"t={t} outside 1..{schedule.steps}")
-    return float(schedule.etas[t] - schedule.etas[t - 1])
+    return Schedule(t_mid=t_mid, etas=etas, mode=mode)
 
 
 def sigmoid(x):

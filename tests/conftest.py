@@ -1,4 +1,5 @@
-"""Shared fixtures: the toy super-resolution training protocol.
+"""Shared fixtures: the toy super-resolution training protocol, and the
+hypothesis profile of the property tests.
 
 The protocol (200 mixed 16x16 training images, 2000 SGD steps, 20
 held-out images scored against the bicubic baseline) is consumed by both
@@ -6,8 +7,13 @@ the training-property tests and the acceptance suite.  Ten full runs are
 expensive, so results are computed lazily and cached for the session.
 """
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import pixelboost as pb
 from pixelboost.denoiser import TrainOptions, as_denoiser, train
@@ -22,6 +28,20 @@ TOY_SGD_STEPS = 2000
 TOY_STEP_SIZE = 0.2
 TOY_SEEDS = (0, 1, 2, 3, 4)
 TOY_SIGMAS = (1.5, 0.01)
+
+# property tests: the same examples on every run, no example database on
+# disk, no per-example deadline on a shared host, and a bounded count
+settings.register_profile("pixelboost", derandomize=True, database=None,
+                          deadline=None, max_examples=50)
+settings.load_profile("pixelboost")
+
+
+def pytest_configure(config):
+    # hypothesis caches constants read from the source in its home directory
+    # (./.hypothesis by default) while collecting; give it a throwaway one
+    home = tempfile.mkdtemp(prefix="pixelboost-hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 def toy_protocol(seed, sigma):

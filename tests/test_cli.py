@@ -1,6 +1,7 @@
 """Batch front end: config precedence, exit codes, reproducible output."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,7 @@ class TestConfigPrecedence:
         ("schedule", {"steps": 15.5}),
         ("schedule", {"steps": None}),
         ("schedule", {"mode": 1}),
+        ("degrade", {"input": "a\u0000b"}),  # no path holds a NUL
     ])
     def test_config_value_of_wrong_type(self, tmp_path, capsys, command, values):
         hr = tmp_path / "hr.pgm"
@@ -163,6 +165,18 @@ class TestSchedule:
         assert t == "8"
         assert float(eta) == sched.etas[8]
         assert float(alpha) == sched.alphas[7]
+
+    def test_steps_above_bound_refused_before_allocating(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        tracemalloc.start()
+        try:
+            assert main(["schedule", "--steps", "5000000", "--out", str(out)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "steps must lie in" in capsys.readouterr().err
+        assert peak < 1_000_000
+        assert not out.exists()
 
     def test_file_output_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -303,12 +317,33 @@ class TestTrainAndSr:
         assert "not UTF-8" in capsys.readouterr().err
         assert not ckpt_path.exists()
 
+    def test_manifest_with_nul(self, tmp_path, capsys):
+        # valid UTF-8, but no path can hold a NUL character
+        manifest = tmp_path / "nul.txt"
+        manifest.write_bytes(b"\x00\x00\x00\n")
+        ckpt_path = tmp_path / "m.pxbk"
+        assert main(["train", "--manifest", str(manifest),
+                     "--checkpoint", str(ckpt_path)]) == 2
+        assert "NUL" in capsys.readouterr().err
+        assert not ckpt_path.exists()
+
     def test_raw_mode_refused_before_training(self, tmp_path, capsys):
         manifest = self._manifest(tmp_path, count=1)
         ckpt_path = tmp_path / "m.pxbk"
         assert main(["train", "--manifest", str(manifest), "--mode", "raw",
                      "--checkpoint", str(ckpt_path), "--train-steps", "2"]) == 2
         assert "normalized" in capsys.readouterr().err
+        assert not ckpt_path.exists()
+
+    def test_eq4_literal_refused_before_training(self, tmp_path, capsys):
+        # training draws from the eq5_variance marginal, so an eq4_literal
+        # label on the checkpoint would be false
+        manifest = self._manifest(tmp_path, count=1)
+        ckpt_path = tmp_path / "m.pxbk"
+        assert main(["train", "--manifest", str(manifest),
+                     "--convention", "eq4_literal", "--checkpoint", str(ckpt_path),
+                     "--train-steps", "2"]) == 2
+        assert "eq5_variance" in capsys.readouterr().err
         assert not ckpt_path.exists()
 
     def test_corrupt_checkpoint(self, tmp_path, capsys):
@@ -374,6 +409,21 @@ class TestAnalyzeNoise:
 
     def test_requires_some_input(self, tmp_path, capsys):
         assert main(["analyze-noise", "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("gt_shape,test_shape", [
+        ((4, 4, 1), (8, 8, 1)),
+        ((16, 16, 1), (16, 16, 3)),  # would broadcast to a 3-channel residual
+    ])
+    def test_image_pair_shapes_must_match(self, tmp_path, capsys, gt_shape,
+                                          test_shape):
+        gt, test = tmp_path / "gt.pnm", tmp_path / "test.pnm"
+        write_image(np.full(gt_shape, 0.5), gt)
+        write_image(np.full(test_shape, 0.25), test)
+        out = tmp_path / "x.csv"
+        assert main(["analyze-noise", "--gt", str(gt), "--test", str(test),
+                     "--out", str(out)]) == 1
+        assert "shape mismatch" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_partial_float_refused(self, tmp_path, capsys):
         sample = _residual_file(tmp_path / "odd.f64")
@@ -460,4 +510,13 @@ class TestSweep:
                 "--train-steps", "2", "--mode", "raw", "--out", str(out)]
         assert main(argv) == 2
         assert "normalized" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eq4_literal_refused_before_training(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--sigmas", "1.5", "--count", "2", "--eval-count", "1",
+                "--train-steps", "2", "--convention", "eq4_literal",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert "eq5_variance" in capsys.readouterr().err
         assert not out.exists()

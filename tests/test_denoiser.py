@@ -4,6 +4,7 @@ file format."""
 
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,7 @@ class TestSpec:
         with pytest.raises(ParameterError):
             pb.DenoiserSpec(kind="affine")
         with pytest.raises(ParameterError):
-            pb.DenoiserSpec(kind="conv2", channels=4)
+            pb.DenoiserSpec(kind="conv2", image_channels=0)
         with pytest.raises(ParameterError):
             pb.DenoiserSpec(kind="conv2", hidden_width=0)
 
@@ -548,6 +549,20 @@ class TestCheckpointIO:
         self._with_metadata(path, json.dumps(meta))
         with pytest.raises(CheckpointError, match="invalid checkpoint metadata"):
             pb.load_checkpoint(path)
+
+    def test_huge_steps_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "steps.pxbk"
+        ckpt = _ckpt()
+        ckpt.train_config["steps"] = 5_000_000
+        pb.save_checkpoint(ckpt, path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="steps must lie in"):
+                pb.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "x.pxbk"

@@ -146,6 +146,17 @@ class TestForwardMarginal:
         x = pb.forward_marginal(x0, y - x0, 15, cfg, noise=w)
         np.testing.assert_allclose(x, y + 0.7 * w, rtol=0, atol=1e-12)
 
+    def test_closed_forms_refuse_eq4_literal(self):
+        # the marginal and the posterior are the eq5_variance closed forms;
+        # only forward_step runs the literal kernel
+        cfg = pb.make_config(steps=15, sigma=1.5, convention="eq4_literal")
+        x = np.zeros((2, 2, 1))
+        assert pb.forward_step(x, x, 3, cfg, noise=x).shape == x.shape
+        with pytest.raises(ParameterError, match="eq5_variance"):
+            pb.forward_marginal(x, x, 3, cfg, noise=x)
+        with pytest.raises(ParameterError, match="eq5_variance"):
+            pb.posterior_params(x, x, 3, cfg)
+
 
 class TestForwardChain:
     def test_trajectory_length_and_final_state(self):
@@ -314,16 +325,3 @@ class TestLosses:
             pb.item_loss(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), 1, cfg,
                          weighting="l1")
         assert set(WEIGHTINGS) == {"uniform_mse", "exact_kl"}
-
-    def test_diffusion_loss_oracle_is_zero(self):
-        cfg = pb.make_config(seed=4)
-        x0 = pb.synth_dataset("mixed", 1, 16, _rng(4))[0]
-        y = pb.make_lr_pair(x0).lr_up
-        loss = pb.diffusion_loss(pb.OracleDenoiser(x0), [(x0, y)], cfg,
-                                 _rng(4))
-        assert loss == 0.0
-
-    def test_diffusion_loss_empty_batch(self):
-        cfg = pb.make_config()
-        with pytest.raises(ParameterError):
-            pb.diffusion_loss(lambda *a: None, [], cfg, _rng())

@@ -1,10 +1,12 @@
 """Sigmoidal shifting-sequence construction and its exact anchor values."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pixelboost import ParameterError
-from pixelboost.schedule import (MODES, Schedule, alpha_at, build_schedule,
+from pixelboost.schedule import (MAX_STEPS, MODES, Schedule, build_schedule,
                                  default_t_mid, sigmoid)
 
 # Frozen against a 40-digit mpmath evaluation of the logistic curve.
@@ -26,7 +28,7 @@ class TestRawMode:
 
     def test_alpha_at_midpoint(self):
         sched = build_schedule(15, t_mid=8, mode="raw")
-        np.testing.assert_allclose(alpha_at(sched, 8), 0.5 - ETA_RAW_7,
+        np.testing.assert_allclose(sched.alphas[7], 0.5 - ETA_RAW_7,
                                    rtol=0, atol=1e-15)
 
     def test_symmetry_about_midpoint(self):
@@ -79,8 +81,8 @@ class TestGenericProperties:
 
     def test_alpha_positivity(self):
         sched = build_schedule(30)
-        for t in range(1, 31):
-            assert alpha_at(sched, t) > 0.0
+        assert sched.alphas.shape == (30,)
+        assert np.all(sched.alphas > 0.0)
 
     def test_default_t_mid_crosses_half_at_eight_for_fifteen_steps(self):
         assert default_t_mid(15) == 8.0
@@ -96,6 +98,26 @@ class TestValidation:
     def test_too_few_steps(self):
         with pytest.raises(ParameterError):
             build_schedule(1)
+
+    def test_steps_above_bound_refused_before_allocating(self):
+        with pytest.raises(ParameterError, match="steps must lie in"):
+            build_schedule(MAX_STEPS + 1, t_mid=MAX_STEPS / 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError):
+                build_schedule(5_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_steps_property_counts_etas(self):
+        sched = Schedule(t_mid=1.5, etas=np.array([0.0, 0.4, 1.0]),
+                         mode="normalized")
+        assert sched.steps == 2
+        assert build_schedule(40).steps == 40
+        with pytest.raises(ParameterError, match="1-D"):
+            Schedule(t_mid=1.5, etas=np.zeros((2, 2)), mode="raw")
 
     @pytest.mark.parametrize("t_mid", [0.0, -3.0, 15.0, 99.0])
     def test_t_mid_outside_range(self, t_mid):
@@ -113,19 +135,11 @@ class TestValidation:
         with pytest.raises(IndexError):
             sched.eta(-1)
 
-    def test_alpha_at_index_bounds(self):
-        sched = build_schedule(15)
-        with pytest.raises(IndexError):
-            alpha_at(sched, 0)
-        with pytest.raises(IndexError):
-            alpha_at(sched, 16)
-
     def test_schedule_rejects_non_monotone_etas(self):
         with pytest.raises(ParameterError):
-            Schedule(steps=2, t_mid=1.5, etas=np.array([0.0, 0.8, 0.5]),
-                     mode="raw")
+            Schedule(t_mid=1.5, etas=np.array([0.0, 0.8, 0.5]), mode="raw")
 
     def test_normalized_requires_exact_anchors(self):
         with pytest.raises(ParameterError):
-            Schedule(steps=2, t_mid=1.5, etas=np.array([0.1, 0.5, 1.0]),
+            Schedule(t_mid=1.5, etas=np.array([0.1, 0.5, 1.0]),
                      mode="normalized")
