@@ -33,6 +33,9 @@ from .noise import (STREAM_ANALYSIS, STREAM_DATASET, STREAM_FORWARD,
 from .schedule import MODES, build_schedule
 
 SEED_ENV = "PIXELBOOST_SEED"
+# RngStream keys Philox with a list that numpy casts through float64 once a
+# value reaches 2**63, so larger seeds, and negative ones, alias other seeds
+MAX_SEED = 2 ** 63
 
 
 class _UsageError(Exception):
@@ -148,6 +151,8 @@ def _resolve(args):
         if name == "sigmas":
             value = _parse_sigmas(value)
         setattr(cfg, name, value)
+    if not 0 <= cfg.seed < MAX_SEED:
+        raise _UsageError(f"seed must lie in [0, 2**63), got {cfg.seed}")
     return cfg
 
 
@@ -318,8 +323,10 @@ def cmd_edge_report(cfg):
 def cmd_sweep(cfg):
     if not cfg.sigmas:
         raise _UsageError("sweep requires --sigmas")
-    if cfg.eval_count < 1:
-        raise _UsageError(f"--eval-count must be >= 1, got {cfg.eval_count}")
+    for name in ("count", "eval_count"):
+        if getattr(cfg, name) < 1:
+            raise _UsageError(f"--{name.replace('_', '-')} must be >= 1, "
+                              f"got {getattr(cfg, name)}")
     _require_sampleable(cfg)
     data_rng = RngStream(cfg.seed, STREAM_DATASET)
     images = synth_dataset(cfg.kind, cfg.count + cfg.eval_count, cfg.size,

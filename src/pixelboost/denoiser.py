@@ -7,6 +7,7 @@ are hand-derived and checked against finite differences in the tests.
 """
 
 import json
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -29,6 +30,8 @@ CHECKPOINT_MAGIC = b"PXBK"
 CHECKPOINT_VERSION = 1
 _CONV2_CODE = 2
 _KERNEL_SIZE = 3
+# patch-matrix values per item in one band of a forward conv: 1 MiB of float64
+_BAND_VALUES = 1 << 17
 
 INIT_WEIGHT_HALF_RANGE = 0.05
 MAX_CONV2_PARAMS = 10_000
@@ -147,17 +150,34 @@ def as_denoiser(ckpt):
 # --- forward / backward ------------------------------------------------------
 # The forward holds activations channel-first as replicate-padded
 # (B, C, H+2, W+2) buffers; the backward copies them to channel-last
-# (B, H+2, W+2, C) arrays.  Every BLAS call is one matmul per item on exactly
-# the operands that the single-image einsums (np.einsum(..., optimize=True),
-# kept as the reference in the tests) pass: the conv is W(o, u*v*c) @
-# cols(u*v*c, H*W), the weight gradient gout(o, H*W) @ patches(H*W, c*u*v),
-# the input gradient gout(H*W, o) @ W(o, u*v*c).  Transposed operands are
-# views, cols and patches are C-contiguous copies.  A batch is then
-# bit-identical to its items run one at a time, on any image size.  A
-# contiguous copy of a transposed view, another order of a summed axis, or
-# one matmul over all B*H*W columns lets BLAS pick another kernel or blocking
-# and can change the last bit.  (With o = 1 the input gradient's entries are
-# single products, which every method rounds alike.)
+# (B, H+2, W+2, C) arrays.  Every BLAS call is one matmul per item on the
+# operands that the single-image einsums (np.einsum(..., optimize=True), kept
+# as the reference in the tests) pass, or on a band of their columns: the
+# conv is W(o, u*v*c) @ cols(u*v*c, n) for a band of n = rows*W output
+# columns, the weight gradient gout(o, H*W) @ patches(H*W, c*u*v), the input
+# gradient gout(H*W, o) @ W(o, u*v*c).  Transposed operands are views, cols
+# and patches are C-contiguous copies.  A batch is then bit-identical to its
+# items run one at a time, on any image size.  A contiguous copy of a
+# transposed view, another order of a summed axis, or one matmul over all
+# B*H*W columns lets BLAS pick another kernel or blocking and can change the
+# last bit.  (With o = 1 the input gradient's entries are single products,
+# which every method rounds alike.)
+#
+# The conv's bands hold about _BAND_VALUES patch values (1 MiB) per item, so
+# one small workspace serves every band and the whole patch matrix (151 MB
+# for the second conv at 512x512) never exists.  Training images fit in one
+# band, so their operands are exactly the reference's.  With o = 1 the
+# matmul is a BLAS gemv, which works through the columns in blocks and
+# treats the left-over columns at the end of its range another way; a
+# column's last bit thus depends on where its call's range, and each BLAS
+# thread's share of it, ends.  So every band but the last starts and ends
+# on a multiple of 8 columns, and with one BLAS thread the banded conv
+# equals the whole-image reference on every shape.  With T threads OpenBLAS
+# splits a call into T near-equal shares.  Where H*W is not a multiple of 8
+# the reference's shares or the short last band's shares can end off a
+# block boundary, and a few outputs differ from the reference in the last
+# bit: at 97x1029 with 2 threads, 2 to 4 of 99813 outputs, by at most 7e-18.
+# On 2 threads, all 70 shapes tried whose H*W is a multiple of 8 matched.
 
 def _fill_border(xp):
     """Replicate the interior's edge pixels into the border of (B, C, H+2, W+2)."""
@@ -167,15 +187,39 @@ def _fill_border(xp):
     xp[:, :, -1] = xp[:, :, -2]
 
 
+def _band_rows(c, h, wd):
+    """Output rows per band of a conv on C input channels and an H x W image.
+
+    A band's patch matrix holds about _BAND_VALUES values per item, and the
+    row count is a multiple of 8 // gcd(W, 8), so that every band starts on
+    an output column that is a multiple of 8.
+    """
+    step = 8 // math.gcd(wd, 8)
+    rows = _BAND_VALUES // (9 * c * wd) // step * step
+    return min(h, max(step, rows))
+
+
 def _conv3x3(xp, w):
-    """3x3 conv of a padded channel-first batch, without bias: (B, Co, H*W)."""
+    """3x3 conv of a padded channel-first batch, without bias: (B, Co, H*W).
+
+    The patch matrix is built one band of output rows at a time, in one
+    workspace reused by every band.
+    """
     b, c, h, wd = xp.shape[0], xp.shape[1], xp.shape[2] - 2, xp.shape[3] - 2
-    # the patch matrix (B, 9C, H*W), rows in (u, v, c) order, from row copies
-    cols = np.empty((b, 3, 3, c, h, wd))
-    for u in range(3):
-        for v in range(3):
-            cols[:, u, v] = xp[:, :, u:u + h, v:v + wd]
-    return np.matmul(w.reshape(9 * c, -1).T, cols.reshape(b, 9 * c, h * wd))
+    wt = w.reshape(9 * c, -1).T
+    out = np.empty((b, wt.shape[0], h * wd))
+    rows = _band_rows(c, h, wd)
+    work = np.empty(b * 9 * c * rows * wd)
+    for r0 in range(0, h, rows):
+        n = min(rows, h - r0)
+        # the band's patch matrix (B, 9C, n*W), rows in (u, v, c) order
+        cols = work[:b * 9 * c * n * wd].reshape(b, 3, 3, c, n, wd)
+        for u in range(3):
+            for v in range(3):
+                cols[:, u, v] = xp[:, :, r0 + u:r0 + u + n, v:v + wd]
+        np.matmul(wt, cols.reshape(b, 9 * c, n * wd),
+                  out=out[:, :, r0 * wd:(r0 + n) * wd])
+    return out
 
 
 def _conv3x3_grads(xp, gout):
@@ -243,8 +287,10 @@ def _stack_input(schedule, x_t, y0_up, ts):
 def _forward(spec, params, zp):
     """Network output (B, H, W, Co) on the padded input zp, plus _backward's cache.
 
-    The cache holds padded activations, not patch matrices, so predict
-    builds one patch matrix at a time and frees it before the next.
+    The cache holds padded activations, not patch matrices; each conv
+    builds its patch matrix one band of rows at a time in a 1 MiB
+    workspace.  Predict's peak is a few activation-sized arrays: 43 MB at
+    512x512 on one channel.
     """
     p = spec._unpack(params)
     b, h, w = zp.shape[0], zp.shape[2] - 2, zp.shape[3] - 2

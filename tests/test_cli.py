@@ -148,6 +148,26 @@ class TestConfigPrecedence:
         monkeypatch.setenv(SEED_ENV, "not-a-number")
         assert main(["schedule", "--out", str(tmp_path / "s.csv")]) == 2
 
+    @pytest.mark.parametrize("seed", ["-1", "-1000", str(2**63),
+                                      "18446744073709551617"])
+    def test_seed_outside_range_refused(self, tmp_path, capsys, seed):
+        # RngStream would draw seed 0's streams for -1, and drop low bits
+        # of seeds >= 2**63
+        out = tmp_path / "s.csv"
+        assert main(["schedule", "--seed", seed, "--out", str(out)]) == 2
+        assert "seed must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_range_checked_after_merging(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -2}))
+        assert main(["schedule", "--config", str(cfg)]) == 2
+        monkeypatch.setenv(SEED_ENV, "-1")
+        assert main(["schedule"]) == 2
+        # a valid flag wins over the invalid environment value
+        assert main(["schedule", "--seed", str(2**63 - 1)]) == 0
+        capsys.readouterr()
+
     def test_defaults_document_the_surface(self):
         cfg = RunConfig()
         assert cfg.steps == 15 and cfg.sigma == 1.5
@@ -326,6 +346,16 @@ class TestTrainAndSr:
                      "--checkpoint", str(ckpt_path)]) == 2
         assert "NUL" in capsys.readouterr().err
         assert not ckpt_path.exists()
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_must_be_positive(self, tmp_path, capsys, count):
+        # a negative count used to slice the training set from the end
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--sigmas", "1.5", "--count", count, "--eval-count",
+                "4", "--train-steps", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert "--count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_raw_mode_refused_before_training(self, tmp_path, capsys):
         manifest = self._manifest(tmp_path, count=1)

@@ -3,7 +3,11 @@ gradients against finite differences, SGD training, and the checkpoint
 file format."""
 
 import json
+import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -14,10 +18,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 import pixelboost as pb
 from pixelboost import (CheckpointError, CheckpointVersionError,
                         ParameterError, ShapeError, TrainingError)
-from pixelboost.denoiser import (CHECKPOINT_MAGIC, INIT_WEIGHT_HALF_RANGE,
-                                 KINDS, MAX_CONV2_PARAMS, _batch_forward,
+from pixelboost.denoiser import (_BAND_VALUES, CHECKPOINT_MAGIC,
+                                 INIT_WEIGHT_HALF_RANGE, KINDS, MAX_CONV2_PARAMS,
+                                 _band_rows, _batch_forward,
                                  _losses_and_gradients, item_loss_value)
-from pixelboost.noise import STREAM_DATASET, STREAM_INIT, STREAM_TRAIN
+from pixelboost.noise import (STREAM_DATASET, STREAM_INIT, STREAM_SAMPLER,
+                              STREAM_TRAIN)
 
 BENCH_CHECKPOINT = (Path(__file__).resolve().parents[1]
                     / "bench" / "data" / "conv2_toy_seed0.pxbk")
@@ -370,12 +376,16 @@ class TestBatchedCore:
         for i, t in enumerate(ts):
             np.testing.assert_array_equal(out[i], pb.predict(ckpt, x_t[i], y0_up[i], t))
 
-    @pytest.mark.parametrize("size", [(16, 16), (5, 7), (64, 64), (96, 160)])
+    # the last three run their convs in several bands (TestBands); with one
+    # output, H*W is a multiple of 8 so BLAS threads split both sides alike
+    @pytest.mark.parametrize("size", [(16, 16), (5, 7), (64, 64), (96, 160),
+                                      (100, 100), (200, 333), (4000, 1)])
     def test_predict_matches_reference(self, size):
         self._check_predict(_ckpt(seed=9), size)
 
     # 33x1: reshaping a one-pixel-wide image's windows can give a strided view
-    @pytest.mark.parametrize("hidden,size", [(8, (16, 16)), (8, (96, 160)), (1, (33, 1))])
+    @pytest.mark.parametrize("hidden,size", [(8, (16, 16)), (8, (96, 160)), (1, (33, 1)),
+                                             (8, (41, 513)), (8, (300, 257))])
     def test_colour_predict_matches_reference(self, hidden, size):
         self._check_predict(_ckpt(hidden_width=hidden, seed=9, image_channels=3), size)
 
@@ -384,6 +394,104 @@ class TestBatchedCore:
 
     def test_stacked_colour_batch_matches_per_image_predict(self):
         self._check_stacked(_ckpt(seed=10, image_channels=3))
+
+
+# --- banded forward ------------------------------------------------------------
+# Images whose convs run in several bands: short last bands, widths that are
+# not a multiple of 8, a one-pixel-wide column of three bands and a
+# one-pixel-high row.
+BAND_SHAPES = [(100, 100), (200, 333), (37, 335), (41, 513), (13, 333),
+               (97, 1029), (300, 257), (4000, 1), (1, 2000)]
+
+
+def _band_mismatches(channels, shapes=BAND_SHAPES):
+    """(H, W) shapes whose two-image batched forward differs from the reference."""
+    ckpt = _ckpt(seed=12, image_channels=channels)
+    bad = []
+    for h, w in shapes:
+        rng = pb.RngStream(12, STREAM_DATASET)
+        x_t, y0_up = (rng.uniform(0.0, 1.0, (2, h, w, channels)) for _ in range(2))
+        out, _ = _batch_forward(ckpt, x_t, y0_up, [3, 15])
+        if not all(np.array_equal(out[i], _ref_forward(ckpt, x_t[i], y0_up[i], t)[0])
+                   for i, t in enumerate([3, 15])):
+            bad.append((h, w))
+    return bad
+
+
+class TestBands:
+    """The forward conv, built one band of rows at a time, against the
+    whole-image reference (see the comment above denoiser._fill_border)."""
+
+    @pytest.mark.parametrize("c", [3, 7, 8])
+    @pytest.mark.parametrize("h,w", BAND_SHAPES + [(16, 16), (512, 512)])
+    def test_band_rows(self, c, h, w):
+        rows = _band_rows(c, h, w)
+        step = 8 // math.gcd(w, 8)
+        assert 1 <= rows <= h
+        if rows < h:
+            assert rows % step == 0 and (rows * w) % 8 == 0
+            assert rows == step or 9 * c * rows * w <= _BAND_VALUES
+
+    def test_shapes_span_several_bands(self):
+        # the shapes above exercise what the band loop can get wrong
+        rows = {(h, w): _band_rows(8, h, w) for h, w in BAND_SHAPES}
+        assert all(h > rows[h, w] for h, w in BAND_SHAPES[:-1])
+        assert any(h % rows[h, w] for h, w in BAND_SHAPES[:-1])
+        assert {333, 335, 513} <= {w for _, w in BAND_SHAPES}
+
+    @pytest.mark.parametrize("c", [3, 8])
+    def test_training_images_fit_one_band(self, c):
+        assert _band_rows(c, 16, 16) == 16
+
+    def test_every_shape_matches_reference_on_one_blas_thread(self):
+        # grey and colour, two-image stacks: bit-exact on every shape once
+        # BLAS splits no call between threads
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [str(tests.parent / "src"), str(tests)]))
+        code = ("from test_denoiser import _band_mismatches as m; "
+                "print(m(1) + m(3))")
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    def test_grey_within_tolerance_of_threaded_reference(self):
+        # One output takes BLAS gemv, and with several BLAS threads the
+        # reference's split and the short last band's split can each put a
+        # few outputs in a left-over block (97x1029 with 2 threads: 2-4 of
+        # 99813 outputs, off by at most 7e-18).  The tolerance is over a
+        # hundred times that, and far below any change a reader could see.
+        ckpt = _ckpt(seed=12)
+        for h, w in BAND_SHAPES:
+            rng = pb.RngStream(12, STREAM_DATASET)
+            x_t, y0_up = (rng.uniform(0.0, 1.0, (h, w, 1)) for _ in range(2))
+            for t in (1, 8, 15):
+                np.testing.assert_allclose(
+                    pb.predict(ckpt, x_t, y0_up, t),
+                    _ref_forward(ckpt, x_t, y0_up, t)[0], rtol=0, atol=1e-15)
+
+    def test_bench_chain_matches_reference_at_512(self):
+        ckpt = pb.load_checkpoint(BENCH_CHECKPOINT)
+        cfg = ckpt.config(0)
+        hr = pb.synth_dataset("mixed", 1, 512, pb.RngStream(0, STREAM_DATASET))[0]
+        y0_up = pb.make_lr_pair(hr).lr_up
+        runs = [pb.reverse_sample(y0_up, fn, cfg, pb.RngStream(0, STREAM_SAMPLER))[0]
+                for fn in (pb.as_denoiser(ckpt),
+                           lambda x, y, t: _ref_forward(ckpt, x, y, t)[0])]
+        np.testing.assert_array_equal(runs[0], runs[1])
+
+    def test_predict_memory_is_banded_at_512(self):
+        # the whole (9C, H*W) patch matrix alone would take 151 MB
+        ckpt = pb.load_checkpoint(BENCH_CHECKPOINT)
+        x = np.zeros((512, 512, 1))
+        tracemalloc.start()
+        try:
+            pb.predict(ckpt, x, x, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestTrain:
