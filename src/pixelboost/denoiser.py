@@ -154,14 +154,24 @@ def as_denoiser(ckpt):
 # operands that the single-image einsums (np.einsum(..., optimize=True), kept
 # as the reference in the tests) pass, or on a band of their columns: the
 # conv is W(o, u*v*c) @ cols(u*v*c, n) for a band of n = rows*W output
-# columns, the weight gradient gout(o, H*W) @ patches(H*W, c*u*v), the input
-# gradient gout(H*W, o) @ W(o, u*v*c).  Transposed operands are views, cols
-# and patches are C-contiguous copies.  A batch is then bit-identical to its
-# items run one at a time, on any image size.  A contiguous copy of a
-# transposed view, another order of a summed axis, or one matmul over all
-# B*H*W columns lets BLAS pick another kernel or blocking and can change the
-# last bit.  (With o = 1 the input gradient's entries are single products,
-# which every method rounds alike.)
+# columns, the weight gradient gout(o, H*W) @ patches(H*W, c*u*v), and with
+# o > 1 the input gradient's products gout(H*W, o) @ W(o, u*v*c).  Transposed
+# operands are views, cols and patches are C-contiguous copies.  A batch is
+# then bit-identical to its items run one at a time, on any image size.  A
+# contiguous copy of a transposed view, another order of a summed axis, or
+# one matmul over all B*H*W columns lets BLAS pick another kernel or blocking
+# and can change the last bit.  With o = 1 each of those products is a single
+# product, rounded once by np.multiply as by BLAS.
+#
+# The input gradient sums, for each input pixel, the products of the nine
+# taps (u, v) that read it.  _conv3x3_input_grad lays one tap's products out
+# as zero-padded channel-first planes (B, c, H+2, W+2), so the tap's shift is
+# a constant flat offset u*(W+2) + v and its add is one contiguous 1-D slice
+# into a zeroed buffer of the same layout; the replicate border is then
+# folded into the edge pixels.  Every sum takes the reference's additions in
+# the reference's (u, v) order, and the +-0.0 products that the slices carry
+# from the padding change no sum, which starts at +0.0 and never becomes
+# -0.0, so the result is bit-identical to the reference's.
 #
 # The conv's bands hold about _BAND_VALUES patch values (1 MiB) per item, so
 # one small workspace serves every band and the whole patch matrix (151 MB
@@ -236,15 +246,43 @@ def _conv3x3_grads(xp, gout):
 
 
 def _conv3x3_input_grad(w, gout):
-    """Gradient w.r.t. the conv input, folding replicate-pad contributions."""
+    """Gradient w.r.t. the conv input, folding replicate-pad contributions.
+
+    Returns a C-contiguous channel-last (B, H, W, Ci) array.  One buffer of
+    zero-padded channel-first planes (B, Ci, H+2, W+2) holds each tap's
+    products in turn: with one output channel, one np.multiply of the
+    zero-padded gout by the tap's weights; otherwise the per-item matmul's
+    products, copied into the planes' interiors.  The tap's add is one
+    contiguous 1-D slice, from plane position (1, 1) of the first plane to
+    (H, W) of the last, at flat offset u*(W+2) + v; the comment above
+    _fill_border says why this is bit-exact.  A non-finite weight makes the
+    padding's products NaN (0 * inf) where the reference forms none, so
+    that gradient, non-finite either way, may hold NaNs where the
+    reference's holds infinities.
+    """
     b, h, wd, o = gout.shape
     c = w.shape[2]
-    gw = np.matmul(gout.reshape(b, h * wd, o), w.transpose(3, 0, 1, 2).reshape(o, 9 * c))
-    gw = gw.reshape(b, h, wd, 3, 3, c)
-    dxp = np.zeros((b, h + 2, wd + 2, c))
+    pitch = wd + 2
+    prod = np.zeros((b, c, h + 2, pitch))
+    if o == 1:
+        gp = np.zeros((b, 1, h + 2, pitch))
+        gp[:, 0, 1:-1, 1:-1] = gout[..., 0]
+        wc = w.reshape(3, 3, c, 1, 1)
+    else:
+        gw = np.matmul(gout.reshape(b, h * wd, o), w.transpose(3, 0, 1, 2).reshape(o, 9 * c))
+        gw = gw.reshape(b, h, wd, 3, 3, c)
+    dxp = np.zeros((b, c, h + 2, pitch))
+    acc = dxp.reshape(-1)
+    src = prod.reshape(-1)[pitch + 1:prod.size - pitch - 1]
     for u in range(3):
         for v in range(3):
-            dxp[:, u:u + h, v:v + wd] += gw[:, :, :, u, v]
+            if o == 1:
+                np.multiply(gp, wc[u, v], out=prod)
+            else:
+                prod[:, :, 1:-1, 1:-1] = gw[:, :, :, u, v].transpose(0, 3, 1, 2)
+            k = u * pitch + v
+            acc[k:k + src.size] += src
+    dxp = dxp.transpose(0, 2, 3, 1)
     dx = dxp[:, 1:h + 1, 1:wd + 1].copy()
     dx[:, 0] += dxp[:, 0, 1:wd + 1]
     dx[:, -1] += dxp[:, h + 1, 1:wd + 1]
@@ -452,7 +490,10 @@ def train(dataset, cfg, opt=None, spec=None):
             grad += item_grad
         loss = loss_acc / opt.batch_size
         if not np.isfinite(loss):
-            raise TrainingError(f"loss became non-finite at step {step}")
+            raise TrainingError(
+                f"loss became non-finite at step {step} with step_size="
+                f"{opt.step_size} and weighting={opt.weighting}; "
+                "try a smaller step size")
         params -= opt.step_size * (grad / opt.batch_size)
         history.append(loss)
     ckpt.step_count = opt.steps

@@ -64,6 +64,7 @@ def toy_protocol(seed, sigma):
         model_scores.append(pb.psnr(pair.hr, sr))
         baseline_scores.append(pb.psnr(pair.hr, np.clip(pair.lr_up, 0.0, 1.0)))
     return {
+        "params": ckpt.params,
         "history": np.asarray(history),
         "model_psnr": float(np.mean(model_scores)),
         "baseline_psnr": float(np.mean(baseline_scores)),

@@ -322,6 +322,21 @@ class TestTrainAndSr:
             outs.append(sr_path.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_divergence_names_step_size(self, tmp_path, capsys):
+        # exact_kl weights reach ~1e3 near t = 2, so the default step size
+        # diverges within a few steps; the overflow on the way is expected
+        manifest = self._manifest(tmp_path, count=4)
+        ckpt_path = tmp_path / "m.pxbk"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--manifest", str(manifest), "--weighting",
+                         "exact_kl", "--checkpoint", str(ckpt_path),
+                         "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: loss became non-finite at step ")
+        assert "step_size=0.01" in err and "weighting=exact_kl" in err
+        assert "smaller step size" in err
+        assert not ckpt_path.exists()
+
     def test_empty_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "empty.txt"
         manifest.write_text("\n")

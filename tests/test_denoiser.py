@@ -21,7 +21,8 @@ from pixelboost import (CheckpointError, CheckpointVersionError,
 from pixelboost.denoiser import (_BAND_VALUES, CHECKPOINT_MAGIC,
                                  INIT_WEIGHT_HALF_RANGE, KINDS, MAX_CONV2_PARAMS,
                                  _band_rows, _batch_forward,
-                                 _losses_and_gradients, item_loss_value)
+                                 _conv3x3_input_grad, _losses_and_gradients,
+                                 item_loss_value)
 from pixelboost.noise import (STREAM_DATASET, STREAM_INIT, STREAM_SAMPLER,
                               STREAM_TRAIN)
 
@@ -357,6 +358,27 @@ class TestBatchedCore:
             assert loss == ref_loss
             np.testing.assert_array_equal(grad, ref_grad)
 
+    # down to one pixel, one row and one column, where the taps' slices are
+    # mostly padding
+    @pytest.mark.parametrize("size", [(1, 1), (1, 9), (33, 1), (5, 7), (12, 8),
+                                      (16, 16)])
+    @pytest.mark.parametrize("hidden", [1, 8])
+    @pytest.mark.parametrize("outputs", [1, 3])
+    def test_input_grad_matches_reference(self, outputs, hidden, size):
+        rng = pb.RngStream(13, STREAM_DATASET).generator
+        w = rng.uniform(-1.0, 1.0, (3, 3, hidden, outputs))
+        shape = (3,) + size + (outputs,)
+        # magnitudes 1e-6 to 10, about a quarter exact zeros, some of them -0.0
+        gout = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-6.0, 1.0, shape)
+        gout[rng.random(shape) < 0.2] = 0.0
+        gout[rng.random(shape) < 0.1] = -0.0
+        dx = _conv3x3_input_grad(w, gout)
+        assert dx.flags.c_contiguous
+        for i in range(shape[0]):
+            ref = _ref_conv3x3_input_grad(w, gout[i], size + (hidden,))
+            np.testing.assert_array_equal(dx[i], ref)
+            np.testing.assert_array_equal(np.signbit(dx[i]), np.signbit(ref))
+
     @staticmethod
     def _check_predict(ckpt, size):
         rng = pb.RngStream(9, STREAM_DATASET)
@@ -531,6 +553,12 @@ class TestTrain:
             pb.TrainOptions(batch_size=0)
         with pytest.raises(ParameterError):
             pb.TrainOptions(weighting="bogus", steps=0)
+
+    def test_toy_run_reproduces_bench_checkpoint(self, toy_runs):
+        # the session's reference toy run is the one bench/make_checkpoint.py
+        # trains, so every SGD step of it must still give the same bits
+        ckpt = pb.load_checkpoint(BENCH_CHECKPOINT)
+        np.testing.assert_array_equal(toy_runs[(0, 1.5)]["params"], ckpt.params)
 
     def test_smoothed_loss_trend_is_downward(self, toy_runs):
         # window-50 moving average over the last 80% of the reference run:
