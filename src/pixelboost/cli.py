@@ -5,9 +5,15 @@ forward simulation, training, super-resolution sampling, noise
 analysis, metric reports, and a sigma sweep.  Every command is
 byte-reproducible under a fixed ``--seed``.
 
+One table, ``_COMMANDS``, names the ``RunConfig`` fields each command
+reads; those fields, with ``--seed`` and ``--out``, are the command's
+flags and the keys its ``--config`` file may set.  A flag takes its type
+from the field's annotation and its choices from ``_CHOICES``, which
+config values must also meet.
+
 Configuration precedence: command-line flags > ``--config`` JSON file >
 ``PIXELBOOST_SEED`` environment variable (seed only) > built-in
-defaults.  Unknown config keys are hard errors.
+defaults.  A config key the command does not take is a usage error.
 """
 
 import argparse
@@ -27,7 +33,7 @@ from .diffusion import (CONVENTIONS, WEIGHTINGS, forward_chain, make_config,
 from .errors import CodecError, PixelBoostError
 from .imagedata import (bicubic_resize, check_same_shape, make_lr_pair,
                         read_image, synth_dataset, write_image, SYNTH_KINDS)
-from .metrics import edge_report, grid_csv, metric_report
+from .metrics import LOE_GRID_MAX, edge_report, grid_csv, metric_report
 from .noise import (STREAM_ANALYSIS, STREAM_DATASET, STREAM_FORWARD,
                     STREAM_SAMPLER, RngStream)
 from .schedule import MODES, build_schedule
@@ -74,10 +80,12 @@ class RunConfig:
     eval_count: int = 4
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
 # the value type of each field, with Optional[X] read as X
 _FIELD_TYPES = {f.name: (get_args(f.type) or (f.type,))[0] for f in fields(RunConfig)}
 _OPTIONAL_FIELDS = {f.name for f in fields(RunConfig) if f.default is None}
+# the values a field's flag and config key accept, where they are a fixed set
+_CHOICES = {"mode": MODES, "convention": CONVENTIONS, "weighting": WEIGHTINGS,
+            "kind": SYNTH_KINDS}
 
 
 def _parse_sigmas(value):
@@ -114,15 +122,21 @@ def _coerce(name, value):
             raise ValueError("not an integer")
         if kind is str and "\0" in value:
             raise ValueError("contains a NUL character")
-        return kind(value)
+        value = kind(value)
     except (ValueError, OverflowError) as exc:
         raise _UsageError(f"bad config value {name}={value!r}: {exc}") from exc
+    choices = _CHOICES.get(name)
+    if choices is not None and value not in choices:
+        raise _UsageError(f"config value {name}={value!r} is not one of "
+                          f"{', '.join(choices)}")
+    return value
 
 
 def _resolve(args):
     """Merge flags, config file, environment, and defaults into a RunConfig."""
+    names = _COMMON_FIELDS + _COMMANDS[args.command][2]
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
@@ -130,13 +144,14 @@ def _resolve(args):
             raise _UsageError(f"cannot read config {args.config}: {exc}")
         if not isinstance(file_cfg, dict):
             raise _UsageError("config file must hold a JSON object")
-        unknown = sorted(set(file_cfg) - _CONFIG_KEYS)
-        if unknown:
-            raise _UsageError(f"unknown config keys: {', '.join(unknown)}")
+        refused = sorted(set(file_cfg) - set(names))
+        if refused:
+            raise _UsageError(f"config keys that {args.command} does not take: "
+                              f"{', '.join(refused)}")
 
     cfg = RunConfig(command=args.command)
-    for name in _CONFIG_KEYS:
-        flag = getattr(args, name, None)
+    for name in names:
+        flag = getattr(args, name)
         if flag is not None:
             value = flag
         elif name in file_cfg:
@@ -178,16 +193,6 @@ def _img_name(stem, img):
 def _diffusion_config(cfg):
     return make_config(steps=cfg.steps, sigma=cfg.sigma, t_mid=cfg.t_mid,
                        mode=cfg.mode, convention=cfg.convention, seed=cfg.seed)
-
-
-def _require_sampleable(cfg):
-    """Training and sampling need a normalized schedule and the eq5_variance kernel."""
-    if cfg.mode != "normalized":
-        raise _UsageError(f"{cfg.command} needs --mode normalized, got {cfg.mode}: "
-                          "reverse sampling requires a normalized schedule")
-    if cfg.convention != "eq5_variance":
-        raise _UsageError(f"{cfg.command} needs --convention eq5_variance, got "
-                          f"{cfg.convention}: training and sampling use its closed forms")
 
 
 def _train_options(cfg):
@@ -248,7 +253,6 @@ def _load_manifest(path):
 
 def cmd_train(cfg):
     _require(cfg, "manifest", "checkpoint")
-    _require_sampleable(cfg)
     images = _load_manifest(cfg.manifest)
     pairs = [make_lr_pair(hr) for hr in images]
     dataset = [(p.hr, p.lr_up) for p in pairs]
@@ -327,7 +331,9 @@ def cmd_sweep(cfg):
         if getattr(cfg, name) < 1:
             raise _UsageError(f"--{name.replace('_', '-')} must be >= 1, "
                               f"got {getattr(cfg, name)}")
-    _require_sampleable(cfg)
+    if not 1 <= cfg.grid <= LOE_GRID_MAX:
+        raise _UsageError(f"--grid must lie in 1..{LOE_GRID_MAX}, got {cfg.grid}")
+    dcfgs = [_diffusion_config(replace(cfg, sigma=sigma)) for sigma in cfg.sigmas]
     data_rng = RngStream(cfg.seed, STREAM_DATASET)
     images = synth_dataset(cfg.kind, cfg.count + cfg.eval_count, cfg.size,
                            data_rng)
@@ -338,8 +344,7 @@ def cmd_sweep(cfg):
                            hidden_width=cfg.hidden_width)
     opt = _train_options(cfg)
     rows = ["sigma,psnr_db,ssim,loe"]
-    for i, sigma in enumerate(cfg.sigmas):
-        dcfg = _diffusion_config(replace(cfg, sigma=sigma))
+    for i, dcfg in enumerate(dcfgs):
         ckpt, _ = train(train_set, dcfg, opt, spec)
         scores = []
         for j, pair in enumerate(eval_pairs):
@@ -348,44 +353,47 @@ def cmd_sweep(cfg):
             rep = metric_report(pair.hr, sr, grid=cfg.grid)
             scores.append((rep.psnr_db, rep.ssim, rep.loe))
         means = [float(v) for v in np.mean(np.array(scores, dtype=np.float64), axis=0)]
-        rows.append(f"{float(sigma)!r},{means[0]!r},{means[1]!r},{means[2]!r}")
+        rows.append(f"{dcfg.sigma!r},{means[0]!r},{means[1]!r},{means[2]!r}")
     _write_text(cfg.out, "\n".join(rows) + "\n")
     return 0
 
 
+_COMMON_FIELDS = ("seed", "out")
+_TRAINING = ("train_steps", "step_size", "batch_size", "hidden_width", "weighting")
+# each command: its function, its --help summary, and the RunConfig fields
+# it reads, which with _COMMON_FIELDS are its flags and its config keys
 _COMMANDS = {
-    "schedule": cmd_schedule,
-    "degrade": cmd_degrade,
-    "forward": cmd_forward,
-    "train": cmd_train,
-    "sr": cmd_sr,
-    "analyze-noise": cmd_analyze_noise,
-    "metrics": cmd_metrics,
-    "edge-report": cmd_edge_report,
-    "sweep": cmd_sweep,
+    "schedule": (cmd_schedule, "dump the shifting sequence as CSV",
+                 ("steps", "t_mid", "mode")),
+    "degrade": (cmd_degrade, "write LR / LR-up / residual for an image",
+                ("input",)),
+    "forward": (cmd_forward, "simulate the forward chain, dump frames",
+                ("input", "steps", "t_mid", "sigma", "mode", "convention")),
+    "train": (cmd_train, "train a denoiser from a manifest",
+              ("manifest", "checkpoint", "steps", "t_mid", "sigma") + _TRAINING),
+    "sr": (cmd_sr, "super-resolve an LR image with a checkpoint",
+           ("input", "checkpoint")),
+    "analyze-noise": (cmd_analyze_noise, "rank noise families for a residual",
+                      ("input", "gt", "test", "sigma", "bins")),
+    "metrics": (cmd_metrics, "PSNR/SSIM/LOE for an image pair",
+                ("gt", "test", "grid")),
+    "edge-report": (cmd_edge_report, "per-patch Sobel magnitude grids",
+                    ("gt", "test", "patch")),
+    "sweep": (cmd_sweep, "train/sample/score across sigma values",
+              ("sigmas", "kind", "count", "size", "eval_count", "grid", "steps",
+               "t_mid") + _TRAINING),
 }
-
-
-def _add_common(sub):
-    sub.add_argument("--config", help="JSON config file (flags still win)")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out")
-
-
-def _add_diffusion(sub):
-    sub.add_argument("--steps", type=int)
-    sub.add_argument("--t-mid", type=float)
-    sub.add_argument("--sigma", type=float)
-    sub.add_argument("--mode", choices=MODES)
-    sub.add_argument("--convention", choices=CONVENTIONS)
-
-
-def _add_training(sub):
-    sub.add_argument("--train-steps", type=int)
-    sub.add_argument("--step-size", type=float)
-    sub.add_argument("--batch-size", type=int)
-    sub.add_argument("--hidden-width", type=int)
-    sub.add_argument("--weighting", choices=WEIGHTINGS)
+# --help text of the flags that have one
+_HELP = {
+    ("degrade", "input"): "HR image (PGM/PPM)",
+    ("forward", "input"): "HR image (PGM/PPM)",
+    ("train", "manifest"): "text file, one image path per line",
+    ("train", "checkpoint"): "output checkpoint path",
+    ("sr", "input"): "LR image (PGM/PPM)",
+    ("sr", "checkpoint"): "trained checkpoint path",
+    ("analyze-noise", "input"): "flat binary of little-endian float64",
+    ("sweep", "sigmas"): "comma-separated sigma list",
+}
 
 
 def _build_parser():
@@ -393,54 +401,16 @@ def _build_parser():
         prog="pixelboost",
         description="Brownian residual-shifting super-resolution toolkit")
     subs = parser.add_subparsers(dest="command", metavar="command")
-
-    p = subs.add_parser("schedule", help="dump the shifting sequence as CSV")
-    _add_common(p); _add_diffusion(p)
-
-    p = subs.add_parser("degrade", help="write LR / LR-up / residual for an image")
-    _add_common(p)
-    p.add_argument("--input", help="HR image (PGM/PPM)")
-
-    p = subs.add_parser("forward", help="simulate the forward chain, dump frames")
-    _add_common(p); _add_diffusion(p)
-    p.add_argument("--input", help="HR image (PGM/PPM)")
-
-    p = subs.add_parser("train", help="train a denoiser from a manifest")
-    _add_common(p); _add_diffusion(p); _add_training(p)
-    p.add_argument("--manifest", help="text file, one image path per line")
-    p.add_argument("--checkpoint", help="output checkpoint path")
-
-    p = subs.add_parser("sr", help="super-resolve an LR image with a checkpoint")
-    _add_common(p)
-    p.add_argument("--input", help="LR image (PGM/PPM)")
-    p.add_argument("--checkpoint", help="trained checkpoint path")
-
-    p = subs.add_parser("analyze-noise", help="rank noise families for a residual")
-    _add_common(p)
-    p.add_argument("--input", help="flat binary of little-endian float64")
-    p.add_argument("--gt"); p.add_argument("--test")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--bins", type=int)
-
-    p = subs.add_parser("metrics", help="PSNR/SSIM/LOE for an image pair")
-    _add_common(p)
-    p.add_argument("--gt"); p.add_argument("--test")
-    p.add_argument("--grid", type=int)
-
-    p = subs.add_parser("edge-report", help="per-patch Sobel magnitude grids")
-    _add_common(p)
-    p.add_argument("--gt"); p.add_argument("--test")
-    p.add_argument("--patch", type=int)
-
-    p = subs.add_parser("sweep", help="train/sample/score across sigma values")
-    _add_common(p); _add_diffusion(p); _add_training(p)
-    p.add_argument("--sigmas", help="comma-separated sigma list")
-    p.add_argument("--kind", choices=SYNTH_KINDS)
-    p.add_argument("--count", type=int)
-    p.add_argument("--size", type=int)
-    p.add_argument("--eval-count", type=int)
-    p.add_argument("--grid", type=int)
-
+    for command, (_, summary, names) in _COMMANDS.items():
+        # no prefix matching, or sweep would read --sigma as --sigmas
+        p = subs.add_parser(command, help=summary, allow_abbrev=False)
+        p.add_argument("--config", help="JSON config file (flags still win)")
+        for name in _COMMON_FIELDS + names:
+            kind = _FIELD_TYPES[name]
+            p.add_argument("--" + name.replace("_", "-"),
+                           type=str if kind is tuple else kind,
+                           choices=_CHOICES.get(name),
+                           help=_HELP.get((command, name)))
     return parser
 
 
@@ -455,7 +425,7 @@ def main(argv=None):
         return 2
     try:
         cfg = _resolve(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -396,6 +396,7 @@ def loss_gradient(ckpt, item, t, x_t, weighting="uniform_mse"):
     x0, y0_up = item
     x0 = np.asarray(x0, dtype=np.float64)
     x_t, y0_up = _check_pair(ckpt.spec, x_t, y0_up)
+    check_same_shape(x0, x_t)
     _, grads = _losses_and_gradients(ckpt, ckpt.config(), [(x0, y0_up, t, x_t)],
                                      weighting)
     return grads[0]
@@ -406,6 +407,7 @@ def item_loss_value(ckpt, item, t, x_t, weighting="uniform_mse"):
     x0, y0_up = item
     x0 = np.asarray(x0, dtype=np.float64)
     x_t, y0_up = _check_pair(ckpt.spec, x_t, y0_up)
+    check_same_shape(x0, x_t)
     out, _ = _batch_forward(ckpt, x_t[None], y0_up[None], [t])
     return item_loss(x0, out[0], t, ckpt.config(), weighting)
 
@@ -420,8 +422,9 @@ class TrainOptions:
     weighting: str = "uniform_mse"
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise ParameterError(f"step_size must be positive, got {self.step_size}")
+        if not 0 < self.step_size < math.inf:
+            raise ParameterError(
+                f"step_size must be positive and finite, got {self.step_size}")
         if self.steps < 0:
             raise ParameterError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:

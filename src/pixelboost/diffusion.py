@@ -13,6 +13,7 @@ sigma^2 eta_t I).  The reverse chain samples the Gaussian posterior of
 x_{t-1} given x_t and a denoiser's x0 prediction.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ class DiffusionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
         if self.convention not in CONVENTIONS:
             raise ParameterError(
                 f"convention must be one of {CONVENTIONS}, got {self.convention!r}")

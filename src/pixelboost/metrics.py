@@ -19,6 +19,7 @@ SSIM_WINDOW = 7
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 LOE_GRID_DEFAULT = 64
+LOE_GRID_MAX = 64  # grid must lie in 1..LOE_GRID_MAX
 EDGE_PATCH_DEFAULT = 7
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0],
@@ -131,8 +132,8 @@ def loe(enhanced, original, grid=LOE_GRID_DEFAULT):
     O(n log n) instead of from n x n order matrices.
     """
     enhanced, original = _pair(enhanced, original)
-    if not 1 <= grid <= 64:
-        raise ParameterError(f"grid must be in 1..64, got {grid}")
+    if not 1 <= grid <= LOE_GRID_MAX:
+        raise ParameterError(f"grid must be in 1..{LOE_GRID_MAX}, got {grid}")
     u = _loe_sites(lightness(enhanced), grid)
     v = _loe_sites(lightness(original), grid)
     order = np.lexsort((v, u))

@@ -10,6 +10,7 @@ from pixelboost import (STREAM_DATASET, RngStream, build_schedule,
                         init_checkpoint, load_checkpoint, make_config,
                         make_lr_pair, read_image, save_checkpoint,
                         spec_for_images, synth_dataset, write_image)
+from pixelboost import cli
 from pixelboost.cli import SEED_ENV, RunConfig, main
 
 
@@ -23,6 +24,10 @@ def _residual_file(path, n=640, seed=0):
     sample = 1.5 * RngStream(seed, 5).standard_normal(n)
     path.write_bytes(sample.astype("<f8").tobytes())
     return path
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("train() was called")
 
 
 @pytest.fixture(autouse=True)
@@ -110,6 +115,10 @@ class TestConfigPrecedence:
         ("schedule", {"steps": None}),
         ("schedule", {"mode": 1}),
         ("degrade", {"input": "a\u0000b"}),  # no path holds a NUL
+        # a config value must be one of the flag's choices
+        ("schedule", {"mode": "bogus"}),
+        ("train", {"weighting": "bogus"}),
+        ("sweep", {"kind": "bogus"}),
     ])
     def test_config_value_of_wrong_type(self, tmp_path, capsys, command, values):
         hr = tmp_path / "hr.pgm"
@@ -121,6 +130,28 @@ class TestConfigPrecedence:
             argv += ["--input", str(hr)]
         assert main(argv) == 2
         assert next(iter(values)) in capsys.readouterr().err
+
+    def test_setting_the_command_does_not_read_is_refused(self, tmp_path, capsys):
+        lr = tmp_path / "lr.pgm"
+        _make_image(lr, size=8)
+        ckpt = tmp_path / "m.pxbk"
+        save_checkpoint(init_checkpoint(spec_for_images("conv2"), make_config()),
+                        ckpt)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigma": 0.5}))
+        out = tmp_path / "sr.pgm"
+        assert main(["sr", "--input", str(lr), "--checkpoint", str(ckpt),
+                     "--out", str(out), "--config", str(cfg)]) == 2
+        assert "sigma" in capsys.readouterr().err
+        assert main(["schedule", "--sigma", "1"]) == 2
+        assert "--sigma" in capsys.readouterr().err
+        # --sigma is not read as an abbreviation of --sigmas
+        csv = tmp_path / "x.csv"
+        assert main(["sweep", "--sigmas", "1.5", "--count", "1", "--eval-count",
+                     "1", "--train-steps", "1", "--sigma", "1",
+                     "--out", str(csv)]) == 2
+        assert "--sigma" in capsys.readouterr().err
+        assert not out.exists() and not csv.exists()
 
     def test_config_values_take_their_field_type(self, tmp_path):
         # numeric strings and integral floats run as the equivalent flags do
@@ -377,7 +408,7 @@ class TestTrainAndSr:
         ckpt_path = tmp_path / "m.pxbk"
         assert main(["train", "--manifest", str(manifest), "--mode", "raw",
                      "--checkpoint", str(ckpt_path), "--train-steps", "2"]) == 2
-        assert "normalized" in capsys.readouterr().err
+        assert "--mode" in capsys.readouterr().err
         assert not ckpt_path.exists()
 
     def test_eq4_literal_refused_before_training(self, tmp_path, capsys):
@@ -388,7 +419,7 @@ class TestTrainAndSr:
         assert main(["train", "--manifest", str(manifest),
                      "--convention", "eq4_literal", "--checkpoint", str(ckpt_path),
                      "--train-steps", "2"]) == 2
-        assert "eq5_variance" in capsys.readouterr().err
+        assert "--convention" in capsys.readouterr().err
         assert not ckpt_path.exists()
 
     def test_corrupt_checkpoint(self, tmp_path, capsys):
@@ -549,12 +580,34 @@ class TestSweep:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["0", "65"])
+    def test_grid_out_of_range_refused_before_training(self, tmp_path, capsys,
+                                                       monkeypatch, grid):
+        monkeypatch.setattr(cli, "train", _no_training)
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--sigmas", "1.5", "--count", "2", "--eval-count", "1",
+                "--train-steps", "2", "--grid", grid, "--out", str(out)]
+        assert main(argv) == 2
+        assert "--grid must lie in 1..64" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigmas", ["1.5,inf", "1.5,-1"])
+    def test_every_sigma_checked_before_training(self, tmp_path, capsys,
+                                                 monkeypatch, sigmas):
+        monkeypatch.setattr(cli, "train", _no_training)
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--sigmas", sigmas, "--count", "2", "--eval-count", "1",
+                "--train-steps", "2", "--out", str(out)]
+        assert main(argv) == 1
+        assert "sigma must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_raw_mode_refused_before_training(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         argv = ["sweep", "--sigmas", "1.5", "--count", "2", "--eval-count", "1",
                 "--train-steps", "2", "--mode", "raw", "--out", str(out)]
         assert main(argv) == 2
-        assert "normalized" in capsys.readouterr().err
+        assert "--mode" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eq4_literal_refused_before_training(self, tmp_path, capsys):
@@ -563,5 +616,5 @@ class TestSweep:
                 "--train-steps", "2", "--convention", "eq4_literal",
                 "--out", str(out)]
         assert main(argv) == 2
-        assert "eq5_variance" in capsys.readouterr().err
+        assert "--convention" in capsys.readouterr().err
         assert not out.exists()

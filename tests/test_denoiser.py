@@ -158,6 +158,18 @@ class TestGradients:
         scale = np.maximum(np.abs(fd), 1e-8)
         assert np.max(np.abs(analytic - fd) / scale) < 1e-4
 
+    @pytest.mark.parametrize("x0_shape", [(6, 6), (1, 6, 1)])
+    def test_x0_must_match_the_pair(self, x0_shape):
+        # (6, 6) broke a reshape inside loss_gradient and broadcast to a
+        # (6, 6, 6) difference in item_loss_value; (1, 6, 1) broadcast in both
+        ckpt = _ckpt()
+        _, y, x_t = _item()
+        x0 = np.zeros(x0_shape)
+        with pytest.raises(ShapeError):
+            pb.loss_gradient(ckpt, (x0, y), 3, x_t)
+        with pytest.raises(ShapeError):
+            item_loss_value(ckpt, (x0, y), 3, x_t)
+
 
 class TestInit:
     def test_weights_in_half_range_biases_zero(self):
@@ -549,6 +561,8 @@ class TestTrain:
     def test_options_validation(self):
         with pytest.raises(ParameterError):
             pb.TrainOptions(step_size=0.0)
+        with pytest.raises(ParameterError):
+            pb.TrainOptions(step_size=math.inf)
         with pytest.raises(ParameterError):
             pb.TrainOptions(batch_size=0)
         with pytest.raises(ParameterError):

@@ -25,6 +25,8 @@ class TestConfig:
     def test_sigma_validation(self):
         with pytest.raises(ParameterError):
             pb.make_config(sigma=0.0)
+        with pytest.raises(ParameterError):
+            pb.make_config(sigma=np.inf)
 
     def test_unknown_convention(self):
         with pytest.raises(ParameterError):

@@ -38,6 +38,7 @@ MANIFESTS = ["@manifest_ok.txt", "@manifest_colour.txt", "@manifest_mixed.txt",
              "@manifest_odd.txt", "@manifest_nul.txt", "@manifest_latin1.txt",
              "@manifest_blank.txt", "@manifest_missing.txt", "@manifest_dir.txt"]
 CONFIGS = {
+    "config_seed.json": {"seed": 2},  # a key every command takes
     "config_ok.json": {"seed": 2, "steps": 4, "sigma": 0.5},
     "config_strings.json": {"steps": "6", "seed": 3.0, "mode": "raw"},
     "config_bad_type.json": {"sigma": "abc"},
@@ -63,13 +64,13 @@ def _values(values):
 CONFIG = _paths(["@" + name for name in CONFIGS])
 OUT = _values(OUTS)
 SEED = _values(["-1", "0", "7", "18446744073709551617", "x"])
-DIFFUSION = {
+STEPS = {
     "--steps": _values(["-1", "0", "1", "2", "3", "16", "nan", "x"]),
     "--t-mid": _values(FLOATS),
-    "--sigma": _values(FLOATS),
-    "--mode": _values(["normalized", "raw", "bogus"]),
-    "--convention": _values(["eq5_variance", "eq4_literal", "bogus"]),
 }
+SIGMA = {"--sigma": _values(FLOATS)}
+MODE = {"--mode": _values(["normalized", "raw", "bogus"])}
+CONVENTION = {"--convention": _values(["eq5_variance", "eq4_literal", "bogus"])}
 TRAINING = {
     "--train-steps": _values(["-1", "0", "2", "x"]),
     "--step-size": _values(FLOATS),
@@ -84,13 +85,13 @@ IMAGE_PAIR = {"--gt": IMAGE, "--test": IMAGE}
 # and a prefix of cheap settings that drawn flags override (argparse keeps
 # the last occurrence).  --config is added to half the vectors.
 COMMANDS = {
-    "schedule": ({}, {**DIFFUSION, "--seed": SEED, "--out": OUT}, []),
+    "schedule": ({}, {**STEPS, **MODE, "--seed": SEED, "--out": OUT}, []),
     "degrade": ({"--input": IMAGE, "--out": OUT}, {"--seed": SEED}, []),
-    "forward": ({"--input": IMAGE, "--out": OUT}, {**DIFFUSION, "--seed": SEED},
-                []),
+    "forward": ({"--input": IMAGE, "--out": OUT},
+                {**STEPS, **SIGMA, **MODE, **CONVENTION, "--seed": SEED}, []),
     "train": ({"--manifest": _paths(MANIFESTS, IMAGES + BROKEN),
                "--checkpoint": _paths(["@model.pxbk", "@new.pxbk"])},
-              {**DIFFUSION, **TRAINING, "--seed": SEED, "--out": OUT},
+              {**STEPS, **SIGMA, **TRAINING, "--seed": SEED, "--out": OUT},
               ["--train-steps", "1"]),
     "sr": ({"--input": IMAGE, "--out": OUT,
             "--checkpoint": _paths(["@model.pxbk", "@truncated.pxbk"],
@@ -98,7 +99,7 @@ COMMANDS = {
     "analyze-noise": (IMAGE_PAIR,
                       {"--input": _paths(["@resid.f64", "@partial.f64"],
                                          IMAGES + BROKEN),
-                       "--sigma": _values(FLOATS),
+                       **SIGMA,
                        "--bins": _values(["-1", "0", "1", "2", "8", "x"]),
                        "--seed": SEED, "--out": OUT}, []),
     "metrics": (IMAGE_PAIR, {"--grid": _values(["-1", "0", "1", "8", "64", "65",
@@ -107,7 +108,7 @@ COMMANDS = {
     "edge-report": ({**IMAGE_PAIR, "--out": OUT},
                     {"--patch": _values(["-1", "0", "1", "2", "7", "x"]),
                      "--seed": SEED}, []),
-    "sweep": ({}, {**DIFFUSION, **TRAINING,
+    "sweep": ({}, {**STEPS, **TRAINING,
                    "--sigmas": _values(["1.5", "0.5,1.5", "nan", "inf", "-1",
                                         ",", "a,b"]),
                    "--kind": _values(list(pb.SYNTH_KINDS) + ["bogus"]),
