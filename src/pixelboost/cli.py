@@ -18,6 +18,7 @@ defaults.  A config key the command does not take is a usage error.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -178,6 +179,11 @@ def _require(cfg, *names):
             raise _UsageError(f"{cfg.command} requires {flag}")
 
 
+def _check_grid(cfg):
+    if not 1 <= cfg.grid <= LOE_GRID_MAX:
+        raise _UsageError(f"--grid must lie in 1..{LOE_GRID_MAX}, got {cfg.grid}")
+
+
 def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
@@ -281,6 +287,10 @@ def cmd_sr(cfg):
 
 
 def cmd_analyze_noise(cfg):
+    if not 0 < cfg.sigma < math.inf:
+        raise _UsageError(f"--sigma must be positive and finite, got {cfg.sigma}")
+    if cfg.bins < 2:
+        raise _UsageError(f"--bins must be >= 2, got {cfg.bins}")
     if cfg.input is not None:
         size = os.path.getsize(cfg.input)
         if size % 8:
@@ -302,6 +312,7 @@ def cmd_analyze_noise(cfg):
 
 def cmd_metrics(cfg):
     _require(cfg, "gt", "test")
+    _check_grid(cfg)
     gt = read_image(cfg.gt)
     test = read_image(cfg.test)
     report = metric_report(gt, test, gt_id=cfg.gt, test_id=cfg.test,
@@ -312,6 +323,8 @@ def cmd_metrics(cfg):
 
 def cmd_edge_report(cfg):
     _require(cfg, "gt", "test", "out")
+    if cfg.patch < 2:
+        raise _UsageError(f"--patch must be >= 2, got {cfg.patch}")
     gt = read_image(cfg.gt)
     test = read_image(cfg.test)
     report = edge_report(test, gt, patch=cfg.patch)
@@ -331,8 +344,7 @@ def cmd_sweep(cfg):
         if getattr(cfg, name) < 1:
             raise _UsageError(f"--{name.replace('_', '-')} must be >= 1, "
                               f"got {getattr(cfg, name)}")
-    if not 1 <= cfg.grid <= LOE_GRID_MAX:
-        raise _UsageError(f"--grid must lie in 1..{LOE_GRID_MAX}, got {cfg.grid}")
+    _check_grid(cfg)
     dcfgs = [_diffusion_config(replace(cfg, sigma=sigma)) for sigma in cfg.sigmas]
     data_rng = RngStream(cfg.seed, STREAM_DATASET)
     images = synth_dataset(cfg.kind, cfg.count + cfg.eval_count, cfg.size,

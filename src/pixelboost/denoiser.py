@@ -32,6 +32,8 @@ _CONV2_CODE = 2
 _KERNEL_SIZE = 3
 # patch-matrix values per item in one band of a forward conv: 1 MiB of float64
 _BAND_VALUES = 1 << 17
+# hidden activation values per item in one tile of the forward: 1.5 MiB
+_TILE_VALUES = 3 * _BAND_VALUES // 2
 
 INIT_WEIGHT_HALF_RANGE = 0.05
 MAX_CONV2_PARAMS = 10_000
@@ -148,8 +150,8 @@ def as_denoiser(ckpt):
 
 
 # --- forward / backward ------------------------------------------------------
-# The forward holds activations channel-first as replicate-padded
-# (B, C, H+2, W+2) buffers; the backward copies them to channel-last
+# The forward holds activations channel-first as padded (B, C, N+2, W+2)
+# buffers of N rows; the backward copies the whole image's to channel-last
 # (B, H+2, W+2, C) arrays.  Every BLAS call is one matmul per item on the
 # operands that the single-image einsums (np.einsum(..., optimize=True), kept
 # as the reference in the tests) pass, or on a band of their columns: the
@@ -188,13 +190,33 @@ def as_denoiser(ckpt):
 # block boundary, and a few outputs differ from the reference in the last
 # bit: at 97x1029 with 2 threads, 2 to 4 of 99813 outputs, by at most 7e-18.
 # On 2 threads, all 70 shapes tried whose H*W is a multiple of 8 matched.
+#
+# The forward runs one tile of output rows at a time through both convs
+# (_tile_rows), so no image-sized activation exists: a 512x512 predict
+# peaks at about 7 MB, 2 MB of it the output, where whole-image
+# activations took 43 MB.  A tile is a whole number of the second conv's
+# bands, so each call of that conv, the thread-sensitive gemv, is the one
+# the whole-image banded conv makes.  The first conv computes each hidden
+# row once, running a few rows ahead of the tile so that each of its calls
+# also starts and ends on a multiple of 8 columns or at the image's end;
+# the tile's hidden rows above and below it are thus the real neighbouring
+# rows, bit for bit, and replicate padding applies only at the image's
+# border.  Training runs the whole image as one tile, whose buffers are
+# the backward's cache.
 
-def _fill_border(xp):
-    """Replicate the interior's edge pixels into the border of (B, C, H+2, W+2)."""
-    xp[:, :, 1:-1, 0] = xp[:, :, 1:-1, 1]
-    xp[:, :, 1:-1, -1] = xp[:, :, 1:-1, -2]
-    xp[:, :, 0] = xp[:, :, 1]
-    xp[:, :, -1] = xp[:, :, -2]
+def _fill_border(xp, top, bottom):
+    """Replicate edge pixels into the border of padded rows (B, C, N+2, W+2).
+
+    The border columns always take their row's edge pixels; the first and
+    last rows copy their neighbours only where ``top`` and ``bottom`` say
+    they lie on the image's border rather than hold real image rows.
+    """
+    xp[..., 0] = xp[..., 1]
+    xp[..., -1] = xp[..., -2]
+    if top:
+        xp[:, :, 0] = xp[:, :, 1]
+    if bottom:
+        xp[:, :, -1] = xp[:, :, -2]
 
 
 def _band_rows(c, h, wd):
@@ -209,17 +231,23 @@ def _band_rows(c, h, wd):
     return min(h, max(step, rows))
 
 
-def _conv3x3(xp, w):
-    """3x3 conv of a padded channel-first batch, without bias: (B, Co, H*W).
+def _tile_rows(wh, h, wd):
+    """Output rows per tile of the forward: a whole number of second-conv bands.
 
-    The patch matrix is built one band of output rows at a time, in one
-    workspace reused by every band.
+    A tile's hidden activations hold about _TILE_VALUES values per item.
+    """
+    rows = _band_rows(wh, h, wd)
+    return min(h, rows * max(1, _TILE_VALUES // (wh * rows * wd)))
+
+
+def _conv3x3(xp, w, out, work, rows):
+    """3x3 conv, without bias, of padded channel-first rows into ``out``.
+
+    ``xp`` is (B, C, N+2, W+2) and ``out`` (B, Co, N*W).  The patch matrix
+    is built ``rows`` output rows at a time in the flat workspace ``work``.
     """
     b, c, h, wd = xp.shape[0], xp.shape[1], xp.shape[2] - 2, xp.shape[3] - 2
     wt = w.reshape(9 * c, -1).T
-    out = np.empty((b, wt.shape[0], h * wd))
-    rows = _band_rows(c, h, wd)
-    work = np.empty(b * 9 * c * rows * wd)
     for r0 in range(0, h, rows):
         n = min(rows, h - r0)
         # the band's patch matrix (B, 9C, n*W), rows in (u, v, c) order
@@ -229,7 +257,6 @@ def _conv3x3(xp, w):
                 cols[:, u, v] = xp[:, :, r0 + u:r0 + u + n, v:v + wd]
         np.matmul(wt, cols.reshape(b, 9 * c, n * wd),
                   out=out[:, :, r0 * wd:(r0 + n) * wd])
-    return out
 
 
 def _conv3x3_grads(xp, gout):
@@ -306,41 +333,76 @@ def _check_pair(spec, x_t, y0_up):
     return x_t, y0_up
 
 
-def _stack_input(schedule, x_t, y0_up, ts):
-    """Padded network input (B, 2C+1, H+2, W+2): x_t, y0_up, a constant eta_t channel."""
+def _stack_rows(zp, x_t, y0_up, r0, r1):
+    """Fill zp[:, :, :r1-r0+2] with the padded network input of rows r0..r1-1.
+
+    The channels are x_t, y0_up and the constant eta_t channel, which the
+    caller sets once for the whole buffer.  The rows above and below come
+    from the image, or replicate its edge rows at its border.
+    """
+    h, c = x_t.shape[1], x_t.shape[3]
+    lo, hi = max(r0 - 1, 0), min(r1 + 1, h)
+    z = zp[:, :, lo - r0 + 1:hi - r0 + 1, 1:-1]
+    z[:, :c] = x_t[:, lo:hi].transpose(0, 3, 1, 2)
+    z[:, c:2 * c] = y0_up[:, lo:hi].transpose(0, 3, 1, 2)
+    _fill_border(zp[:, :, :r1 - r0 + 2], top=r0 == 0, bottom=r1 == h)
+
+
+def _forward(spec, params, schedule, x_t, y0_up, ts, keep_cache=False):
+    """Network output (B, H, W, Co) for (B, H, W, C) inputs, and _backward's cache.
+
+    The image runs one tile of output rows at a time through both convs
+    (see the comment above _fill_border); every buffer is allocated once
+    and reused by each tile.  Row j of the padded activation ``ap`` holds
+    hidden row r0 - 1 + j of the tile that starts at row r0.  With
+    ``keep_cache`` the tile is the whole image and the cache holds its
+    padded input and activation, as _backward needs; otherwise the cache
+    is None and predict's peak is a few tile buffers and the output.
+    """
     for t in ts:
         if t < 1:
             raise IndexError(f"t={t} outside 1..{schedule.steps}")
     etas = np.array([schedule.eta(int(t)) for t in ts])
-    b, h, w, c = x_t.shape
-    zp = np.empty((b, 2 * c + 1, h + 2, w + 2))
-    z = zp[:, :, 1:-1, 1:-1]
-    z[:, :c] = x_t.transpose(0, 3, 1, 2)
-    z[:, c:2 * c] = y0_up.transpose(0, 3, 1, 2)
-    z[:, 2 * c] = etas[:, None, None]
-    _fill_border(zp)
-    return zp
-
-
-def _forward(spec, params, zp):
-    """Network output (B, H, W, Co) on the padded input zp, plus _backward's cache.
-
-    The cache holds padded activations, not patch matrices; each conv
-    builds its patch matrix one band of rows at a time in a 1 MiB
-    workspace.  Predict's peak is a few activation-sized arrays: 43 MB at
-    512x512 on one channel.
-    """
     p = spec._unpack(params)
-    b, h, w = zp.shape[0], zp.shape[2] - 2, zp.shape[3] - 2
-    hid = _conv3x3(zp, p["w1"])
-    hid += p["b1"][:, None]
-    ap = np.empty((b, hid.shape[1], h + 2, w + 2))
-    np.maximum(hid.reshape(b, -1, h, w), 0.0, out=ap[:, :, 1:-1, 1:-1])
-    _fill_border(ap)
-    out = _conv3x3(ap, p["w2"])
-    out += p["b2"][:, None]
-    out = np.ascontiguousarray(out.reshape(b, -1, h, w).transpose(0, 2, 3, 1))
-    return out, (zp, ap)
+    b, h, wd, c = x_t.shape
+    ci, wh = 2 * c + 1, spec.hidden_width
+    rows = h if keep_cache else _tile_rows(wh, h, wd)
+    ahead = 8 // math.gcd(wd, 8)
+    # the most rows the first conv computes in one tile
+    span = min(rows + ahead, h)
+    band1, band2 = _band_rows(ci, h, wd), _band_rows(wh, h, wd)
+    # what may outlive the call first: the temporaries then lie on top of
+    # the heap, which glibc reuses; another order had it trim the heap and
+    # fault the pages back in, 548 minor faults per training step
+    out = np.empty((b, spec.image_channels, h * wd))
+    zp = np.empty((b, ci, span + 2, wd + 2))
+    zp[:, 2 * c] = etas[:, None, None]
+    ap = np.empty((b, wh, span + 2, wd + 2))
+    hid = np.empty((b, wh, span * wd))
+    work = np.empty(b * 9 * wd * max(ci * min(band1, span), wh * min(band2, rows)))
+    done = 0  # hidden rows 0..done-1 are computed
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        n = r1 - r0
+        if r0:
+            # the last tile's final row and the rows it computed ahead
+            k = done - r0 + 1
+            ap[:, :, :k] = ap[:, :, rows:rows + k]
+        end = min(r1 + ahead, h)
+        if end > done:
+            m, j = end - done, done - r0 + 1
+            _stack_rows(zp, x_t, y0_up, done, end)
+            hv = hid[:, :, :m * wd]
+            _conv3x3(zp[:, :, :m + 2], p["w1"], hv, work, band1)
+            hv += p["b1"][:, None]
+            np.maximum(hv.reshape(b, wh, m, wd), 0.0, out=ap[:, :, j:j + m, 1:-1])
+            done = end
+        _fill_border(ap[:, :, :n + 2], top=r0 == 0, bottom=r1 == h)
+        tile = out[:, :, r0 * wd:r1 * wd]
+        _conv3x3(ap[:, :, :n + 2], p["w2"], tile, work, band2)
+        tile += p["b2"][:, None]
+    out = np.ascontiguousarray(out.reshape(b, -1, h, wd).transpose(0, 2, 3, 1))
+    return out, ((zp, ap) if keep_cache else None)
 
 
 def _backward(spec, params, cache, gout):
@@ -356,9 +418,9 @@ def _backward(spec, params, cache, gout):
     return np.concatenate([dw1.reshape(b, -1), db1, dw2.reshape(b, -1), db2], axis=1)
 
 
-def _batch_forward(ckpt, x_t, y0_up, ts):
-    zp = _stack_input(ckpt.schedule(), x_t, y0_up, ts)
-    return _forward(ckpt.spec, ckpt.params, zp)
+def _batch_forward(ckpt, x_t, y0_up, ts, keep_cache=False):
+    return _forward(ckpt.spec, ckpt.params, ckpt.schedule(), x_t, y0_up, ts,
+                    keep_cache)
 
 
 def _losses_and_gradients(ckpt, cfg, items, weighting):
@@ -374,7 +436,7 @@ def _losses_and_gradients(ckpt, cfg, items, weighting):
     for ks in groups.values():
         x0, y0_up, x_t = (np.stack([items[k][j] for k in ks]) for j in (0, 1, 3))
         ts = [items[k][2] for k in ks]
-        out, cache = _batch_forward(ckpt, x_t, y0_up, ts)
+        out, cache = _batch_forward(ckpt, x_t, y0_up, ts, keep_cache=True)
         diff = out - x0
         # d loss / d prediction = 2 w (prediction - x0)
         scale = [2.0 * loss_weight(t, cfg, weighting, diff[0].size) for t in ts]

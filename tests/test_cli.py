@@ -30,6 +30,10 @@ def _no_training(*args, **kwargs):
     raise AssertionError("train() was called")
 
 
+def _no_reading(*args, **kwargs):
+    raise AssertionError("read_image() was called")
+
+
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv(SEED_ENV, raising=False)
@@ -515,6 +519,29 @@ class TestAnalyzeNoise:
         assert main(["analyze-noise", "--input", str(sample),
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+    def test_sigma_refused_before_reading(self, tmp_path, capsys, monkeypatch,
+                                          sigma):
+        monkeypatch.setattr(cli, "read_image", _no_reading)
+        out = tmp_path / "x.csv"
+        assert main(["analyze-noise", "--gt", "gt.pgm", "--test", "t.pgm",
+                     "--sigma", sigma, "--out", str(out)]) == 2
+        assert "--sigma must be positive and finite" in capsys.readouterr().err
+        # the flat-file route is checked before its file is opened too
+        assert main(["analyze-noise", "--input", str(tmp_path / "absent.f64"),
+                     "--sigma", sigma, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bins", ["1", "0", "-3"])
+    def test_bins_refused_before_reading(self, tmp_path, capsys, monkeypatch,
+                                         bins):
+        monkeypatch.setattr(cli, "read_image", _no_reading)
+        out = tmp_path / "x.csv"
+        assert main(["analyze-noise", "--gt", "gt.pgm", "--test", "t.pgm",
+                     "--bins", bins, "--out", str(out)]) == 2
+        assert "--bins must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMetricsCommand:
     def test_csv_output(self, tmp_path, capsys):
@@ -534,6 +561,14 @@ class TestMetricsCommand:
         _make_image(gt)
         assert main(["metrics", "--gt", str(gt)]) == 2
 
+    @pytest.mark.parametrize("grid", ["0", "65", "-1"])
+    def test_grid_out_of_range_refused_before_reading(self, capsys, monkeypatch,
+                                                      grid):
+        monkeypatch.setattr(cli, "read_image", _no_reading)
+        assert main(["metrics", "--gt", "gt.pgm", "--test", "t.pgm",
+                     "--grid", grid]) == 2
+        assert "--grid must lie in 1..64" in capsys.readouterr().err
+
 
 class TestEdgeReportCommand:
     def test_writes_three_grids(self, tmp_path):
@@ -552,6 +587,16 @@ class TestEdgeReportCommand:
         b = np.loadtxt(out / "patch_means_gt.csv", delimiter=",")
         assert diff.shape == (4, 4)
         np.testing.assert_allclose(diff, a - b, atol=1e-15)
+
+    @pytest.mark.parametrize("patch", ["1", "0", "-2"])
+    def test_patch_below_two_refused_before_reading(self, tmp_path, capsys,
+                                                    monkeypatch, patch):
+        monkeypatch.setattr(cli, "read_image", _no_reading)
+        out = tmp_path / "edges"
+        assert main(["edge-report", "--gt", "gt.pgm", "--test", "t.pgm",
+                     "--out", str(out), "--patch", patch]) == 2
+        assert "--patch must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweep:

@@ -18,11 +18,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 import pixelboost as pb
 from pixelboost import (CheckpointError, CheckpointVersionError,
                         ParameterError, ShapeError, TrainingError)
+from pixelboost import denoiser
 from pixelboost.denoiser import (_BAND_VALUES, CHECKPOINT_MAGIC,
                                  INIT_WEIGHT_HALF_RANGE, KINDS, MAX_CONV2_PARAMS,
                                  _band_rows, _batch_forward,
                                  _conv3x3_input_grad, _losses_and_gradients,
-                                 item_loss_value)
+                                 _tile_rows, item_loss_value)
 from pixelboost.noise import (STREAM_DATASET, STREAM_INIT, STREAM_SAMPLER,
                               STREAM_TRAIN)
 
@@ -438,7 +439,22 @@ BAND_SHAPES = [(100, 100), (200, 333), (37, 335), (41, 513), (13, 333),
                (97, 1029), (300, 257), (4000, 1), (1, 2000)]
 
 
-def _band_mismatches(channels, shapes=BAND_SHAPES):
+def _tile_shapes(w):
+    """Heights at the forward's tile boundaries for images W wide.
+
+    One and two rows, one second-conv band, a tile less one row, a tile
+    and a tile plus one, and three tiles with a short last one.
+    """
+    band, tile = _band_rows(8, 4096, w), _tile_rows(8, 4096, w)
+    return [(h, w) for h in (1, 2, band, tile - 1, tile, tile + 1,
+                             3 * tile + band + 1)]
+
+
+# 333 columns: bands of 8 rows; 512: bands of 3 rows, as in the bench
+TILE_SHAPES = _tile_shapes(333) + _tile_shapes(512)
+
+
+def _band_mismatches(channels, shapes=BAND_SHAPES + TILE_SHAPES):
     """(H, W) shapes whose two-image batched forward differs from the reference."""
     ckpt = _ckpt(seed=12, image_channels=channels)
     bad = []
@@ -453,8 +469,9 @@ def _band_mismatches(channels, shapes=BAND_SHAPES):
 
 
 class TestBands:
-    """The forward conv, built one band of rows at a time, against the
-    whole-image reference (see the comment above denoiser._fill_border)."""
+    """The forward, run one tile of rows at a time and each conv one band
+    of rows at a time, against the whole-image reference (see the comment
+    above denoiser._fill_border)."""
 
     @pytest.mark.parametrize("c", [3, 7, 8])
     @pytest.mark.parametrize("h,w", BAND_SHAPES + [(16, 16), (512, 512)])
@@ -497,7 +514,7 @@ class TestBands:
         # 99813 outputs, off by at most 7e-18).  The tolerance is over a
         # hundred times that, and far below any change a reader could see.
         ckpt = _ckpt(seed=12)
-        for h, w in BAND_SHAPES:
+        for h, w in BAND_SHAPES + TILE_SHAPES:
             rng = pb.RngStream(12, STREAM_DATASET)
             x_t, y0_up = (rng.uniform(0.0, 1.0, (h, w, 1)) for _ in range(2))
             for t in (1, 8, 15):
@@ -526,6 +543,44 @@ class TestBands:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+    def test_predict_memory_is_tiled(self):
+        # every activation lives in one tile's buffers: only the output
+        # grows with the image's height
+        ckpt = pb.load_checkpoint(BENCH_CHECKPOINT)
+        peaks = {}
+        for h in (512, 2048):
+            x = np.zeros((h, 512, 1))
+            tracemalloc.start()
+            try:
+                pb.predict(ckpt, x, x, 8)
+                peaks[h] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[512] < 12e6
+        assert peaks[2048] - peaks[512] <= (2048 - 512) * 512 * 8 + 1e6
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("h,w", BAND_SHAPES + TILE_SHAPES)
+    def test_tiles_are_whole_second_conv_bands(self, monkeypatch, c, h, w):
+        # so that every call of the thread-sensitive one-output conv is the
+        # whole-image banded conv's
+        calls = []
+        conv = denoiser._conv3x3
+
+        def spy(xp, wt, out, work, rows):
+            calls.append((xp.shape[1], xp.shape[2] - 2, rows))
+            conv(xp, wt, out, work, rows)
+
+        monkeypatch.setattr(denoiser, "_conv3x3", spy)
+        x = np.zeros((h, w, c))
+        pb.predict(_ckpt(image_channels=c), x, x, 8)
+        band = _band_rows(8, h, w)
+        tiles = [n for channels, n, rows in calls if channels == 8 and rows == band]
+        assert len(tiles) == sum(channels == 8 for channels, _, _ in calls)
+        assert sum(tiles) == h
+        assert all(n % band == 0 for n in tiles[:-1])
+        assert tiles[:-1] == [_tile_rows(8, h, w)] * (len(tiles) - 1)
 
 
 class TestTrain:
