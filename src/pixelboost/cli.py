@@ -31,7 +31,7 @@ from .denoiser import (TrainOptions, as_denoiser, load_checkpoint,
                        save_checkpoint, spec_for_images, train)
 from .diffusion import (CONVENTIONS, WEIGHTINGS, forward_chain, make_config,
                         reverse_sample)
-from .errors import CodecError, PixelBoostError
+from .errors import CodecError, PixelBoostError, ShapeError
 from .imagedata import (bicubic_resize, check_same_shape, make_lr_pair,
                         read_image, synth_dataset, write_image, SYNTH_KINDS)
 from .metrics import LOE_GRID_MAX, edge_report, grid_csv, metric_report
@@ -278,6 +278,9 @@ def cmd_sr(cfg):
     _require(cfg, "input", "checkpoint", "out")
     lr = read_image(cfg.input)
     ckpt = load_checkpoint(cfg.checkpoint)
+    if lr.shape[2] != ckpt.spec.image_channels:
+        raise ShapeError(f"{cfg.input} has {lr.shape[2]} channels, but the "
+                         f"checkpoint takes {ckpt.spec.image_channels}")
     dcfg = ckpt.config(cfg.seed)
     lr_up = bicubic_resize(lr, 4)
     rng = RngStream(cfg.seed, STREAM_SAMPLER)

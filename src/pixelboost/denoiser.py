@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .diffusion import (WEIGHTINGS, DiffusionConfig, forward_marginal,
                         item_loss, loss_weight)
@@ -151,19 +150,22 @@ def as_denoiser(ckpt):
 
 # --- forward / backward ------------------------------------------------------
 # The forward holds activations channel-first as padded (B, C, N+2, W+2)
-# buffers of N rows; the backward copies the whole image's to channel-last
-# (B, H+2, W+2, C) arrays.  Every BLAS call is one matmul per item on the
-# operands that the single-image einsums (np.einsum(..., optimize=True), kept
-# as the reference in the tests) pass, or on a band of their columns: the
-# conv is W(o, u*v*c) @ cols(u*v*c, n) for a band of n = rows*W output
-# columns, the weight gradient gout(o, H*W) @ patches(H*W, c*u*v), and with
-# o > 1 the input gradient's products gout(H*W, o) @ W(o, u*v*c).  Transposed
-# operands are views, cols and patches are C-contiguous copies.  A batch is
-# then bit-identical to its items run one at a time, on any image size.  A
-# contiguous copy of a transposed view, another order of a summed axis, or
-# one matmul over all B*H*W columns lets BLAS pick another kernel or blocking
-# and can change the last bit.  With o = 1 each of those products is a single
-# product, rounded once by np.multiply as by BLAS.
+# buffers of N rows; the backward holds gradients channel-last, (B, H, W, C).
+# Every BLAS call is one matmul per item on the operands that the
+# single-image einsums (np.einsum(..., optimize=True), kept as the reference
+# in the tests) pass, or on a band of their columns: the conv is
+# W(o, u*v*c) @ cols(u*v*c, n) for a band of n = rows*W output columns, the
+# weight gradient gout(o, H*W) @ cols(H*W, u*v*c) on the whole patch matrix
+# that the forward built, and with o > 1 the input gradient's products
+# gout(H*W, o) @ W(o, u*v*c).  Transposed operands are views.  With o = 1 the
+# weight gradient is a gemv, whose columns must come in the reference's
+# order: its operand is patches(H*W, c*u*v), a C-contiguous copy of one
+# item's cols.  A batch is then bit-identical to its items run one at a
+# time, on any image size.  A contiguous copy of a transposed view, another
+# order of a summed axis or of a gemv's columns, a channel-first gout, or one
+# matmul over all B*H*W columns lets BLAS pick another kernel or blocking
+# and can change the last bit.  With o = 1 each of the input gradient's
+# products is a single product, rounded once by np.multiply as by BLAS.
 #
 # The input gradient sums, for each input pixel, the products of the nine
 # taps (u, v) that read it.  _conv3x3_input_grad lays one tap's products out
@@ -177,8 +179,10 @@ def as_denoiser(ckpt):
 #
 # The conv's bands hold about _BAND_VALUES patch values (1 MiB) per item, so
 # one small workspace serves every band and the whole patch matrix (151 MB
-# for the second conv at 512x512) never exists.  Training images fit in one
-# band, so their operands are exactly the reference's.  With o = 1 the
+# for the second conv at 512x512) never exists outside training.  Training
+# images fit in one band, so their operands are exactly the reference's; on
+# taller ones each band fills its columns of the whole matrix, and a matmul
+# on those columns equals one on a contiguous band.  With o = 1 the
 # matmul is a BLAS gemv, which works through the columns in blocks and
 # treats the left-over columns at the end of its range another way; a
 # column's last bit thus depends on where its call's range, and each BLAS
@@ -201,8 +205,8 @@ def as_denoiser(ckpt):
 # also starts and ends on a multiple of 8 columns or at the image's end;
 # the tile's hidden rows above and below it are thus the real neighbouring
 # rows, bit for bit, and replicate padding applies only at the image's
-# border.  Training runs the whole image as one tile, whose buffers are
-# the backward's cache.
+# border.  Training runs the whole image as one tile and keeps both convs'
+# whole patch matrices for the backward.
 
 def _fill_border(xp, top, bottom):
     """Replicate edge pixels into the border of padded rows (B, C, N+2, W+2).
@@ -244,32 +248,47 @@ def _conv3x3(xp, w, out, work, rows):
     """3x3 conv, without bias, of padded channel-first rows into ``out``.
 
     ``xp`` is (B, C, N+2, W+2) and ``out`` (B, Co, N*W).  The patch matrix
-    is built ``rows`` output rows at a time in the flat workspace ``work``.
+    is built ``rows`` output rows at a time, rows in (u, v, c) order: in
+    the flat workspace ``work``, which each band overwrites, or, where
+    ``work`` is the whole (B, 9C, N*W) patch matrix, in the band's columns
+    of it, so that the whole matrix outlives the call.
     """
     b, c, h, wd = xp.shape[0], xp.shape[1], xp.shape[2] - 2, xp.shape[3] - 2
     wt = w.reshape(9 * c, -1).T
     for r0 in range(0, h, rows):
         n = min(rows, h - r0)
-        # the band's patch matrix (B, 9C, n*W), rows in (u, v, c) order
-        cols = work[:b * 9 * c * n * wd].reshape(b, 3, 3, c, n, wd)
+        if work.ndim == 1:
+            band = work[:b * 9 * c * n * wd].reshape(b, 9 * c, n * wd)
+        else:
+            band = work[:, :, r0 * wd:(r0 + n) * wd]
+        cols = band.reshape(b, 3, 3, c, n, wd)
         for u in range(3):
             for v in range(3):
                 cols[:, u, v] = xp[:, :, r0 + u:r0 + u + n, v:v + wd]
-        np.matmul(wt, cols.reshape(b, 9 * c, n * wd),
-                  out=out[:, :, r0 * wd:(r0 + n) * wd])
+        np.matmul(wt, band, out=out[:, :, r0 * wd:(r0 + n) * wd])
 
 
-def _conv3x3_grads(xp, gout):
+def _conv3x3_grads(cols, gout):
     """Per-item parameter gradients of a 3x3 conv: dw (B, 3, 3, Ci, Co), db (B, Co).
 
-    ``xp`` is the padded input as a channel-last (B, H+2, W+2, Ci) array.
+    ``cols`` is the conv's whole patch matrix (B, 9Ci, H*W) as _conv3x3
+    built it, rows in (u, v, c) order, and ``gout`` is channel-last.
     """
     b, h, wd, o = gout.shape
-    c = xp.shape[3]
+    c = cols.shape[1] // 9
     g = gout.reshape(b, h * wd, o)
-    win = sliding_window_view(xp, (3, 3), axis=(1, 2))
-    dw = np.matmul(g.transpose(0, 2, 1), win.reshape(b, h * wd, 9 * c))
-    return dw.reshape(b, o, c, 3, 3).transpose(0, 3, 4, 2, 1), g.sum(axis=1)
+    if o == 1:
+        # the gemv's (c, u, v)-ordered operand (see above _fill_border), one
+        # item at a time: a whole batch's copy left so much free on top of
+        # the heap that glibc trimmed it every step at hidden width 16
+        pat = np.empty((h * wd, c, 3, 3))
+        dw = np.empty((b, 1, 9 * c))
+        for i in range(b):
+            pat[...] = cols[i].reshape(3, 3, c, h * wd).transpose(3, 2, 0, 1)
+            np.matmul(g[i].T, pat.reshape(h * wd, 9 * c), out=dw[i])
+        return dw.reshape(b, 1, c, 3, 3).transpose(0, 3, 4, 2, 1), g.sum(axis=1)
+    dw = np.matmul(g.transpose(0, 2, 1), cols.transpose(0, 2, 1))
+    return dw.reshape(b, o, 3, 3, c).transpose(0, 2, 3, 4, 1), g.sum(axis=1)
 
 
 def _conv3x3_input_grad(w, gout):
@@ -355,9 +374,10 @@ def _forward(spec, params, schedule, x_t, y0_up, ts, keep_cache=False):
     (see the comment above _fill_border); every buffer is allocated once
     and reused by each tile.  Row j of the padded activation ``ap`` holds
     hidden row r0 - 1 + j of the tile that starts at row r0.  With
-    ``keep_cache`` the tile is the whole image and the cache holds its
-    padded input and activation, as _backward needs; otherwise the cache
-    is None and predict's peak is a few tile buffers and the output.
+    ``keep_cache`` the tile is the whole image and the cache holds both
+    convs' whole patch matrices and the padded activation, as _backward
+    needs; otherwise the cache is None and predict's peak is a few tile
+    buffers and the output.
     """
     for t in ts:
         if t < 1:
@@ -371,15 +391,21 @@ def _forward(spec, params, schedule, x_t, y0_up, ts, keep_cache=False):
     # the most rows the first conv computes in one tile
     span = min(rows + ahead, h)
     band1, band2 = _band_rows(ci, h, wd), _band_rows(wh, h, wd)
-    # what may outlive the call first: the temporaries then lie on top of
-    # the heap, which glibc reuses; another order had it trim the heap and
-    # fault the pages back in, 548 minor faults per training step
+    # what may outlive the call first, in one buffer: the temporaries then
+    # lie on top of the heap, which glibc reuses; another order had it trim
+    # the heap and fault the pages back in, 540 or more minor faults per
+    # training step
+    if keep_cache:
+        pat = np.empty((b, 9 * (ci + wh), h * wd))
+        work1, work2 = pat[:, :9 * ci], pat[:, 9 * ci:]
     out = np.empty((b, spec.image_channels, h * wd))
     zp = np.empty((b, ci, span + 2, wd + 2))
     zp[:, 2 * c] = etas[:, None, None]
     ap = np.empty((b, wh, span + 2, wd + 2))
     hid = np.empty((b, wh, span * wd))
-    work = np.empty(b * 9 * wd * max(ci * min(band1, span), wh * min(band2, rows)))
+    if not keep_cache:
+        work1 = work2 = np.empty(
+            b * 9 * wd * max(ci * min(band1, span), wh * min(band2, rows)))
     done = 0  # hidden rows 0..done-1 are computed
     for r0 in range(0, h, rows):
         r1 = min(r0 + rows, h)
@@ -393,28 +419,28 @@ def _forward(spec, params, schedule, x_t, y0_up, ts, keep_cache=False):
             m, j = end - done, done - r0 + 1
             _stack_rows(zp, x_t, y0_up, done, end)
             hv = hid[:, :, :m * wd]
-            _conv3x3(zp[:, :, :m + 2], p["w1"], hv, work, band1)
+            _conv3x3(zp[:, :, :m + 2], p["w1"], hv, work1, band1)
             hv += p["b1"][:, None]
             np.maximum(hv.reshape(b, wh, m, wd), 0.0, out=ap[:, :, j:j + m, 1:-1])
             done = end
         _fill_border(ap[:, :, :n + 2], top=r0 == 0, bottom=r1 == h)
         tile = out[:, :, r0 * wd:r1 * wd]
-        _conv3x3(ap[:, :, :n + 2], p["w2"], tile, work, band2)
+        _conv3x3(ap[:, :, :n + 2], p["w2"], tile, work2, band2)
         tile += p["b2"][:, None]
     out = np.ascontiguousarray(out.reshape(b, -1, h, wd).transpose(0, 2, 3, 1))
-    return out, ((zp, ap) if keep_cache else None)
+    return out, ((work1, work2, ap) if keep_cache else None)
 
 
 def _backward(spec, params, cache, gout):
     """Per-item flat gradients (B, param_count), in parameter-vector layout."""
     p = spec._unpack(params)
     b = gout.shape[0]
-    # channel-last copies: their patch matrices gather faster than the views'
-    zp, ap = (np.ascontiguousarray(x.transpose(0, 2, 3, 1)) for x in cache)
-    dw2, db2 = _conv3x3_grads(ap, gout)
+    cols1, cols2, ap = cache
+    dw2, db2 = _conv3x3_grads(cols2, gout)
+    dh = _conv3x3_input_grad(p["w2"], gout)
     # ap's interior is relu(h), so it is > 0 exactly where h > 0
-    dh = _conv3x3_input_grad(p["w2"], gout) * (ap[:, 1:-1, 1:-1] > 0.0)
-    dw1, db1 = _conv3x3_grads(zp, dh)
+    dh *= ap[:, :, 1:-1, 1:-1].transpose(0, 2, 3, 1) > 0.0
+    dw1, db1 = _conv3x3_grads(cols1, dh)
     return np.concatenate([dw1.reshape(b, -1), db1, dw2.reshape(b, -1), db2], axis=1)
 
 

@@ -34,6 +34,10 @@ def _no_reading(*args, **kwargs):
     raise AssertionError("read_image() was called")
 
 
+def _no_resizing(*args, **kwargs):
+    raise AssertionError("bicubic_resize() was called")
+
+
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv(SEED_ENV, raising=False)
@@ -446,6 +450,22 @@ class TestTrainAndSr:
         assert main(["sr", "--input", str(lr_path), "--checkpoint", str(ckpt_path),
                      "--out", str(tmp_path / "o.pgm")]) == 1
         assert "sigma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("image,model", [(3, 1), (1, 3)])
+    def test_channel_mismatch_refused_before_upsampling(self, tmp_path, capsys,
+                                                        monkeypatch, image, model):
+        ckpt_path = tmp_path / "m.pxbk"
+        save_checkpoint(init_checkpoint(spec_for_images("conv2", image_channels=model),
+                                        make_config(seed=0)), ckpt_path)
+        lr_path = tmp_path / ("lr.ppm" if image == 3 else "lr.pgm")
+        write_image(np.full((8, 8, image), 0.5), lr_path)
+        monkeypatch.setattr(cli, "bicubic_resize", _no_resizing)
+        out = tmp_path / "o.pgm"
+        assert main(["sr", "--input", str(lr_path), "--checkpoint", str(ckpt_path),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"has {image} channels" in err and f"takes {model}" in err
+        assert not out.exists()
 
     def test_future_checkpoint_version(self, tmp_path, capsys):
         manifest = self._manifest(tmp_path, count=2)

@@ -5,6 +5,7 @@ file format."""
 import json
 import math
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -326,6 +327,10 @@ class TestBatchedCore:
 
     # exact_kl weights reach ~1e3 near t = 2, so it needs a far smaller step
     STEP_SIZES = {"uniform_mse": 0.2, "exact_kl": 1e-5}
+    # taller than one second-conv band, so each weight gradient reads a patch
+    # matrix that the forward filled band by band; with colour, the first
+    # conv runs in bands too
+    MULTI_BAND_SHAPES = [(64, 64), (40, 128), (200, 16)]
 
     @pytest.mark.parametrize("weighting", ["uniform_mse", "exact_kl"])
     @pytest.mark.parametrize("kind", ["conv2"])
@@ -351,25 +356,45 @@ class TestBatchedCore:
         assert history == ref_history
         np.testing.assert_array_equal(ckpt.params, params)
 
+    # grey hidden 3 and 5: 9C of the one-output conv is 27 and 45, not a
+    # multiple of 4, so its gemv treats the last columns as left-overs
     @pytest.mark.parametrize("kind,channels,hidden", [
-        ("conv2", 1, 8), ("conv2", 3, 1), ("conv2", 3, 8)])
+        ("conv2", 1, 8), ("conv2", 3, 1), ("conv2", 3, 8), ("conv2", 1, 3),
+        ("conv2", 1, 5), ("conv2", 3, 2)])
     def test_batch_gradients_match_reference(self, kind, channels, hidden):
-        # odd sizes and a 1x1 image: every item must be independent of the
-        # others, however BLAS blocks the columns
+        # odd sizes, a 1x1 image and images of several bands: every item
+        # must be independent of the others, however BLAS blocks the columns
         spec = pb.spec_for_images(kind, image_channels=channels, hidden_width=hidden)
         cfg = pb.make_config(seed=7)
         ckpt = pb.init_checkpoint(spec, cfg)
         rng = pb.RngStream(7, STREAM_DATASET)
+        shapes = [(5, 7), (1, 1), (5, 7), (16, 16), (5, 7), (1, 1)]
         items = []
-        for k, (h, w) in enumerate([(5, 7), (1, 1), (5, 7), (16, 16), (5, 7), (1, 1)]):
+        for k, (h, w) in enumerate(shapes + 2 * self.MULTI_BAND_SHAPES):
             x0, y0_up, x_t = (rng.uniform(0.0, 1.0, (h, w, channels)) for _ in range(3))
-            items.append((x0, y0_up, 1 + 2 * k, x_t))
+            items.append((x0, y0_up, 1 + (2 * k) % 15, x_t))
         losses, grads = _losses_and_gradients(ckpt, cfg, items, "exact_kl")
         for (x0, y0_up, t, x_t), loss, grad in zip(items, losses, grads):
             ref_loss, ref_grad = _ref_loss_and_gradient(ckpt, cfg, x0, y0_up, t, x_t,
                                                         "exact_kl")
             assert loss == ref_loss
             np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_multi_band_shapes_span_several_bands(self):
+        assert [_band_rows(8, h, w) for h, w in self.MULTI_BAND_SHAPES] == [28, 14, 113]
+
+    @pytest.mark.parametrize("channels,hidden", [(1, 8), (3, 8), (3, 1)])
+    def test_multi_band_train_matches_reference(self, channels, hidden):
+        cfg = pb.make_config(steps=15, sigma=1.5, seed=5)
+        opt = pb.TrainOptions(step_size=0.2, steps=3, batch_size=4)
+        spec = pb.spec_for_images("conv2", image_channels=channels, hidden_width=hidden)
+        rng = pb.RngStream(5, STREAM_DATASET)
+        data = [tuple(rng.uniform(0.0, 1.0, (h, w, channels)) for _ in range(2))
+                for h, w in self.MULTI_BAND_SHAPES]
+        ckpt, history = pb.train(data, cfg, opt, spec)
+        params, ref_history = _ref_train(data, cfg, opt, spec)
+        assert history == ref_history
+        np.testing.assert_array_equal(ckpt.params, params)
 
     # down to one pixel, one row and one column, where the taps' slices are
     # mostly padding
@@ -583,7 +608,36 @@ class TestBands:
         assert tiles[:-1] == [_tile_rows(8, h, w)] * (len(tiles) - 1)
 
 
+def _train_faults_per_step(hidden, steps=100):
+    """Minor page faults per step of a warmed-up batch-8 16x16 train()."""
+    spec = pb.spec_for_images("conv2", hidden_width=hidden)
+    cfg = pb.make_config(steps=15, sigma=1.5, seed=0)
+    opt = pb.TrainOptions(step_size=0.01, steps=steps, batch_size=8)
+    data = _dataset(count=16)
+    pb.train(data, cfg, opt, spec)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pb.train(data, cfg, opt, spec)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps
+
+
 class TestTrain:
+    @pytest.mark.parametrize("hidden", [8, 16])
+    def test_steps_reuse_the_heap(self, hidden):
+        # glibc gives the top of its heap back to the OS once a free leaves
+        # more than twice the largest chunk it has yet unmapped free there,
+        # and a step whose temporaries cross that line faults 540 or more
+        # pages back in; the heap's history sets the line, so this runs in
+        # a fresh process
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tests.parent / "src"), str(tests)]))
+        code = ("from test_denoiser import _train_faults_per_step as f; "
+                f"print(f({hidden}))")
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert float(run.stdout) <= 20
+
     def test_loss_decreases_on_smoke_run(self):
         cfg = pb.make_config(steps=15, sigma=1.5, seed=1)
         opt = pb.TrainOptions(step_size=0.1, steps=120, batch_size=8)
