@@ -254,7 +254,19 @@ def _load_manifest(path):
         raise _UsageError(f"manifest {path} lists no images")
     if any("\0" in name for name in names):
         raise _UsageError(f"manifest {path} holds a NUL character")
-    return [read_image(os.path.join(base, name)) for name in names]
+    paths = [os.path.join(base, name) for name in names]
+    images = []
+    for image_path in paths:
+        img = read_image(image_path)
+        h, w, c = img.shape
+        if h % 4 or w % 4:
+            raise ShapeError(f"{image_path} is {h}x{w}; training images need "
+                             f"a height and width divisible by 4")
+        if images and c != images[0].shape[2]:
+            raise ShapeError(f"{image_path} has {c} channels, but {paths[0]} "
+                             f"has {images[0].shape[2]}")
+        images.append(img)
+    return images
 
 
 def cmd_train(cfg):

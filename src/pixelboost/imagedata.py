@@ -7,6 +7,7 @@ codec clamps, and only on write.
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,6 +82,15 @@ def resize_weights(n_in, n_out):
     return weights
 
 
+@lru_cache(maxsize=8)
+def _shared_weights(n_in, n_out):
+    # images of one size repeat (datasets, batch evaluation), so each matrix
+    # is built once and shared read-only; resize_weights stays a fresh copy
+    weights = resize_weights(n_in, n_out)
+    weights.flags.writeable = False
+    return weights
+
+
 def bicubic_resize(img, scale):
     """Separable bicubic resize by a rational scale factor.
 
@@ -93,8 +103,8 @@ def bicubic_resize(img, scale):
     w_out = int(round(w * scale))
     if h_out < 1 or w_out < 1:
         raise ParameterError(f"scale {scale} collapses {h}x{w} to {h_out}x{w_out}")
-    wr = resize_weights(h, h_out)
-    wc = resize_weights(w, w_out)
+    wr = _shared_weights(h, h_out)
+    wc = _shared_weights(w, w_out)
     # rows then columns; separability makes the order irrelevant
     return np.einsum("oh,hwc->owc", wr, np.einsum("ow,hwc->hoc", wc, img))
 
@@ -115,7 +125,8 @@ SYNTH_KINDS = ("gradients", "checkers", "blobs", "mixed")
 
 
 def _synth_gradient(size, rng):
-    y, x = np.mgrid[0:size, 0:size] / (size - 1)
+    y, x = np.ogrid[0:size, 0:size]
+    y, x = y / (size - 1), x / (size - 1)
     theta = rng.uniform(0.0, 2.0 * np.pi)
     ramp = np.cos(theta) * x + np.sin(theta) * y
     lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
@@ -133,7 +144,7 @@ def _synth_checker(size, rng):
     phase_x = 4 * int(rng.integers(0, cell // 4))
     lo = rng.uniform(0.0, 0.4)
     hi = rng.uniform(0.6, 1.0)
-    y, x = np.mgrid[0:size, 0:size]
+    y, x = np.ogrid[0:size, 0:size]
     parity = (((y + phase_y) // cell) + ((x + phase_x) // cell)) % 2
     return np.where(parity > 0, hi, lo)[:, :, None]
 
@@ -143,7 +154,7 @@ def _synth_blobs(size, rng):
     # peak amplitude a model can restore
     base = rng.uniform(0.05, 0.35)
     img = np.full((size, size), base)
-    y, x = np.mgrid[0:size, 0:size]
+    y, x = np.ogrid[0:size, 0:size]
     for _ in range(int(rng.integers(1, 5))):
         cy = rng.uniform(0.15 * size, 0.85 * size)
         cx = rng.uniform(0.15 * size, 0.85 * size)

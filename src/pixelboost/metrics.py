@@ -10,7 +10,6 @@ non-overlapping patches.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate, uniform_filter
 
 from .errors import ParameterError
 from .imagedata import as_image, check_same_shape
@@ -52,6 +51,8 @@ def psnr(a, b, data_range=1.0):
 
 
 def _ssim_plane(x, y, data_range):
+    # imported here: scipy.ndimage is most of the package's import time
+    from scipy.ndimage import uniform_filter
     np_win = SSIM_WINDOW * SSIM_WINDOW
     cov_norm = np_win / (np_win - 1.0)  # unbiased sample covariance
     filt = lambda im: uniform_filter(im, size=SSIM_WINDOW)
@@ -150,6 +151,8 @@ def loe(enhanced, original, grid=LOE_GRID_DEFAULT):
 
 def sobel_magnitude(img):
     """Gradient magnitude sqrt(Gx^2 + Gy^2) of the lightness plane."""
+    # imported here: scipy.ndimage is most of the package's import time
+    from scipy.ndimage import correlate
     plane = lightness(img)
     gx = correlate(plane, SOBEL_X, mode="nearest")
     gy = correlate(plane, SOBEL_Y, mode="nearest")

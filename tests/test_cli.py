@@ -38,6 +38,10 @@ def _no_resizing(*args, **kwargs):
     raise AssertionError("bicubic_resize() was called")
 
 
+def _no_pairs(*args, **kwargs):
+    raise AssertionError("make_lr_pair() was called")
+
+
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv(SEED_ENV, raising=False)
@@ -399,6 +403,29 @@ class TestTrainAndSr:
         assert main(["train", "--manifest", str(manifest),
                      "--checkpoint", str(ckpt_path)]) == 2
         assert "NUL" in capsys.readouterr().err
+        assert not ckpt_path.exists()
+
+    @pytest.mark.parametrize("shapes,message", [
+        ([(16, 16, 1), (16, 16, 3)], "has 3 channels, but "),
+        ([(16, 16, 1), (18, 16, 1)], "is 18x16; training images need"),
+    ], ids=["grey-then-colour", "side-not-divisible-by-4"])
+    def test_bad_manifest_image_named_before_degrading(
+            self, tmp_path, capsys, monkeypatch, shapes, message):
+        # a PGM next to a PPM, or a side not divisible by 4, used to fail
+        # inside make_lr_pair or train() without naming the file
+        names = [f"img_{i}.{'ppm' if shape[2] == 3 else 'pgm'}"
+                 for i, shape in enumerate(shapes)]
+        for name, shape in zip(names, shapes):
+            write_image(np.full(shape, 0.5), tmp_path / name)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("\n".join(names) + "\n")
+        monkeypatch.setattr(cli, "make_lr_pair", _no_pairs)
+        ckpt_path = tmp_path / "m.pxbk"
+        assert main(["train", "--manifest", str(manifest),
+                     "--checkpoint", str(ckpt_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert str(tmp_path / names[1]) in err
         assert not ckpt_path.exists()
 
     @pytest.mark.parametrize("count", ["0", "-1"])

@@ -1,16 +1,58 @@
 """Image tensors, bicubic resampling, synthetic data, and netpbm I/O."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import pixelboost as pb
 from pixelboost import (CodecError, ParameterError, ShapeError,
-                        UnsupportedFormatError)
+                        UnsupportedFormatError, imagedata)
 from pixelboost.noise import STREAM_DATASET
 
 
 def _rng(seed=0):
     return pb.RngStream(seed, STREAM_DATASET)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of the set-up path's outputs as rebuilt-per-call weight matrices
+# and dense index grids made them; the cached matrices and broadcast grids
+# must reproduce every value bit for bit
+SYNTH_DIGESTS = {
+    ("gradients", 16): "7ee3bae7515b7b5f84f5be6c6cf407792132635ac5694ccd8685e10186394855",
+    ("gradients", 64): "05a21df24bcf07c29eb7c672c3293f81f9b5c6235cb87de57ae1b60c06d8ffb2",
+    ("checkers", 16): "c015d8293b010ca5188fce038c9e711ffd056b6d825f725c66f9166bc8ddda10",
+    ("checkers", 64): "47ceb0e277a25bc7703e85d0227206059997bb7b1cdc6604c470fde452eaecdf",
+    ("blobs", 16): "277d360d85dd812a69400852f6dedc9a0d9520640608e27a426bd4a6b89445d5",
+    ("blobs", 64): "959ed20960d6da1b11f14e53bc65e3fe5ada15c9566f73161cdf33b5d26f4025",
+    ("mixed", 16): "743d211026bb0406dc6c4cec7ff5a0259431d3355bef3790170e56f76f2ab366",
+    ("mixed", 64): "bece1a45b3e51d8423c2c1032721765209e767e6c2d4090863bd4dba5c5ba8d0",
+    ("mixed", 512): "099f36965253bd2da02e1a511587e5bf23bd365f27ef27353d7d6aac28a536ab",
+}
+PAIR_DIGESTS = {  # (lr, lr_up)
+    16: ("f6afbee32c876dd4cf8924b5425c2ef3474b175ca0361708a681fd221125b0f0",
+         "1d4cc50672061ca65e004b043a8d7e6a1985512c859d9eef5dace4db97a767f0"),
+    64: ("d38915cbcb414b7196555d96409e0b21db9f6d41a7089b996b5ab1cd512e14ca",
+         "bf7777c685b29d3da2ee5c416a5aac2e1f07b052dfe667e06a1f4fdc1898eac2"),
+    512: ("09ce27519d9c05030ff2735401efaaa6798e40d798d468f6905d3f21b49ee4fe",
+          "71edf5873461cc41d8c01e8dd16aa14a500a04f974fad8bfeb757e529a8ee24c"),
+    "colour": ("2bfcd48bf14790065b709542932790d7bc1794aec22357aba5632b535ebd0c0c",
+               "abdf247c35b9844b3ed2cb81c2a7f361c2f73b85e4ad52d0113d83cb9fbe7416"),
+}
+
+
+def _pair_input(key):
+    if key == "colour":
+        return _rng(13).uniform(0.0, 1.0, (20, 28, 3))
+    return pb.synth_dataset("mixed", 1, key, _rng(12))[0]
 
 
 class TestAsImage:
@@ -64,6 +106,18 @@ class TestBicubicResize:
     def test_collapsing_scale_rejected(self):
         with pytest.raises(ParameterError):
             pb.bicubic_resize(np.zeros((4, 4, 1)), 0.01)
+
+    def test_resize_weights_is_a_private_copy(self):
+        img = _rng(6).uniform(0.0, 1.0, (16, 16, 1))
+        before = pb.bicubic_resize(img, 0.25)
+        w = pb.resize_weights(16, 4)
+        assert w.flags.writeable
+        w[:] = 0.0
+        np.testing.assert_array_equal(pb.bicubic_resize(img, 0.25), before)
+
+    def test_shared_weights_are_read_only(self):
+        with pytest.raises(ValueError):
+            imagedata._shared_weights(16, 4)[0, 0] = 1.0
 
 
 class TestMakeLrPair:
@@ -123,6 +177,21 @@ class TestSynthDataset:
             pb.synth_dataset("mixed", 1, 15, _rng())
         with pytest.raises(ParameterError):
             pb.synth_dataset("mixed", 0, 16, _rng())
+
+
+class TestBitIdentityPins:
+    @pytest.mark.parametrize("kind,size", sorted(SYNTH_DIGESTS))
+    def test_synth_dataset(self, kind, size):
+        count = {16: 20, 64: 5, 512: 1}[size]
+        images = pb.synth_dataset(kind, count, size, _rng(11))
+        assert _digest(*images) == SYNTH_DIGESTS[kind, size]
+
+    @pytest.mark.parametrize("key", list(PAIR_DIGESTS), ids=str)
+    def test_make_lr_pair(self, key):
+        # twice: the second call reads the cached weight matrices
+        for _ in range(2):
+            pair = pb.make_lr_pair(_pair_input(key))
+            assert (_digest(pair.lr), _digest(pair.lr_up)) == PAIR_DIGESTS[key]
 
 
 class TestCodec:

@@ -1,5 +1,11 @@
 """PSNR, SSIM, lightness-order error, and Sobel edge statistics."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -266,3 +272,24 @@ class TestGridCsv:
     def test_full_precision(self):
         val = 0.1234567890123456789
         assert repr(val) in grid_csv(np.array([[val]]))
+
+
+def test_scipy_is_imported_only_by_ssim_and_sobel():
+    # a fresh interpreter: the test run has already imported scipy.stats
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "import pixelboost as pb, pixelboost.cli\n"
+        "code = pixelboost.cli.main(['schedule'])\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = scipy()\n"
+        "pb.ssim(np.zeros((16, 16)), np.ones((16, 16)))\n"
+        "print(json.dumps([code, loaded, 'scipy.ndimage' in sys.modules]))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [0, [], True]
