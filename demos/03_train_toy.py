@@ -27,7 +27,7 @@ ckpt, history = train(train_set, cfg, opt)
 window = np.convolve(history, np.ones(25) / 25, mode="valid")
 print(f"loss: {window[0]:.4f} (start) -> {window[-1]:.4f} (end), "
       f"smoothed over 25 steps")
-print(f"checkpoint: {ckpt.spec.kind} net, {ckpt.params.size} parameters, "
+print(f"checkpoint: conv2 net, {ckpt.params.size} parameters, "
       f"{ckpt.step_count} SGD steps")
 
 model_scores, baseline_scores = [], []

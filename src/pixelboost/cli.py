@@ -27,8 +27,8 @@ from typing import Optional, get_args
 import numpy as np
 
 from .analysis import HistogramSpec, noise_fit_report
-from .denoiser import (TrainOptions, as_denoiser, load_checkpoint,
-                       save_checkpoint, spec_for_images, train)
+from .denoiser import (DenoiserSpec, TrainOptions, as_denoiser,
+                       load_checkpoint, save_checkpoint, train)
 from .diffusion import (CONVENTIONS, WEIGHTINGS, forward_chain, make_config,
                         reverse_sample)
 from .errors import CodecError, PixelBoostError, ShapeError
@@ -198,7 +198,7 @@ def _img_name(stem, img):
 
 def _diffusion_config(cfg):
     return make_config(steps=cfg.steps, sigma=cfg.sigma, t_mid=cfg.t_mid,
-                       mode=cfg.mode, convention=cfg.convention, seed=cfg.seed)
+                       mode=cfg.mode, seed=cfg.seed)
 
 
 def _train_options(cfg):
@@ -235,7 +235,8 @@ def cmd_forward(cfg):
     pair = make_lr_pair(hr)
     dcfg = _diffusion_config(cfg)
     rng = RngStream(cfg.seed, STREAM_FORWARD)
-    _, frames = forward_chain(pair.hr, pair.delta0, dcfg, rng, keep_trajectory=True)
+    _, frames = forward_chain(pair.hr, pair.delta0, dcfg, rng, keep_trajectory=True,
+                              convention=cfg.convention)
     os.makedirs(cfg.out, exist_ok=True)
     for t, frame in enumerate(frames):
         write_image(np.clip(frame, 0.0, 1.0),
@@ -275,8 +276,8 @@ def cmd_train(cfg):
     pairs = [make_lr_pair(hr) for hr in images]
     dataset = [(p.hr, p.lr_up) for p in pairs]
     dcfg = _diffusion_config(cfg)
-    spec = spec_for_images("conv2", image_channels=dataset[0][0].shape[2],
-                           hidden_width=cfg.hidden_width)
+    spec = DenoiserSpec(image_channels=dataset[0][0].shape[2],
+                        hidden_width=cfg.hidden_width)
     ckpt, history = train(dataset, dcfg, _train_options(cfg), spec)
     save_checkpoint(ckpt, cfg.checkpoint)
     if cfg.out is not None:
@@ -367,8 +368,8 @@ def cmd_sweep(cfg):
     pairs = [make_lr_pair(hr) for hr in images]
     train_set = [(p.hr, p.lr_up) for p in pairs[: cfg.count]]
     eval_pairs = pairs[cfg.count:]
-    spec = spec_for_images("conv2", image_channels=images[0].shape[2],
-                           hidden_width=cfg.hidden_width)
+    spec = DenoiserSpec(image_channels=images[0].shape[2],
+                        hidden_width=cfg.hidden_width)
     opt = _train_options(cfg)
     rows = ["sigma,psnr_db,ssim,loe"]
     for i, dcfg in enumerate(dcfgs):

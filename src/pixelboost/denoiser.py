@@ -8,6 +8,7 @@ are hand-derived and checked against finite differences in the tests.
 
 import json
 import math
+import numbers
 import os
 import struct
 from contextlib import contextmanager
@@ -15,15 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import (WEIGHTINGS, DiffusionConfig, forward_marginal,
-                        item_loss, loss_weight)
+from .diffusion import (WEIGHTINGS, DiffusionConfig, _check_t,
+                        forward_marginal, item_loss, loss_weight)
 from .errors import (CheckpointError, CheckpointVersionError, ParameterError,
                      ShapeError, TrainingError)
 from .imagedata import check_same_shape
 from .noise import STREAM_INIT, STREAM_TRAIN, RngStream
 from .schedule import build_schedule
-
-KINDS = ("conv2",)
 
 CHECKPOINT_MAGIC = b"PXBK"
 CHECKPOINT_VERSION = 1
@@ -42,13 +41,10 @@ MAX_CONV2_PARAMS = 10_000
 class DenoiserSpec:
     """Architecture description for images of ``image_channels`` channels."""
 
-    kind: str
     image_channels: int = 1
     hidden_width: int = 8
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ParameterError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.image_channels < 1:
             raise ParameterError(
                 f"image_channels must be >= 1, got {self.image_channels}")
@@ -79,8 +75,11 @@ class DenoiserSpec:
 
 
 def spec_for_images(kind, image_channels=1, hidden_width=8):
-    return DenoiserSpec(kind=kind, image_channels=image_channels,
-                        hidden_width=hidden_width)
+    # ``kind`` stays while the bench calls spec_for_images("conv2"); it goes
+    # when the bench builds a DenoiserSpec itself
+    if kind != "conv2":
+        raise ParameterError(f"the one denoiser kind is 'conv2', got {kind!r}")
+    return DenoiserSpec(image_channels=image_channels, hidden_width=hidden_width)
 
 
 @dataclass
@@ -112,13 +111,17 @@ class DenoiserCheckpoint:
     def config(self, seed=0):
         """The diffusion config recorded at training time, with the given seed.
 
-        Missing or invalid metadata raises CheckpointError.
+        Missing or invalid metadata, or a convention other than the
+        eq5_variance that training and sampling implement, raises
+        CheckpointError.
         """
         schedule = self.schedule()
         tc = self.train_config
+        convention = tc.get("convention", "eq5_variance")
+        if convention != "eq5_variance":
+            raise CheckpointError(f"convention {convention!r} is not eq5_variance")
         with _metadata_errors():
             return DiffusionConfig(sigma=float(tc["sigma"]), schedule=schedule,
-                                   convention=tc.get("convention", "eq5_variance"),
                                    seed=int(seed))
 
 
@@ -367,7 +370,7 @@ def _stack_rows(zp, x_t, y0_up, r0, r1):
     _fill_border(zp[:, :, :r1 - r0 + 2], top=r0 == 0, bottom=r1 == h)
 
 
-def _forward(spec, params, schedule, x_t, y0_up, ts, keep_cache=False):
+def _forward(ckpt, x_t, y0_up, ts, keep_cache=False):
     """Network output (B, H, W, Co) for (B, H, W, C) inputs, and _backward's cache.
 
     The image runs one tile of output rows at a time through both convs
@@ -379,11 +382,10 @@ def _forward(spec, params, schedule, x_t, y0_up, ts, keep_cache=False):
     needs; otherwise the cache is None and predict's peak is a few tile
     buffers and the output.
     """
-    for t in ts:
-        if t < 1:
-            raise IndexError(f"t={t} outside 1..{schedule.steps}")
-    etas = np.array([schedule.eta(int(t)) for t in ts])
-    p = spec._unpack(params)
+    schedule = ckpt.schedule()
+    etas = schedule.etas[[_check_t(t, schedule.steps) for t in ts]]
+    spec = ckpt.spec
+    p = spec._unpack(ckpt.params)
     b, h, wd, c = x_t.shape
     ci, wh = 2 * c + 1, spec.hidden_width
     rows = h if keep_cache else _tile_rows(wh, h, wd)
@@ -444,11 +446,6 @@ def _backward(spec, params, cache, gout):
     return np.concatenate([dw1.reshape(b, -1), db1, dw2.reshape(b, -1), db2], axis=1)
 
 
-def _batch_forward(ckpt, x_t, y0_up, ts, keep_cache=False):
-    return _forward(ckpt.spec, ckpt.params, ckpt.schedule(), x_t, y0_up, ts,
-                    keep_cache)
-
-
 def _losses_and_gradients(ckpt, cfg, items, weighting):
     """Per-item losses and gradients of (x0, y0_up, t, x_t) items, in item order.
 
@@ -462,7 +459,7 @@ def _losses_and_gradients(ckpt, cfg, items, weighting):
     for ks in groups.values():
         x0, y0_up, x_t = (np.stack([items[k][j] for k in ks]) for j in (0, 1, 3))
         ts = [items[k][2] for k in ks]
-        out, cache = _batch_forward(ckpt, x_t, y0_up, ts, keep_cache=True)
+        out, cache = _forward(ckpt, x_t, y0_up, ts, keep_cache=True)
         diff = out - x0
         # d loss / d prediction = 2 w (prediction - x0)
         scale = [2.0 * loss_weight(t, cfg, weighting, diff[0].size) for t in ts]
@@ -476,7 +473,7 @@ def _losses_and_gradients(ckpt, cfg, items, weighting):
 def predict(ckpt, x_t, y0_up, t):
     """x0 prediction; the timestep enters as a constant eta_t channel."""
     x_t, y0_up = _check_pair(ckpt.spec, x_t, y0_up)
-    return _batch_forward(ckpt, x_t[None], y0_up[None], [t])[0][0]
+    return _forward(ckpt, x_t[None], y0_up[None], [t])[0][0]
 
 
 def loss_gradient(ckpt, item, t, x_t, weighting="uniform_mse"):
@@ -496,7 +493,7 @@ def item_loss_value(ckpt, item, t, x_t, weighting="uniform_mse"):
     x0 = np.asarray(x0, dtype=np.float64)
     x_t, y0_up = _check_pair(ckpt.spec, x_t, y0_up)
     check_same_shape(x0, x_t)
-    out, _ = _batch_forward(ckpt, x_t[None], y0_up[None], [t])
+    out, _ = _forward(ckpt, x_t[None], y0_up[None], [t])
     return item_loss(x0, out[0], t, ckpt.config(), weighting)
 
 
@@ -513,10 +510,11 @@ class TrainOptions:
         if not 0 < self.step_size < math.inf:
             raise ParameterError(
                 f"step_size must be positive and finite, got {self.step_size}")
-        if self.steps < 0:
-            raise ParameterError(f"steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, low in (("steps", 0), ("batch_size", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ParameterError(f"{name} must be an integer >= {low}, "
+                                     f"got {value!r}")
         if self.weighting not in WEIGHTINGS:
             raise ParameterError(
                 f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
@@ -536,7 +534,9 @@ def init_checkpoint(spec, cfg, rng=None):
         "t_mid": cfg.schedule.t_mid,
         "mode": cfg.schedule.mode,
         "sigma": cfg.sigma,
-        "convention": cfg.convention,
+        # the one forward kernel training and sampling implement; config()
+        # refuses any other recorded value
+        "convention": "eq5_variance",
         "seed": cfg.seed,
     }
     return DenoiserCheckpoint(spec=spec, params=params, step_count=0,
@@ -554,7 +554,7 @@ def train(dataset, cfg, opt=None, spec=None):
     if opt is None:
         opt = TrainOptions()
     if spec is None:
-        spec = spec_for_images("conv2", image_channels=np.shape(dataset[0][0])[2])
+        spec = DenoiserSpec(image_channels=np.shape(dataset[0][0])[2])
     dataset = [_check_pair(spec, x0, y0_up) for x0, y0_up in dataset]
 
     ckpt = init_checkpoint(spec, cfg, RngStream(cfg.seed, STREAM_INIT))
@@ -659,7 +659,7 @@ def load_checkpoint(path):
         if fh.read(1) != b"":
             raise CheckpointError("trailing bytes after parameter block")
     try:
-        spec = DenoiserSpec(kind="conv2", image_channels=img_c, hidden_width=hidden)
+        spec = DenoiserSpec(image_channels=img_c, hidden_width=hidden)
     except ParameterError as exc:
         raise CheckpointError(f"inconsistent spec fields: {exc}") from exc
     params = np.frombuffer(raw, dtype="<f8").astype(np.float64)

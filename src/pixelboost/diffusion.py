@@ -32,15 +32,11 @@ SIGMA_ADVISORY_RANGE = (0.1, 2.0)
 class DiffusionConfig:
     sigma: float
     schedule: Schedule
-    convention: str = "eq5_variance"
     seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
             raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
-        if self.convention not in CONVENTIONS:
-            raise ParameterError(
-                f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
 
     @property
     def steps(self):
@@ -57,9 +53,13 @@ class DiffusionConfig:
 def make_config(steps=15, sigma=1.5, t_mid=None, mode="normalized",
                 convention="eq5_variance", seed=0):
     """Convenience constructor building the schedule alongside the config."""
+    # the bench's sampling config still passes the checkpoint's convention;
+    # this keyword goes when the bench rebuilds its config with ckpt.config()
+    if convention != "eq5_variance":
+        raise ParameterError(
+            f"the config's closed forms are eq5_variance, got {convention!r}")
     sched = build_schedule(steps, t_mid=t_mid, mode=mode)
-    return DiffusionConfig(sigma=float(sigma), schedule=sched,
-                           convention=convention, seed=int(seed))
+    return DiffusionConfig(sigma=float(sigma), schedule=sched, seed=int(seed))
 
 
 def _check_t(t, steps):
@@ -67,13 +67,6 @@ def _check_t(t, steps):
     if not 1 <= t <= steps:
         raise IndexError(f"t={t} outside 1..{steps}")
     return t
-
-
-def _require_eq5(cfg, what):
-    """The closed forms below hold only for the eq5_variance forward kernel."""
-    if cfg.convention != "eq5_variance":
-        raise ParameterError(
-            f"{what} is the eq5_variance closed form; config has {cfg.convention}")
 
 
 def step_increment(delta0, alpha_t, sigma, noise, convention="eq5_variance"):
@@ -110,13 +103,15 @@ def _noise_for(shape, rng, noise):
     return noise
 
 
-def forward_step(x_prev, delta0, t, cfg, rng=None, noise=None):
+def forward_step(x_prev, delta0, t, cfg, rng=None, noise=None,
+                 convention="eq5_variance"):
     """One forward transition x_{t-1} -> x_t.
 
     ``noise`` optionally fixes the standard-normal field w; otherwise it
     is drawn from ``rng``.  Under the normative eq5_variance convention
     the increment is alpha_t*delta_0 + sigma*sqrt(alpha_t)*w; under
-    eq4_literal it is alpha_t*(delta_0 + sigma*w).
+    eq4_literal it is alpha_t*(delta_0 + sigma*w).  Every other function
+    here is the eq5_variance closed form.
     """
     x_prev = np.asarray(x_prev, dtype=np.float64)
     delta0 = np.asarray(delta0, dtype=np.float64)
@@ -125,7 +120,7 @@ def forward_step(x_prev, delta0, t, cfg, rng=None, noise=None):
     etas = cfg.schedule.etas
     a_t = etas[t] - etas[t - 1]
     noise = _noise_for(x_prev.shape, rng, noise)
-    return x_prev + step_increment(delta0, a_t, cfg.sigma, noise, cfg.convention)
+    return x_prev + step_increment(delta0, a_t, cfg.sigma, noise, convention)
 
 
 def forward_marginal(x0, delta0, t, cfg, rng=None, noise=None):
@@ -133,9 +128,8 @@ def forward_marginal(x0, delta0, t, cfg, rng=None, noise=None):
 
     The injected-residual fraction is eta_t - eta_0, which equals eta_t
     for normalized schedules and keeps the marginal exactly equal to the
-    composed per-step chain in raw mode too.  eq5_variance only.
+    composed per-step chain in raw mode too.
     """
-    _require_eq5(cfg, "forward_marginal")
     x0 = np.asarray(x0, dtype=np.float64)
     delta0 = np.asarray(delta0, dtype=np.float64)
     check_same_shape(x0, delta0)
@@ -145,8 +139,9 @@ def forward_marginal(x0, delta0, t, cfg, rng=None, noise=None):
     return x0 + eta * delta0 + cfg.sigma * np.sqrt(eta) * noise
 
 
-def forward_chain(x0, delta0, cfg, rng, keep_trajectory=False):
-    """Compose forward_step from t=1..T.
+def forward_chain(x0, delta0, cfg, rng, keep_trajectory=False,
+                  convention="eq5_variance"):
+    """Compose forward_step, under ``convention``, from t=1..T.
 
     Returns ``(x_T, frames)``; ``frames`` lists x_0..x_T when
     ``keep_trajectory`` is set and is None otherwise.
@@ -154,7 +149,7 @@ def forward_chain(x0, delta0, cfg, rng, keep_trajectory=False):
     x = np.asarray(x0, dtype=np.float64)
     frames = [x] if keep_trajectory else None
     for t in range(1, cfg.steps + 1):
-        x = forward_step(x, delta0, t, cfg, rng)
+        x = forward_step(x, delta0, t, cfg, rng, convention=convention)
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite values at forward step {t}")
         if keep_trajectory:
@@ -169,9 +164,8 @@ def posterior_params(x_t, x0_hat, t, cfg):
     var  = sigma^2 * eta_{t-1} * alpha_t / eta_t
 
     Exact for schedules anchored at eta_0 = 0; at t=1 the posterior
-    collapses to the prediction with zero variance.  eq5_variance only.
+    collapses to the prediction with zero variance.
     """
-    _require_eq5(cfg, "posterior_params")
     x_t = np.asarray(x_t, dtype=np.float64)
     x0_hat = np.asarray(x0_hat, dtype=np.float64)
     check_same_shape(x_t, x0_hat)

@@ -1,5 +1,6 @@
 """Batch front end: config precedence, exit codes, reproducible output."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -303,6 +304,25 @@ class TestForward:
         assert blobs["a"] == blobs["b"]
         assert blobs["a"] != blobs["c"]
 
+    # SHA-256 over each frame's file name and bytes, in name order
+    FRAME_DIGESTS = {
+        "eq5_variance": "c1a6494014970fc8363bf1ef6dfcb9f5ab75add18ddf2d5216de5f0a2e5312f5",
+        "eq4_literal": "42d0dca7d3597c45ccb9614e96f34304ca678507f03b2e0cf00b5a767bf0d641",
+    }
+
+    @pytest.mark.parametrize("convention", sorted(FRAME_DIGESTS))
+    def test_frames_are_pinned_per_convention(self, tmp_path, convention):
+        src = tmp_path / "hr.pgm"
+        _make_image(src, seed=3)
+        out = tmp_path / "fwd"
+        assert main(["forward", "--input", str(src), "--out", str(out),
+                     "--steps", "6", "--seed", "4", "--convention", convention]) == 0
+        digest = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.FRAME_DIGESTS[convention]
+
 
 class TestTrainAndSr:
     def _manifest(self, tmp_path, count=3):
@@ -477,6 +497,21 @@ class TestTrainAndSr:
         assert main(["sr", "--input", str(lr_path), "--checkpoint", str(ckpt_path),
                      "--out", str(tmp_path / "o.pgm")]) == 1
         assert "sigma" in capsys.readouterr().err
+
+    def test_eq4_literal_checkpoint_refused_before_upsampling(self, tmp_path, capsys,
+                                                              monkeypatch):
+        ckpt = init_checkpoint(spec_for_images("conv2"), make_config(seed=0))
+        ckpt.train_config["convention"] = "eq4_literal"
+        ckpt_path = tmp_path / "eq4.pxbk"
+        save_checkpoint(ckpt, ckpt_path)
+        lr_path = tmp_path / "lr.pgm"
+        _make_image(lr_path, size=8)
+        monkeypatch.setattr(cli, "bicubic_resize", _no_resizing)
+        out = tmp_path / "o.pgm"
+        assert main(["sr", "--input", str(lr_path), "--checkpoint", str(ckpt_path),
+                     "--out", str(out)]) == 1
+        assert "convention" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("image,model", [(3, 1), (1, 3)])
     def test_channel_mismatch_refused_before_upsampling(self, tmp_path, capsys,

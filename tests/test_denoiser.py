@@ -21,10 +21,10 @@ from pixelboost import (CheckpointError, CheckpointVersionError,
                         ParameterError, ShapeError, TrainingError)
 from pixelboost import denoiser
 from pixelboost.denoiser import (_BAND_VALUES, CHECKPOINT_MAGIC,
-                                 INIT_WEIGHT_HALF_RANGE, KINDS, MAX_CONV2_PARAMS,
-                                 _band_rows, _batch_forward,
-                                 _conv3x3_input_grad, _losses_and_gradients,
-                                 _tile_rows, item_loss_value)
+                                 INIT_WEIGHT_HALF_RANGE, MAX_CONV2_PARAMS,
+                                 _band_rows, _conv3x3_input_grad, _forward,
+                                 _losses_and_gradients, _tile_rows,
+                                 item_loss_value)
 from pixelboost.noise import (STREAM_DATASET, STREAM_INIT, STREAM_SAMPLER,
                               STREAM_TRAIN)
 
@@ -62,9 +62,6 @@ def _fd_gradient(ckpt, item, t, x_t, weighting, eps=1e-6):
 
 
 class TestSpec:
-    def test_kinds(self):
-        assert KINDS == ("conv2",)
-
     def test_channel_layout(self):
         spec = pb.spec_for_images("conv2", image_channels=3)
         assert spec.channels == 7
@@ -79,16 +76,15 @@ class TestSpec:
             pb.spec_for_images("conv2", image_channels=3, hidden_width=160)
 
     def test_validation(self):
+        # conv2 is the one network, so the spec holds only its two sizes
+        assert pb.DenoiserSpec() == pb.spec_for_images("conv2")
+        for kind in ("mlp", "oracle", "affine"):
+            with pytest.raises(ParameterError, match="conv2"):
+                pb.spec_for_images(kind)
         with pytest.raises(ParameterError):
-            pb.DenoiserSpec(kind="mlp")
+            pb.DenoiserSpec(image_channels=0)
         with pytest.raises(ParameterError):
-            pb.DenoiserSpec(kind="oracle")
-        with pytest.raises(ParameterError):
-            pb.DenoiserSpec(kind="affine")
-        with pytest.raises(ParameterError):
-            pb.DenoiserSpec(kind="conv2", image_channels=0)
-        with pytest.raises(ParameterError):
-            pb.DenoiserSpec(kind="conv2", hidden_width=0)
+            pb.DenoiserSpec(hidden_width=0)
 
 
 class TestPredict:
@@ -130,6 +126,14 @@ class TestPredict:
             pb.predict(ckpt, np.zeros((4, 4, 3)), np.zeros((4, 4, 3)), 1)
         with pytest.raises(IndexError):
             pb.predict(ckpt, x_t, y, 0)
+
+    @pytest.mark.parametrize("t", [0, 16, -1])
+    def test_timestep_range_message(self, t):
+        # both ends of the range name the timesteps the checkpoint takes
+        ckpt = _ckpt()
+        _, y, x_t = _item()
+        with pytest.raises(IndexError, match=rf"^t={t} outside 1\.\.15$"):
+            pb.predict(ckpt, x_t, y, t)
 
     def test_as_denoiser_matches_predict(self):
         ckpt = _ckpt(seed=5)
@@ -196,7 +200,7 @@ class TestInit:
         cfg = ckpt.config(seed=5)
         assert (cfg.steps, cfg.sigma, cfg.seed) == (11, 0.7, 5)
         assert cfg.schedule is ckpt.schedule()
-        assert cfg.convention == "eq5_variance"
+        assert ckpt.train_config["convention"] == "eq5_variance"
 
     @pytest.mark.parametrize("key", ["steps", "sigma", "t_mid", "mode"])
     def test_config_needs_metadata(self, key):
@@ -432,7 +436,7 @@ class TestBatchedCore:
         shape = (5, 12, 9, ckpt.spec.image_channels)
         x_t, y0_up = (rng.uniform(0.0, 1.0, shape) for _ in range(2))
         ts = [1, 4, 4, 9, 15]
-        out, _ = _batch_forward(ckpt, x_t, y0_up, ts)
+        out, _ = _forward(ckpt, x_t, y0_up, ts)
         for i, t in enumerate(ts):
             np.testing.assert_array_equal(out[i], pb.predict(ckpt, x_t[i], y0_up[i], t))
 
@@ -486,7 +490,7 @@ def _band_mismatches(channels, shapes=BAND_SHAPES + TILE_SHAPES):
     for h, w in shapes:
         rng = pb.RngStream(12, STREAM_DATASET)
         x_t, y0_up = (rng.uniform(0.0, 1.0, (2, h, w, channels)) for _ in range(2))
-        out, _ = _batch_forward(ckpt, x_t, y0_up, [3, 15])
+        out, _ = _forward(ckpt, x_t, y0_up, [3, 15])
         if not all(np.array_equal(out[i], _ref_forward(ckpt, x_t[i], y0_up[i], t)[0])
                    for i, t in enumerate([3, 15])):
             bad.append((h, w))
@@ -677,6 +681,13 @@ class TestTrain:
         with pytest.raises(ParameterError):
             pb.TrainOptions(weighting="bogus", steps=0)
 
+    @pytest.mark.parametrize("name", ["steps", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_options_need_integer_counts(self, name, value):
+        # a fractional count used to pass and end in a bare TypeError
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            pb.TrainOptions(**{name: value})
+
     def test_toy_run_reproduces_bench_checkpoint(self, toy_runs):
         # the session's reference toy run is the one bench/make_checkpoint.py
         # trains, so every SGD step of it must still give the same bits
@@ -790,6 +801,17 @@ class TestCheckpointIO:
         pb.save_checkpoint(_ckpt(), path)
         self._with_metadata(path, "[]")
         with pytest.raises(CheckpointError, match="JSON object"):
+            pb.load_checkpoint(path)
+
+    @pytest.mark.parametrize("convention", ["eq4_literal", "bogus", 5, [1]])
+    def test_other_conventions_refused_on_load(self, tmp_path, convention):
+        # training and sampling implement only the eq5_variance kernel; an
+        # eq4_literal checkpoint used to load and fail at its first reverse step
+        ckpt = _ckpt()
+        ckpt.train_config["convention"] = convention
+        path = tmp_path / "conv.pxbk"
+        pb.save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointError, match="convention"):
             pb.load_checkpoint(path)
 
     def test_metadata_checked_on_load(self, tmp_path):

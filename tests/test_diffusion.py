@@ -1,6 +1,8 @@
 """Forward transitions, closed-form marginals, the reverse posterior,
 the sampler, and training losses."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,10 @@ class TestConfig:
         cfg = pb.make_config()
         assert cfg.steps == 15
         assert cfg.sigma == 1.5
-        assert cfg.convention == "eq5_variance"
         assert cfg.schedule.mode == "normalized"
+        # the forward convention is an argument of forward_step and
+        # forward_chain, not a setting of the config
+        assert [f.name for f in fields(cfg)] == ["sigma", "schedule", "seed"]
 
     def test_sigma_validation(self):
         with pytest.raises(ParameterError):
@@ -29,8 +33,11 @@ class TestConfig:
             pb.make_config(sigma=np.inf)
 
     def test_unknown_convention(self):
-        with pytest.raises(ParameterError):
-            pb.make_config(convention="eq6")
+        # make_config's closed forms are eq5_variance; only forward_step and
+        # forward_chain take another convention
+        for convention in ("eq6", "eq4_literal"):
+            with pytest.raises(ParameterError, match="eq5_variance"):
+                pb.make_config(convention=convention)
 
     def test_sigma_advisory_flag(self):
         assert not pb.make_config(sigma=1.5).sigma_advisory
@@ -94,6 +101,17 @@ class TestForwardStep:
         b = pb.forward_step(x_prev, delta0, 3, cfg, noise=w)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    def test_step_adds_its_increment(self, convention):
+        cfg = pb.make_config(steps=15, sigma=1.5)
+        x_prev = _rng(3).uniform(0.0, 1.0, (4, 4, 1))
+        delta0 = _rng(4).uniform(-0.5, 0.5, (4, 4, 1))
+        w = _rng(5).standard_normal((4, 4, 1))
+        a3 = cfg.schedule.etas[3] - cfg.schedule.etas[2]
+        x = pb.forward_step(x_prev, delta0, 3, cfg, noise=w, convention=convention)
+        np.testing.assert_array_equal(
+            x, x_prev + pb.step_increment(delta0, a3, 1.5, w, convention=convention))
+
     def test_t_bounds(self):
         cfg = pb.make_config(steps=5)
         z = np.zeros((1, 1, 1))
@@ -148,17 +166,6 @@ class TestForwardMarginal:
         x = pb.forward_marginal(x0, y - x0, 15, cfg, noise=w)
         np.testing.assert_allclose(x, y + 0.7 * w, rtol=0, atol=1e-12)
 
-    def test_closed_forms_refuse_eq4_literal(self):
-        # the marginal and the posterior are the eq5_variance closed forms;
-        # only forward_step runs the literal kernel
-        cfg = pb.make_config(steps=15, sigma=1.5, convention="eq4_literal")
-        x = np.zeros((2, 2, 1))
-        assert pb.forward_step(x, x, 3, cfg, noise=x).shape == x.shape
-        with pytest.raises(ParameterError, match="eq5_variance"):
-            pb.forward_marginal(x, x, 3, cfg, noise=x)
-        with pytest.raises(ParameterError, match="eq5_variance"):
-            pb.posterior_params(x, x, 3, cfg)
-
 
 class TestForwardChain:
     def test_trajectory_length_and_final_state(self):
@@ -178,6 +185,21 @@ class TestForwardChain:
         b, _ = pb.forward_chain(x0, d, cfg, _rng(9))
         np.testing.assert_array_equal(a, b)
         assert frames is None
+
+    def test_eq4_literal_chain_composes_its_steps(self):
+        cfg = pb.make_config(steps=6, sigma=0.5)
+        x0 = _rng(2).uniform(0.0, 1.0, (4, 4, 1))
+        d = np.full((4, 4, 1), -0.1)
+        x_t, frames = pb.forward_chain(x0, d, cfg, _rng(9), keep_trajectory=True,
+                                       convention="eq4_literal")
+        rng = _rng(9)
+        x = x0
+        for t in range(1, 7):
+            x = pb.forward_step(x, d, t, cfg, rng, convention="eq4_literal")
+            np.testing.assert_array_equal(frames[t], x)
+        np.testing.assert_array_equal(x_t, x)
+        # the literal kernel scales the noise by alpha*sigma, not sigma*sqrt(alpha)
+        assert not np.array_equal(x_t, pb.forward_chain(x0, d, cfg, _rng(9))[0])
 
 
 class TestPosterior:
