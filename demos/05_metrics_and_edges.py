@@ -37,9 +37,11 @@ edge = pb.edge_report(blurry, pair.hr, patch=8)
 print("\nper-patch Sobel-magnitude difference (bicubic - original):")
 print(pb.grid_csv(edge.diff))
 
+# An intensity profile is one row of the lightness plane, the per-pixel
+# max over channels that LOE and the Sobel magnitudes also read.
 row = pair.hr.shape[0] // 2
-profile_hr = pb.intensity_profile(pair.hr, row)
-profile_lr = pb.intensity_profile(blurry, row)
+profile_hr = pb.lightness(pair.hr)[row]
+profile_lr = pb.lightness(blurry)[row]
 print(f"mid-row lightness, original vs bicubic (first 8 columns):")
 print("  " + " ".join(f"{v:.2f}" for v in profile_hr[:8]))
 print("  " + " ".join(f"{v:.2f}" for v in profile_lr[:8]))

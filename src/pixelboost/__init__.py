@@ -8,7 +8,7 @@ batch CLI.
 """
 
 from .analysis import (FIT_FAMILIES, REFERENCE_STATISTICS, FitReport,
-                       HistogramSpec, chi_square, histogram, noise_fit_report)
+                       chi_square, noise_fit_report)
 from .denoiser import (DenoiserCheckpoint, DenoiserSpec, OracleDenoiser,
                        TrainOptions, as_denoiser, init_checkpoint,
                        load_checkpoint, loss_gradient, predict,
@@ -26,8 +26,8 @@ from .imagedata import (SYNTH_KINDS, SrPair, as_image, bicubic_resize,
                         resize_weights, synth_dataset, write_image,
                         write_image_bytes)
 from .metrics import (EdgeReport, MetricReport, edge_report, grid_csv,
-                      intensity_profile, lightness, loe, metric_report, psnr,
-                      sobel_magnitude, ssim)
+                      lightness, loe, metric_report, psnr, sobel_magnitude,
+                      ssim)
 from .noise import (FAMILIES, STREAM_ANALYSIS, STREAM_DATASET, STREAM_FORWARD,
                     STREAM_INIT, STREAM_SAMPLER, STREAM_TRAIN, NoiseKind,
                     RngStream, sample_noise)

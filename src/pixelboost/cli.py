@@ -26,7 +26,7 @@ from typing import Optional, get_args
 
 import numpy as np
 
-from .analysis import HistogramSpec, noise_fit_report
+from .analysis import noise_fit_report
 from .denoiser import (DenoiserSpec, TrainOptions, as_denoiser,
                        load_checkpoint, save_checkpoint, train)
 from .diffusion import (CONVENTIONS, WEIGHTINGS, forward_chain, make_config,
@@ -320,8 +320,7 @@ def cmd_analyze_noise(cfg):
     else:
         raise _UsageError("analyze-noise needs --input or both --gt and --test")
     rng = RngStream(cfg.seed, STREAM_ANALYSIS)
-    report = noise_fit_report(sample, cfg.sigma, rng,
-                              HistogramSpec(bin_count=cfg.bins))
+    report = noise_fit_report(sample, cfg.sigma, rng, cfg.bins)
     _write_text(cfg.out, report.csv())
     return 0
 

@@ -8,7 +8,6 @@ are hand-derived and checked against finite differences in the tests.
 
 import json
 import math
-import numbers
 import os
 import struct
 from contextlib import contextmanager
@@ -19,7 +18,7 @@ import numpy as np
 from .diffusion import (WEIGHTINGS, DiffusionConfig, _check_t,
                         forward_marginal, item_loss, loss_weight)
 from .errors import (CheckpointError, CheckpointVersionError, ParameterError,
-                     ShapeError, TrainingError)
+                     ShapeError, TrainingError, _require_int)
 from .imagedata import check_same_shape
 from .noise import STREAM_INIT, STREAM_TRAIN, RngStream
 from .schedule import build_schedule
@@ -45,11 +44,8 @@ class DenoiserSpec:
     hidden_width: int = 8
 
     def __post_init__(self):
-        if self.image_channels < 1:
-            raise ParameterError(
-                f"image_channels must be >= 1, got {self.image_channels}")
-        if self.hidden_width < 1:
-            raise ParameterError(f"hidden_width must be >= 1, got {self.hidden_width}")
+        _require_int("image_channels", self.image_channels, 1)
+        _require_int("hidden_width", self.hidden_width, 1)
         if self.param_count() >= MAX_CONV2_PARAMS:
             raise ParameterError(
                 f"conv2 parameter count {self.param_count()} exceeds {MAX_CONV2_PARAMS}")
@@ -113,8 +109,9 @@ class DenoiserCheckpoint:
 
         Missing or invalid metadata, or a convention other than the
         eq5_variance that training and sampling implement, raises
-        CheckpointError.
+        CheckpointError; a seed that is not an integer, ParameterError.
         """
+        seed = _require_int("seed", seed)
         schedule = self.schedule()
         tc = self.train_config
         convention = tc.get("convention", "eq5_variance")
@@ -122,7 +119,7 @@ class DenoiserCheckpoint:
             raise CheckpointError(f"convention {convention!r} is not eq5_variance")
         with _metadata_errors():
             return DiffusionConfig(sigma=float(tc["sigma"]), schedule=schedule,
-                                   seed=int(seed))
+                                   seed=seed)
 
 
 @contextmanager
@@ -510,20 +507,16 @@ class TrainOptions:
         if not 0 < self.step_size < math.inf:
             raise ParameterError(
                 f"step_size must be positive and finite, got {self.step_size}")
-        for name, low in (("steps", 0), ("batch_size", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
-                raise ParameterError(f"{name} must be an integer >= {low}, "
-                                     f"got {value!r}")
+        _require_int("steps", self.steps, 0)
+        _require_int("batch_size", self.batch_size, 1)
         if self.weighting not in WEIGHTINGS:
             raise ParameterError(
                 f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
 
 
-def init_checkpoint(spec, cfg, rng=None):
+def init_checkpoint(spec, cfg):
     """Fresh checkpoint: weights i.i.d. uniform +-0.05, biases zero."""
-    if rng is None:
-        rng = RngStream(cfg.seed, STREAM_INIT)
+    rng = RngStream(cfg.seed, STREAM_INIT)
     params = np.zeros(spec.param_count())
     for name, view in spec._unpack(params).items():
         if name.startswith("w"):
@@ -557,7 +550,7 @@ def train(dataset, cfg, opt=None, spec=None):
         spec = DenoiserSpec(image_channels=np.shape(dataset[0][0])[2])
     dataset = [_check_pair(spec, x0, y0_up) for x0, y0_up in dataset]
 
-    ckpt = init_checkpoint(spec, cfg, RngStream(cfg.seed, STREAM_INIT))
+    ckpt = init_checkpoint(spec, cfg)
     ckpt.train_config.update(step_size=opt.step_size, batch_size=opt.batch_size,
                              weighting=opt.weighting)
     loss_cfg = ckpt.config(cfg.seed)

@@ -18,14 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError
+from .errors import NumericError, ParameterError, ShapeError, _require_int
 from .imagedata import as_image, check_same_shape
 from .schedule import Schedule, build_schedule
 
 CONVENTIONS = ("eq5_variance", "eq4_literal")
-
-# sigma outside this range is allowed but flagged as inadvisable
-SIGMA_ADVISORY_RANGE = (0.1, 2.0)
 
 
 @dataclass(frozen=True)
@@ -43,12 +40,6 @@ class DiffusionConfig:
         """T, as the schedule defines it."""
         return self.schedule.steps
 
-    @property
-    def sigma_advisory(self):
-        """True when sigma sits outside the recommended strength range."""
-        lo, hi = SIGMA_ADVISORY_RANGE
-        return not lo < self.sigma < hi
-
 
 def make_config(steps=15, sigma=1.5, t_mid=None, mode="normalized",
                 convention="eq5_variance", seed=0):
@@ -59,11 +50,12 @@ def make_config(steps=15, sigma=1.5, t_mid=None, mode="normalized",
         raise ParameterError(
             f"the config's closed forms are eq5_variance, got {convention!r}")
     sched = build_schedule(steps, t_mid=t_mid, mode=mode)
-    return DiffusionConfig(sigma=float(sigma), schedule=sched, seed=int(seed))
+    return DiffusionConfig(sigma=float(sigma), schedule=sched,
+                           seed=_require_int("seed", seed))
 
 
 def _check_t(t, steps):
-    t = int(t)
+    t = _require_int("t", t)
     if not 1 <= t <= steps:
         raise IndexError(f"t={t} outside 1..{steps}")
     return t

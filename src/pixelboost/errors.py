@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check."""
+
+import numbers
 
 
 class PixelBoostError(Exception):
@@ -39,3 +41,11 @@ class CheckpointVersionError(CheckpointError):
 
 class DegenerateFitError(PixelBoostError, ValueError):
     """A goodness-of-fit comparison has no usable bins."""
+
+
+def _require_int(name, value, low=None):
+    """``value`` as an int; refused, not truncated, unless an integer >= ``low``."""
+    if not isinstance(value, numbers.Integral) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)

@@ -14,6 +14,8 @@ import numpy as np
 from .errors import ParameterError
 from .imagedata import as_image, check_same_shape
 
+# the peak value of the [0, 1] image contract, which PSNR and SSIM assume
+_DATA_RANGE = 1.0
 SSIM_WINDOW = 7
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
@@ -39,18 +41,16 @@ def lightness(img):
     return as_image(img).max(axis=2)
 
 
-def psnr(a, b, data_range=1.0):
-    """10*log10(R^2 / MSE); +inf for identical images."""
+def psnr(a, b):
+    """10*log10(R^2 / MSE) with R = _DATA_RANGE; +inf for identical images."""
     a, b = _pair(a, b)
-    if not data_range > 0:
-        raise ParameterError(f"data_range must be positive, got {data_range}")
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")
-    return float(10.0 * np.log10(data_range ** 2 / mse))
+    return float(10.0 * np.log10(_DATA_RANGE ** 2 / mse))
 
 
-def _ssim_plane(x, y, data_range):
+def _ssim_plane(x, y):
     # imported here: scipy.ndimage is most of the package's import time
     from scipy.ndimage import uniform_filter
     np_win = SSIM_WINDOW * SSIM_WINDOW
@@ -60,25 +60,22 @@ def _ssim_plane(x, y, data_range):
     vx = cov_norm * (filt(x * x) - ux * ux)
     vy = cov_norm * (filt(y * y) - uy * uy)
     vxy = cov_norm * (filt(x * y) - ux * uy)
-    c1 = (SSIM_K1 * data_range) ** 2
-    c2 = (SSIM_K2 * data_range) ** 2
+    c1 = (SSIM_K1 * _DATA_RANGE) ** 2
+    c2 = (SSIM_K2 * _DATA_RANGE) ** 2
     s = ((2.0 * ux * uy + c1) * (2.0 * vxy + c2)) / \
         ((ux * ux + uy * uy + c1) * (vx + vy + c2))
     pad = (SSIM_WINDOW - 1) // 2
     return float(np.mean(s[pad:-pad, pad:-pad]))
 
 
-def ssim(a, b, data_range=1.0):
+def ssim(a, b):
     """Mean local structural similarity, per channel then averaged."""
     a, b = _pair(a, b)
     if min(a.shape[0], a.shape[1]) < SSIM_WINDOW:
         raise ParameterError(
             f"image {a.shape[:2]} is smaller than the {SSIM_WINDOW}x"
             f"{SSIM_WINDOW} window")
-    if not data_range > 0:
-        raise ParameterError(f"data_range must be positive, got {data_range}")
-    vals = [_ssim_plane(a[:, :, c], b[:, :, c], data_range)
-            for c in range(a.shape[2])]
+    vals = [_ssim_plane(a[:, :, c], b[:, :, c]) for c in range(a.shape[2])]
     return float(np.mean(vals))
 
 
@@ -196,14 +193,6 @@ def edge_report(a, b, patch=EDGE_PATCH_DEFAULT):
                       diff=pm_a - pm_b, patch=patch)
 
 
-def intensity_profile(img, row):
-    """Lightness values along one row; length equals the image width."""
-    plane = lightness(img)
-    if not 0 <= row < plane.shape[0]:
-        raise IndexError(f"row {row} outside 0..{plane.shape[0] - 1}")
-    return plane[row].copy()
-
-
 @dataclass(frozen=True)
 class MetricReport:
     gt_id: str
@@ -226,12 +215,11 @@ def grid_csv(grid):
     return "\n".join(lines) + "\n"
 
 
-def metric_report(gt, test, gt_id="gt", test_id="test", grid=LOE_GRID_DEFAULT,
-                  data_range=1.0):
+def metric_report(gt, test, gt_id="gt", test_id="test", grid=LOE_GRID_DEFAULT):
     """One-stop comparison used by the command-line front end."""
     gt, test = _pair(gt, test)
     return MetricReport(gt_id=gt_id, test_id=test_id,
-                        psnr_db=psnr(gt, test, data_range),
-                        ssim=ssim(gt, test, data_range),
+                        psnr_db=psnr(gt, test),
+                        ssim=ssim(gt, test),
                         loe=loe(test, gt, grid=grid),
                         loe_grid=grid)

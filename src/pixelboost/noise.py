@@ -24,7 +24,10 @@ STREAM_SAMPLER = 4
 STREAM_ANALYSIS = 5
 STREAM_FORWARD = 6
 
-FAMILIES = ("gaussian", "brownian", "laplacian", "poisson", "uniform")
+# in the order noise_fit_report draws their candidates, substream k for the kth
+FAMILIES = ("brownian", "gaussian", "laplacian", "poisson")
+# the rate of the Poisson count that the poisson family standardizes
+_POISSON_RATE = 10.0
 
 
 def _mix(a, b):
@@ -86,33 +89,23 @@ class RngStream:
 
 @dataclass(frozen=True)
 class NoiseKind:
-    """A noise family tag plus its per-family parameters.
+    """A noise family tag plus, for ``brownian``, its strength sigma.
 
     All families are standardized to mean 0 / unit variance before the
-    optional rescale: ``brownian`` rescales by sigma * sqrt(alpha) (the
-    per-step increment of a Brownian path with time step alpha),
-    ``poisson`` is the lattice (X - lam)/sqrt(lam), ``laplacian`` uses
-    scale b with 2 b^2 = 1 and ``uniform`` is centered with half-width
-    sqrt(3).
+    optional rescale: ``brownian`` rescales by sigma (one unit-time
+    increment of a Brownian path of strength sigma), ``poisson`` is the
+    lattice (X - lam)/sqrt(lam) at lam = 10 and ``laplacian`` uses scale b
+    with 2 b^2 = 1.
     """
 
     tag: str
     sigma: float = 1.0   # brownian only
-    alpha: float = 1.0   # brownian only
-    lam: float = 10.0    # poisson only
-
-    FAMILIES = FAMILIES
 
     def __post_init__(self):
-        if self.tag not in self.FAMILIES:
+        if self.tag not in FAMILIES:
             raise ParameterError(f"unknown noise family {self.tag!r}")
-        if self.tag == "poisson" and not self.lam > 0:
-            raise ParameterError(f"poisson rate must be positive, got {self.lam}")
-        if self.tag == "brownian":
-            if not self.sigma > 0:
-                raise ParameterError(f"brownian strength must be positive, got {self.sigma}")
-            if not self.alpha > 0:
-                raise ParameterError(f"brownian drift must be positive, got {self.alpha}")
+        if self.tag == "brownian" and not self.sigma > 0:
+            raise ParameterError(f"brownian strength must be positive, got {self.sigma}")
 
 
 def sample_noise(kind, shape, rng):
@@ -132,14 +125,11 @@ def sample_noise(kind, shape, rng):
     if tag == "gaussian":
         return rng.standard_normal(shape)
     if tag == "brownian":
-        return kind.sigma * np.sqrt(kind.alpha) * rng.standard_normal(shape)
+        return kind.sigma * rng.standard_normal(shape)
     if tag == "laplacian":
         # variance of Laplace(b) is 2 b^2; b = 1/sqrt(2) standardizes it
         return rng.laplace(1.0 / np.sqrt(2.0), shape)
     if tag == "poisson":
-        lam = kind.lam
+        lam = _POISSON_RATE
         return (rng.poisson(lam, shape).astype(np.float64) - lam) / np.sqrt(lam)
-    if tag == "uniform":
-        root3 = np.sqrt(3.0)
-        return rng.uniform(-root3, root3, shape)
     raise ParameterError(f"unknown noise family {tag!r}")

@@ -7,12 +7,11 @@ which makes the reverse process terminate deterministically and the
 forward marginal reach the residual-shifted endpoint at T.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_int
 
 MODES = ("raw", "normalized")
 
@@ -52,12 +51,6 @@ class Schedule:
         """T, the number of steps."""
         return self.etas.size - 1
 
-    def eta(self, t):
-        """eta_t for 0 <= t <= T."""
-        if not 0 <= t <= self.steps:
-            raise IndexError(f"t={t} outside 0..{self.steps}")
-        return float(self.etas[t])
-
     @property
     def alphas(self):
         """All T drifts alpha_1..alpha_T."""
@@ -78,7 +71,7 @@ def build_schedule(steps, t_mid=None, mode="normalized"):
     ``t_mid`` defaults to steps/2 + 0.5 so a 15-step schedule crosses 0.5
     at t = 8.
     """
-    steps = int(steps)
+    steps = _require_int("steps", steps)
     if not 2 <= steps <= MAX_STEPS:
         raise ParameterError(f"steps must lie in 2..{MAX_STEPS}, got {steps}")
     if t_mid is None:
@@ -98,8 +91,3 @@ def build_schedule(steps, t_mid=None, mode="normalized"):
     else:
         etas = s
     return Schedule(t_mid=t_mid, etas=etas, mode=mode)
-
-
-def sigmoid(x):
-    """Scalar logistic function; exposed for desk checks."""
-    return 1.0 / (1.0 + math.exp(-x))

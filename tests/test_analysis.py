@@ -6,77 +6,67 @@ import pytest
 from pixelboost import DegenerateFitError, ParameterError
 from pixelboost.analysis import (DEFAULT_BIN_COUNT, FIT_FAMILIES,
                                  MIN_SAMPLES_PER_BIN, REFERENCE_STATISTICS,
-                                 FitReport, HistogramSpec, chi_square,
-                                 histogram, noise_fit_report)
+                                 FitReport, chi_square, noise_fit_report)
 from pixelboost.noise import NoiseKind, RngStream, sample_noise
 
 
 class TestHistogramSpec:
-    def test_defaults(self):
-        spec = HistogramSpec()
-        assert spec.bin_count == DEFAULT_BIN_COUNT
-        assert spec.lo is None and spec.hi is None
+    """chi_square's binning: ``bins`` equal-width bins over the pooled samples."""
 
-    def test_explicit_range_edges(self):
-        spec = HistogramSpec(bin_count=4, lo=-1.0, hi=1.0)
-        np.testing.assert_allclose(spec.edges(np.zeros(3)),
-                                   [-1.0, -0.5, 0.0, 0.5, 1.0])
+    def test_defaults(self):
+        x = RngStream(21, 5).standard_normal(1000)
+        y = RngStream(22, 5).standard_normal(1000)
+        assert chi_square(x, y) == chi_square(x, y, DEFAULT_BIN_COUNT)
+        assert chi_square(x, y) != chi_square(x, y, DEFAULT_BIN_COUNT // 2)
 
     def test_auto_range_pools_all_samples(self):
-        spec = HistogramSpec(bin_count=2)
-        edges = spec.edges(np.array([0.25, 0.5]), np.array([-1.0, 3.0]))
-        np.testing.assert_allclose(edges, [-1.0, 1.0, 3.0])
+        # two bins over the pooled [-1, 3]: both observed values fall in
+        # [-1, 1), and the expected sample puts one value in each bin
+        got = chi_square(np.array([0.25, 0.5]), np.array([-1.0, 3.0]), 2)
+        assert got == (1.0 - 0.5) ** 2 / 0.5 + (0.0 - 0.5) ** 2 / 0.5
 
     def test_too_few_bins(self):
-        with pytest.raises(ParameterError):
-            HistogramSpec(bin_count=1)
-
-    def test_half_open_range(self):
-        with pytest.raises(ParameterError):
-            HistogramSpec(lo=0.0)
-        with pytest.raises(ParameterError):
-            HistogramSpec(hi=1.0)
-
-    def test_empty_range(self):
-        with pytest.raises(ParameterError):
-            HistogramSpec(lo=1.0, hi=1.0)
+        x = np.array([0.0, 1.0])
+        for bins in (1, 0, 2.5, 8.0):
+            with pytest.raises(ParameterError, match="bins must be an integer >= 2"):
+                chi_square(x, x, bins)
 
     def test_constant_pooled_sample_has_no_bins(self):
-        spec = HistogramSpec(bin_count=4)
         with pytest.raises(DegenerateFitError):
-            spec.edges(np.full(10, 0.3))
+            chi_square(np.full(10, 0.3), np.full(4, 0.3), 4)
 
 
 class TestHistogram:
+    """chi_square's relative frequencies over the shared bins."""
+
     def test_frequencies_sum_to_one(self):
-        rng = RngStream(0, 5)
-        freqs, _ = histogram(rng.standard_normal(10_000))
-        np.testing.assert_allclose(freqs.sum(), 1.0, atol=1e-12)
+        # each sample's counts are divided by its own size, so a sample and
+        # three copies of it have the same frequencies
+        x = RngStream(0, 5).standard_normal(10_000)
+        assert chi_square(x, np.concatenate([x, x, x])) == 0.0
 
     def test_known_counts(self):
-        spec = HistogramSpec(bin_count=2, lo=0.0, hi=1.0)
-        freqs, edges = histogram(np.array([0.1, 0.2, 0.3, 0.9]), spec)
-        np.testing.assert_allclose(freqs, [0.75, 0.25])
-        np.testing.assert_allclose(edges, [0.0, 0.5, 1.0])
-
-    def test_clipped_values_still_count_toward_n(self):
-        # Out-of-range values vanish from the counts, not the denominator.
-        spec = HistogramSpec(bin_count=2, lo=0.0, hi=1.0)
-        freqs, _ = histogram(np.array([0.25, 0.75, 5.0, -5.0]), spec)
-        np.testing.assert_allclose(freqs.sum(), 0.5)
+        observed = np.array([0.1, 0.2, 0.3, 0.9])
+        expected = np.array([0.1, 0.2, 0.8, 0.9])
+        # bins [0.1, 0.5) and [0.5, 0.9]: O = (0.75, 0.25), E = (0.5, 0.5)
+        got = chi_square(observed, expected, 2)
+        np.testing.assert_allclose(got, 2 * 0.25 ** 2 / 0.5, rtol=0, atol=1e-15)
 
     def test_input_is_flattened(self):
-        flat, _ = histogram(np.arange(12, dtype=np.float64))
-        square, _ = histogram(np.arange(12, dtype=np.float64).reshape(3, 4))
-        np.testing.assert_array_equal(flat, square)
+        x = np.arange(12, dtype=np.float64)
+        y = RngStream(23, 5).standard_normal(12) + 5.0
+        assert chi_square(x.reshape(3, 4), y, 4) == chi_square(x, y, 4)
+        assert chi_square(x, y.reshape(2, 6), 4) == chi_square(x, y, 4)
 
     def test_empty_sample(self):
-        with pytest.raises(ParameterError):
-            histogram(np.array([]))
+        with pytest.raises(ParameterError, match="observed sample is empty"):
+            chi_square(np.array([]), np.array([0.0, 1.0]))
+        with pytest.raises(ParameterError, match="expected sample is empty"):
+            chi_square(np.array([0.0, 1.0]), np.array([]))
 
     def test_non_finite_sample(self):
-        with pytest.raises(ParameterError):
-            histogram(np.array([0.0, np.nan]))
+        with pytest.raises(ParameterError, match="non-finite"):
+            noise_fit_report(np.array([0.0, np.nan] * 400), 1.5, RngStream(24, 5))
 
 
 class TestChiSquare:
@@ -107,18 +97,13 @@ class TestChiSquare:
         assert chi_square(x, y) > 1.0
 
     def test_zero_expectation_bins_are_skipped(self):
-        spec = HistogramSpec(bin_count=4, lo=0.0, hi=4.0)
         observed = np.array([0.5, 1.5, 2.5, 3.5])
         expected = np.array([0.5, 0.5, 1.5, 1.5])
-        # Only the two populated expected bins contribute.
-        got = chi_square(observed, expected, spec)
+        # Four bins over [0.5, 3.5]; only the two populated expected bins
+        # contribute.
+        got = chi_square(observed, expected, 4)
         np.testing.assert_allclose(
             got, (0.25 - 0.5) ** 2 / 0.5 + (0.25 - 0.5) ** 2 / 0.5)
-
-    def test_expected_outside_range_is_degenerate(self):
-        spec = HistogramSpec(bin_count=4, lo=0.0, hi=1.0)
-        with pytest.raises(DegenerateFitError):
-            chi_square(np.array([0.2, 0.8]), np.array([5.0, 6.0]), spec)
 
     def test_non_finite_inputs(self):
         good = np.array([0.0, 1.0])
@@ -195,9 +180,8 @@ class TestNoiseFitReport:
             noise_fit_report(x, 1.5, RngStream(18, 5))
 
     def test_threshold_scales_with_bin_count(self):
-        spec = HistogramSpec(bin_count=8)
         x = RngStream(19, 5).standard_normal(MIN_SAMPLES_PER_BIN * 8)
-        rep = noise_fit_report(x, 1.5, RngStream(20, 5), spec)
+        rep = noise_fit_report(x, 1.5, RngStream(20, 5), 8)
         assert rep.bin_count == 8
         with pytest.raises(ParameterError):
-            noise_fit_report(x[:-1], 1.5, RngStream(20, 5), spec)
+            noise_fit_report(x[:-1], 1.5, RngStream(20, 5), 8)

@@ -27,6 +27,18 @@ def _residual_file(path, n=640, seed=0):
     return path
 
 
+def _noisy_pair(gt, test):
+    """A 32x32 image and a noisy copy, the pair the CSV pins score."""
+    img = _make_image(gt, seed=6, size=32)
+    noisy = np.clip(img + 0.1 * RngStream(7, 5).standard_normal(img.shape),
+                    0.0, 1.0)
+    write_image(noisy, test)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _no_training(*args, **kwargs):
     raise AssertionError("train() was called")
 
@@ -557,13 +569,8 @@ class TestAnalyzeNoise:
         assert lines[1].split(",")[0] == "brownian"
 
     def test_image_pair_route(self, tmp_path):
-        gt = tmp_path / "gt.pgm"
-        _make_image(gt, seed=6, size=32)
-        test = tmp_path / "test.pgm"
-        img = read_image(gt)
-        noisy = np.clip(img + 0.1 * RngStream(7, 5).standard_normal(img.shape),
-                        0.0, 1.0)
-        write_image(noisy, test)
+        gt, test = tmp_path / "gt.pgm", tmp_path / "test.pgm"
+        _noisy_pair(gt, test)
         out = tmp_path / "fit.csv"
         assert main(["analyze-noise", "--gt", str(gt), "--test", str(test),
                      "--bins", "8", "--out", str(out)]) == 0
@@ -571,6 +578,25 @@ class TestAnalyzeNoise:
 
     def test_requires_some_input(self, tmp_path, capsys):
         assert main(["analyze-noise", "--out", str(tmp_path / "x.csv")]) == 2
+
+    # SHA-256 of each route's CSV: the fit statistics keep every bit
+    CSV_DIGESTS = {
+        "flat_8_bins": "1a2beefdb4240527012ee625fed492736d3d0624b28e44eb96cdab45e05cb3cb",
+        "image_pair": "ec43914d43a6fe8bacab46ebf78ba5e8fe211d26715330626ececb2525fe3646",
+    }
+
+    def test_csv_is_pinned(self, tmp_path):
+        sample = _residual_file(tmp_path / "resid.f64")
+        out = tmp_path / "flat.csv"
+        assert main(["analyze-noise", "--input", str(sample), "--bins", "8",
+                     "--sigma", "1.5", "--out", str(out)]) == 0
+        assert _sha256(out) == self.CSV_DIGESTS["flat_8_bins"]
+        gt, test = tmp_path / "gt.pgm", tmp_path / "test.pgm"
+        _noisy_pair(gt, test)
+        out = tmp_path / "pair.csv"
+        assert main(["analyze-noise", "--gt", str(gt), "--test", str(test),
+                     "--out", str(out)]) == 0
+        assert _sha256(out) == self.CSV_DIGESTS["image_pair"]
 
     @pytest.mark.parametrize("gt_shape,test_shape", [
         ((4, 4, 1), (8, 8, 1)),
@@ -642,6 +668,15 @@ class TestMetricsCommand:
         gt = tmp_path / "gt.pgm"
         _make_image(gt)
         assert main(["metrics", "--gt", str(gt)]) == 2
+
+    def test_csv_is_pinned(self, tmp_path, monkeypatch):
+        # relative paths, since the CSV names both images as given
+        monkeypatch.chdir(tmp_path)
+        _noisy_pair(tmp_path / "gt.pgm", tmp_path / "test.pgm")
+        assert main(["metrics", "--gt", "gt.pgm", "--test", "test.pgm",
+                     "--out", "metrics.csv"]) == 0
+        assert (_sha256(tmp_path / "metrics.csv")
+                == "5656b58bdc41a2553e0c22c93306d032444a9e532a5ab5bd5867c9b30b695d8f")
 
     @pytest.mark.parametrize("grid", ["0", "65", "-1"])
     def test_grid_out_of_range_refused_before_reading(self, capsys, monkeypatch,

@@ -86,6 +86,14 @@ class TestSpec:
         with pytest.raises(ParameterError):
             pb.DenoiserSpec(hidden_width=0)
 
+    @pytest.mark.parametrize("name", ["image_channels", "hidden_width"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_sizes_need_integers(self, name, value):
+        # hidden_width=2.5 used to validate with a parameter count of 93.5
+        # and end in a bare TypeError from init_checkpoint
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            pb.DenoiserSpec(**{name: value})
+
 
 class TestPredict:
     def test_zero_parameters_give_zero_output(self):
@@ -133,6 +141,14 @@ class TestPredict:
         ckpt = _ckpt()
         _, y, x_t = _item()
         with pytest.raises(IndexError, match=rf"^t={t} outside 1\.\.15$"):
+            pb.predict(ckpt, x_t, y, t)
+
+    @pytest.mark.parametrize("t", [2.7, 2.0, np.float64(3.0)])
+    def test_fractional_timestep_refused(self, t):
+        # int() used to run t=2.7 at t=2
+        ckpt = _ckpt()
+        _, y, x_t = _item()
+        with pytest.raises(ParameterError, match="t must be an integer"):
             pb.predict(ckpt, x_t, y, t)
 
     def test_as_denoiser_matches_predict(self):
@@ -202,6 +218,11 @@ class TestInit:
         assert cfg.schedule is ckpt.schedule()
         assert ckpt.train_config["convention"] == "eq5_variance"
 
+    @pytest.mark.parametrize("seed", [2.9, 2.0, "2"])
+    def test_config_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            _ckpt().config(seed)
+
     @pytest.mark.parametrize("key", ["steps", "sigma", "t_mid", "mode"])
     def test_config_needs_metadata(self, key):
         ckpt = _ckpt()
@@ -266,7 +287,7 @@ def _ref_conv3x3_input_grad(w, gout, in_shape):
 
 
 def _ref_forward(ckpt, x_t, y0_up, t):
-    tchan = np.full(x_t.shape[:2] + (1,), ckpt.schedule().eta(t))
+    tchan = np.full(x_t.shape[:2] + (1,), ckpt.schedule().etas[t])
     z = np.concatenate([x_t, y0_up, tchan], axis=2)
     p = ckpt.spec._unpack(ckpt.params)
     h = _ref_conv3x3(z, p["w1"], p["b1"])
@@ -829,6 +850,15 @@ class TestCheckpointIO:
         meta = dict(ckpt.train_config, steps=float("inf"))
         self._with_metadata(path, json.dumps(meta))
         with pytest.raises(CheckpointError, match="invalid checkpoint metadata"):
+            pb.load_checkpoint(path)
+
+    def test_fractional_steps_refused_on_load(self, tmp_path):
+        # int() used to rebuild a 15-step schedule from 15.5
+        path = tmp_path / "steps.pxbk"
+        ckpt = _ckpt()
+        ckpt.train_config["steps"] = 15.5
+        pb.save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointError, match="steps must be an integer"):
             pb.load_checkpoint(path)
 
     def test_huge_steps_refused_before_allocating(self, tmp_path):

@@ -32,17 +32,19 @@ class TestConfig:
         with pytest.raises(ParameterError):
             pb.make_config(sigma=np.inf)
 
+    @pytest.mark.parametrize("name,value", [("steps", 15.7), ("steps", 15.0),
+                                            ("seed", 2.9), ("seed", "2")])
+    def test_fractional_integers_refused(self, name, value):
+        # int() used to build 15 steps from 15.7 and seed 2 from 2.9
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            pb.make_config(**{name: value})
+
     def test_unknown_convention(self):
         # make_config's closed forms are eq5_variance; only forward_step and
         # forward_chain take another convention
         for convention in ("eq6", "eq4_literal"):
             with pytest.raises(ParameterError, match="eq5_variance"):
                 pb.make_config(convention=convention)
-
-    def test_sigma_advisory_flag(self):
-        assert not pb.make_config(sigma=1.5).sigma_advisory
-        assert pb.make_config(sigma=0.01).sigma_advisory
-        assert pb.make_config(sigma=10.0).sigma_advisory
 
 
 class TestStepIncrement:
@@ -118,6 +120,8 @@ class TestForwardStep:
         for t in (0, 6):
             with pytest.raises(IndexError):
                 pb.forward_step(z, z, t, cfg, _rng())
+        with pytest.raises(ParameterError, match="t must be an integer"):
+            pb.forward_step(z, z, 2.5, cfg, _rng())
 
     def test_needs_rng_or_noise(self):
         cfg = pb.make_config()

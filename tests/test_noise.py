@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from pixelboost import ParameterError
+from pixelboost.analysis import FIT_FAMILIES
 from pixelboost.noise import FAMILIES, NoiseKind, RngStream, sample_noise
 
 
@@ -54,48 +55,43 @@ class TestRngStream:
 
 class TestNoiseKind:
     def test_family_tuple(self):
-        assert FAMILIES == ("gaussian", "brownian", "laplacian", "poisson",
-                            "uniform")
+        # noise_fit_report draws family k from substream k, in this order
+        assert FAMILIES == ("brownian", "gaussian", "laplacian", "poisson")
+        assert FIT_FAMILIES is FAMILIES
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ParameterError):
             NoiseKind("cauchy")
+        with pytest.raises(ParameterError):
+            NoiseKind("uniform")
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ParameterError):
             NoiseKind("brownian", sigma=0.0)
         with pytest.raises(ParameterError):
-            NoiseKind("brownian", alpha=-1.0)
-        with pytest.raises(ParameterError):
-            NoiseKind("poisson", lam=0.0)
+            NoiseKind("brownian", sigma=-1.0)
 
 
 class TestSampleNoise:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_standardized_moments(self, family):
         # mean within +-0.005 and variance within [0.99, 1.01] at 10^6
-        # (3-sigma Monte-Carlo bounds); brownian at sigma=alpha=1 included
+        # (3-sigma Monte-Carlo bounds); brownian at sigma=1 included
         rng = RngStream(123, 9)
         x = sample_noise(NoiseKind(family), (1_000_000,), rng)
         assert abs(x.mean()) < 0.005
         assert 0.99 < x.var() < 1.01
 
-    def test_uniform_support(self):
-        rng = RngStream(5, 9)
-        x = sample_noise(NoiseKind("uniform"), (200_000,), rng)
-        root3 = np.sqrt(3.0)
-        assert np.all(x >= -root3) and np.all(x <= root3)
-
     def test_poisson_skewness(self):
         rng = RngStream(17, 9)
-        x = sample_noise(NoiseKind("poisson", lam=10.0), (1_000_000,), rng)
+        x = sample_noise(NoiseKind("poisson"), (1_000_000,), rng)
         np.testing.assert_allclose(stats.skew(x), 1.0 / np.sqrt(10.0),
                                    rtol=0, atol=0.02)
 
     def test_poisson_lattice(self):
-        # standardized counts live on the lattice (k - lam)/sqrt(lam)
+        # standardized counts live on the lattice (k - lam)/sqrt(lam), lam = 10
         rng = RngStream(17, 9)
-        x = sample_noise(NoiseKind("poisson", lam=10.0), (1000,), rng)
+        x = sample_noise(NoiseKind("poisson"), (1000,), rng)
         k = x * np.sqrt(10.0) + 10.0
         np.testing.assert_allclose(k, np.round(k), rtol=0, atol=1e-9)
 
@@ -117,28 +113,30 @@ class TestSampleNoise:
 
 class TestBrownianField:
     def test_variance_scaling(self):
-        # Var = sigma^2 * alpha within 1% at 10^6 samples
+        # Var = sigma^2 within 1% at 10^6 samples
         rng = RngStream(31, 9)
-        x = sample_noise(NoiseKind("brownian", sigma=1.5, alpha=0.25), (1_000_000,),
-                         rng)
+        x = sample_noise(NoiseKind("brownian", sigma=0.75), (1_000_000,), rng)
         np.testing.assert_allclose(x.std(), 0.75, rtol=0.01)
 
     def test_invalid_parameters(self):
-        with pytest.raises(ParameterError):
-            NoiseKind("brownian", sigma=0.0, alpha=0.25)
-        with pytest.raises(ParameterError):
-            NoiseKind("brownian", sigma=1.0, alpha=0.0)
+        for sigma in (0.0, -0.25, float("nan")):
+            with pytest.raises(ParameterError):
+                NoiseKind("brownian", sigma=sigma)
 
     def test_unit_parameters_match_gaussian_family(self):
         # same distribution by construction; check with a two-sample KS test
-        a = sample_noise(NoiseKind("brownian", sigma=1.0, alpha=1.0), (100_000,),
+        a = sample_noise(NoiseKind("brownian", sigma=1.0), (100_000,),
                          RngStream(41, 9))
         b = sample_noise(NoiseKind("gaussian"), (100_000,), RngStream(42, 9))
         assert stats.ks_2samp(a, b).pvalue > 0.01
 
+    def test_field_is_sigma_times_standard_normal(self):
+        x = sample_noise(NoiseKind("brownian", sigma=1.5), (64,), RngStream(44, 9))
+        np.testing.assert_array_equal(x, 1.5 * RngStream(44, 9).standard_normal(64))
+
     def test_increment_independence(self):
         # lag-1 sample autocorrelation of an i.i.d. field stays near zero
-        x = sample_noise(NoiseKind("brownian", sigma=1.5, alpha=0.3), (1_000_000,),
+        x = sample_noise(NoiseKind("brownian", sigma=1.5), (1_000_000,),
                          RngStream(43, 9))
         x = x - x.mean()
         rho = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))

@@ -1,5 +1,6 @@
 """Sigmoidal shifting-sequence construction and its exact anchor values."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from pixelboost import ParameterError
 from pixelboost.schedule import (MAX_STEPS, MODES, Schedule, build_schedule,
-                                 default_t_mid, sigmoid)
+                                 default_t_mid)
 
 # Frozen against a 40-digit mpmath evaluation of the logistic curve.
 ETA_RAW_7 = 0.2689414213699951       # 1 / (1 + e)
@@ -19,12 +20,12 @@ ETA_NORM_8 = 0.5002882097569901
 class TestRawMode:
     def test_midpoint_is_exactly_half(self):
         sched = build_schedule(15, t_mid=8, mode="raw")
-        assert sched.eta(8) == 0.5
+        assert sched.etas[8] == 0.5
 
     def test_frozen_neighbor_values(self):
         sched = build_schedule(15, t_mid=8, mode="raw")
-        assert sched.eta(9) == ETA_RAW_9
-        assert sched.eta(7) == ETA_RAW_7
+        assert sched.etas[9] == ETA_RAW_9
+        assert sched.etas[7] == ETA_RAW_7
 
     def test_alpha_at_midpoint(self):
         sched = build_schedule(15, t_mid=8, mode="raw")
@@ -35,26 +36,27 @@ class TestRawMode:
         # sigmoid(x) + sigmoid(-x) = 1, so eta mirrors around t_mid
         sched = build_schedule(15, t_mid=8, mode="raw")
         for d in range(8):
-            np.testing.assert_allclose(sched.eta(8 + d) + sched.eta(8 - d),
+            np.testing.assert_allclose(sched.etas[8 + d] + sched.etas[8 - d],
                                        1.0, rtol=0, atol=1e-15)
 
     def test_raw_values_match_scalar_sigmoid(self):
         sched = build_schedule(12, t_mid=5.5, mode="raw")
         for t in range(13):
-            np.testing.assert_allclose(sched.eta(t), sigmoid(t - 5.5),
+            np.testing.assert_allclose(sched.etas[t],
+                                       1.0 / (1.0 + math.exp(-(t - 5.5))),
                                        rtol=0, atol=1e-15)
 
 
 class TestNormalizedMode:
     def test_exact_anchors(self):
         sched = build_schedule(15, t_mid=8, mode="normalized")
-        assert sched.eta(0) == 0.0
-        assert sched.eta(15) == 1.0
+        assert sched.etas[0] == 0.0
+        assert sched.etas[15] == 1.0
 
     def test_frozen_values(self):
         sched = build_schedule(15, t_mid=8, mode="normalized")
-        assert sched.eta(1) == ETA_NORM_1
-        assert sched.eta(8) == ETA_NORM_8
+        assert sched.etas[1] == ETA_NORM_1
+        assert sched.etas[8] == ETA_NORM_8
 
     def test_alphas_sum_to_one(self):
         sched = build_schedule(15, t_mid=8, mode="normalized")
@@ -86,7 +88,7 @@ class TestGenericProperties:
 
     def test_default_t_mid_crosses_half_at_eight_for_fifteen_steps(self):
         assert default_t_mid(15) == 8.0
-        assert build_schedule(15, mode="raw").eta(8) == 0.5
+        assert build_schedule(15, mode="raw").etas[8] == 0.5
 
     def test_etas_are_read_only(self):
         sched = build_schedule(5)
@@ -128,12 +130,11 @@ class TestValidation:
         with pytest.raises(ParameterError):
             build_schedule(15, mode="linear")
 
-    def test_eta_index_bounds(self):
-        sched = build_schedule(15)
-        with pytest.raises(IndexError):
-            sched.eta(16)
-        with pytest.raises(IndexError):
-            sched.eta(-1)
+    @pytest.mark.parametrize("steps", [15.7, 15.0, "15", None])
+    def test_fractional_steps_refused(self, steps):
+        # int() used to build a 15-step schedule from 15.7
+        with pytest.raises(ParameterError, match="steps must be an integer"):
+            build_schedule(steps)
 
     def test_schedule_rejects_non_monotone_etas(self):
         with pytest.raises(ParameterError):
