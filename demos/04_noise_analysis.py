@@ -7,8 +7,6 @@ Gaussian noise.  The statistic compares relative-frequency histograms
 over shared bins: 0 means identical, larger means a worse fit.
 """
 
-import numpy as np
-
 import pixelboost as pb
 from pixelboost.analysis import FIT_FAMILIES
 from pixelboost.noise import STREAM_ANALYSIS, NoiseKind, RngStream, sample_noise

@@ -13,9 +13,8 @@ from .denoiser import (DenoiserCheckpoint, DenoiserSpec, OracleDenoiser,
                        TrainOptions, as_denoiser, init_checkpoint,
                        load_checkpoint, loss_gradient, predict,
                        save_checkpoint, spec_for_images, train)
-from .diffusion import (CONVENTIONS, WEIGHTINGS, DiffusionConfig,
-                        forward_chain, forward_marginal, forward_step,
-                        item_loss, kl_weight, loss_weight, make_config,
+from .diffusion import (CONVENTIONS, DiffusionConfig, forward_chain,
+                        forward_marginal, forward_step, item_loss, make_config,
                         posterior_params, reverse_sample, step_increment)
 from .errors import (CheckpointError, CheckpointVersionError, CodecError,
                      DegenerateFitError, NumericError, ParameterError,

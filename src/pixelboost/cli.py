@@ -29,8 +29,7 @@ import numpy as np
 from .analysis import noise_fit_report
 from .denoiser import (DenoiserSpec, TrainOptions, as_denoiser,
                        load_checkpoint, save_checkpoint, train)
-from .diffusion import (CONVENTIONS, WEIGHTINGS, forward_chain, make_config,
-                        reverse_sample)
+from .diffusion import CONVENTIONS, forward_chain, make_config, reverse_sample
 from .errors import CodecError, PixelBoostError, ShapeError
 from .imagedata import (bicubic_resize, check_same_shape, make_lr_pair,
                         read_image, synth_dataset, write_image, SYNTH_KINDS)
@@ -74,7 +73,6 @@ class RunConfig:
     step_size: float = 0.01
     batch_size: int = 8
     hidden_width: int = 8
-    weighting: str = "uniform_mse"
     kind: str = "mixed"
     count: int = 16
     size: int = 16
@@ -85,8 +83,7 @@ class RunConfig:
 _FIELD_TYPES = {f.name: (get_args(f.type) or (f.type,))[0] for f in fields(RunConfig)}
 _OPTIONAL_FIELDS = {f.name for f in fields(RunConfig) if f.default is None}
 # the values a field's flag and config key accept, where they are a fixed set
-_CHOICES = {"mode": MODES, "convention": CONVENTIONS, "weighting": WEIGHTINGS,
-            "kind": SYNTH_KINDS}
+_CHOICES = {"mode": MODES, "convention": CONVENTIONS, "kind": SYNTH_KINDS}
 
 
 def _parse_sigmas(value):
@@ -203,7 +200,7 @@ def _diffusion_config(cfg):
 
 def _train_options(cfg):
     return TrainOptions(step_size=cfg.step_size, steps=cfg.train_steps,
-                        batch_size=cfg.batch_size, weighting=cfg.weighting)
+                        batch_size=cfg.batch_size)
 
 
 # --- subcommands ---------------------------------------------------------
@@ -386,7 +383,7 @@ def cmd_sweep(cfg):
 
 
 _COMMON_FIELDS = ("seed", "out")
-_TRAINING = ("train_steps", "step_size", "batch_size", "hidden_width", "weighting")
+_TRAINING = ("train_steps", "step_size", "batch_size", "hidden_width")
 # each command: its function, its --help summary, and the RunConfig fields
 # it reads, which with _COMMON_FIELDS are its flags and its config keys
 _COMMANDS = {

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import (WEIGHTINGS, DiffusionConfig, _check_t,
-                        forward_marginal, item_loss, loss_weight)
+from .diffusion import DiffusionConfig, _check_t, forward_marginal, item_loss
 from .errors import (CheckpointError, CheckpointVersionError, ParameterError,
                      ShapeError, TrainingError, _require_int)
 from .imagedata import check_same_shape
@@ -443,7 +442,7 @@ def _backward(spec, params, cache, gout):
     return np.concatenate([dw1.reshape(b, -1), db1, dw2.reshape(b, -1), db2], axis=1)
 
 
-def _losses_and_gradients(ckpt, cfg, items, weighting):
+def _losses_and_gradients(ckpt, items):
     """Per-item losses and gradients of (x0, y0_up, t, x_t) items, in item order.
 
     Items of one image shape share one forward and one backward pass.
@@ -458,12 +457,11 @@ def _losses_and_gradients(ckpt, cfg, items, weighting):
         ts = [items[k][2] for k in ks]
         out, cache = _forward(ckpt, x_t, y0_up, ts, keep_cache=True)
         diff = out - x0
-        # d loss / d prediction = 2 w (prediction - x0)
-        scale = [2.0 * loss_weight(t, cfg, weighting, diff[0].size) for t in ts]
-        gout = np.array(scale)[:, None, None, None] * diff
+        # d mean((prediction - x0)^2) / d prediction = 2 / size * (prediction - x0)
+        gout = (2.0 / diff[0].size) * diff
         grads[ks] = _backward(ckpt.spec, ckpt.params, cache, gout)
         for i, k in enumerate(ks):
-            losses[k] = item_loss(x0[i], out[i], ts[i], cfg, weighting)
+            losses[k] = item_loss(x0[i], out[i])
     return losses, grads
 
 
@@ -473,25 +471,24 @@ def predict(ckpt, x_t, y0_up, t):
     return _forward(ckpt, x_t[None], y0_up[None], [t])[0][0]
 
 
-def loss_gradient(ckpt, item, t, x_t, weighting="uniform_mse"):
+def loss_gradient(ckpt, item, t, x_t):
     """Analytic gradient of the single-item loss w.r.t. every parameter."""
     x0, y0_up = item
     x0 = np.asarray(x0, dtype=np.float64)
     x_t, y0_up = _check_pair(ckpt.spec, x_t, y0_up)
     check_same_shape(x0, x_t)
-    _, grads = _losses_and_gradients(ckpt, ckpt.config(), [(x0, y0_up, t, x_t)],
-                                     weighting)
+    _, grads = _losses_and_gradients(ckpt, [(x0, y0_up, t, x_t)])
     return grads[0]
 
 
-def item_loss_value(ckpt, item, t, x_t, weighting="uniform_mse"):
+def item_loss_value(ckpt, item, t, x_t):
     """The loss whose gradient loss_gradient returns."""
     x0, y0_up = item
     x0 = np.asarray(x0, dtype=np.float64)
     x_t, y0_up = _check_pair(ckpt.spec, x_t, y0_up)
     check_same_shape(x0, x_t)
     out, _ = _forward(ckpt, x_t[None], y0_up[None], [t])
-    return item_loss(x0, out[0], t, ckpt.config(), weighting)
+    return item_loss(x0, out[0])
 
 
 # --- training ----------------------------------------------------------------
@@ -501,7 +498,6 @@ class TrainOptions:
     step_size: float = 1e-2
     steps: int = 500
     batch_size: int = 8
-    weighting: str = "uniform_mse"
 
     def __post_init__(self):
         if not 0 < self.step_size < math.inf:
@@ -509,9 +505,6 @@ class TrainOptions:
                 f"step_size must be positive and finite, got {self.step_size}")
         _require_int("steps", self.steps, 0)
         _require_int("batch_size", self.batch_size, 1)
-        if self.weighting not in WEIGHTINGS:
-            raise ParameterError(
-                f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}")
 
 
 def init_checkpoint(spec, cfg):
@@ -551,9 +544,9 @@ def train(dataset, cfg, opt=None, spec=None):
     dataset = [_check_pair(spec, x0, y0_up) for x0, y0_up in dataset]
 
     ckpt = init_checkpoint(spec, cfg)
+    # every checkpoint is trained on the one loss; the key stays in the metadata
     ckpt.train_config.update(step_size=opt.step_size, batch_size=opt.batch_size,
-                             weighting=opt.weighting)
-    loss_cfg = ckpt.config(cfg.seed)
+                             weighting="uniform_mse")
     params = ckpt.params
     rng = RngStream(cfg.seed, STREAM_TRAIN)
     history = []
@@ -565,7 +558,7 @@ def train(dataset, cfg, opt=None, spec=None):
             x0, y0_up = dataset[int(i)]
             t = int(rng.integers(1, cfg.steps + 1))
             items.append((x0, y0_up, t, forward_marginal(x0, y0_up - x0, t, cfg, rng)))
-        losses, grads = _losses_and_gradients(ckpt, loss_cfg, items, opt.weighting)
+        losses, grads = _losses_and_gradients(ckpt, items)
         # summed in item order, as the per-item reference does
         grad = np.zeros_like(params)
         loss_acc = 0.0
@@ -576,8 +569,7 @@ def train(dataset, cfg, opt=None, spec=None):
         if not np.isfinite(loss):
             raise TrainingError(
                 f"loss became non-finite at step {step} with step_size="
-                f"{opt.step_size} and weighting={opt.weighting}; "
-                "try a smaller step size")
+                f"{opt.step_size}; try a smaller step size")
         params -= opt.step_size * (grad / opt.batch_size)
         history.append(loss)
     ckpt.step_count = opt.steps

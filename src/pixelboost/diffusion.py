@@ -34,6 +34,8 @@ class DiffusionConfig:
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
             raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
+        # stored as a plain int, so checkpoints record it as JSON
+        object.__setattr__(self, "seed", _require_int("seed", self.seed))
 
     @property
     def steps(self):
@@ -50,8 +52,7 @@ def make_config(steps=15, sigma=1.5, t_mid=None, mode="normalized",
         raise ParameterError(
             f"the config's closed forms are eq5_variance, got {convention!r}")
     sched = build_schedule(steps, t_mid=t_mid, mode=mode)
-    return DiffusionConfig(sigma=float(sigma), schedule=sched,
-                           seed=_require_int("seed", seed))
+    return DiffusionConfig(sigma=float(sigma), schedule=sched, seed=seed)
 
 
 def _check_t(t, steps):
@@ -203,40 +204,7 @@ def reverse_sample(y0_up, denoiser, cfg, rng, keep_trajectory=False):
     return np.clip(x, 0.0, 1.0), frames
 
 
-WEIGHTINGS = ("uniform_mse", "exact_kl")
-
-
-def kl_weight(t, cfg):
-    """Closed-form KL weight alpha_t / (2 sigma^2 eta_{t-1} eta_t) for t >= 2."""
-    t = _check_t(t, cfg.steps)
-    etas = cfg.schedule.etas
-    eta_t, eta_prev = etas[t], etas[t - 1]
-    if eta_prev == 0.0:
-        raise ParameterError("KL weight diverges at eta_{t-1} = 0; handled separately")
-    return float((eta_t - eta_prev) / (2.0 * cfg.sigma**2 * eta_prev * eta_t))
-
-
-def loss_weight(t, cfg, weighting, size):
-    """The weight w of one item's loss w * sum((x0_hat - x0)^2) over ``size`` values.
-
-    ``uniform_mse`` weighs every value by 1/size.  ``exact_kl`` uses the
-    KL weight, except at the deterministic terminal step (eta_{t-1} = 0),
-    where the loss is the plain squared error.
-    """
-    if weighting == "uniform_mse":
-        return 1.0 / size
-    if weighting == "exact_kl":
-        if cfg.schedule.etas[t - 1] == 0.0:
-            return 1.0
-        return kl_weight(t, cfg)
-    raise ParameterError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-
-
-def item_loss(x0, x0_hat, t, cfg, weighting="uniform_mse"):
-    """Per-item training loss given a prediction at sampled step t."""
+def item_loss(x0, x0_hat):
+    """Per-item training loss: the mean squared error of an x0 prediction."""
     diff = x0_hat - x0
-    sq = diff * diff
-    if weighting == "uniform_mse":
-        # mean(d^2) is not bit-equal to (1/n) * sum(d^2)
-        return float(np.mean(sq))
-    return loss_weight(t, cfg, weighting, sq.size) * float(np.sum(sq))
+    return float(np.mean(diff * diff))

@@ -124,15 +124,15 @@ def test_criterion_06_gradient_check():
     y = rng.uniform(0.0, 1.0, (6, 6, 1))
     x_t = rng.uniform(-0.5, 1.5, (6, 6, 1))
     t = 7
-    analytic = pb.loss_gradient(ckpt, (x0, y), t, x_t, "uniform_mse")
+    analytic = pb.loss_gradient(ckpt, (x0, y), t, x_t)
     eps = 1e-6
     base = ckpt.params.copy()
     fd = np.zeros_like(base)
     for i in range(base.size):
         ckpt.params[i] = base[i] + eps
-        hi = item_loss_value(ckpt, (x0, y), t, x_t, "uniform_mse")
+        hi = item_loss_value(ckpt, (x0, y), t, x_t)
         ckpt.params[i] = base[i] - eps
-        lo = item_loss_value(ckpt, (x0, y), t, x_t, "uniform_mse")
+        lo = item_loss_value(ckpt, (x0, y), t, x_t)
         ckpt.params[i] = base[i]
         fd[i] = (hi - lo) / (2 * eps)
     rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-8)

@@ -75,6 +75,12 @@ class TestParsing:
     def test_bad_choice(self, capsys):
         assert main(["schedule", "--mode", "bogus"]) == 2
 
+    def test_weighting_flag_is_gone(self, tmp_path, capsys):
+        assert main(["train", "--weighting", "exact_kl", "--manifest",
+                     str(tmp_path / "m.txt"), "--checkpoint",
+                     str(tmp_path / "m.pxbk")]) == 2
+        assert "--weighting" in capsys.readouterr().err
+
     def test_bad_sigmas(self, tmp_path, capsys):
         assert main(["sweep", "--sigmas", "a,b",
                      "--out", str(tmp_path / "x.csv")]) == 2
@@ -142,8 +148,10 @@ class TestConfigPrecedence:
         ("degrade", {"input": "a\u0000b"}),  # no path holds a NUL
         # a config value must be one of the flag's choices
         ("schedule", {"mode": "bogus"}),
-        ("train", {"weighting": "bogus"}),
+        # the loss weighting is no setting: train and sweep refuse the key
+        ("train", {"weighting": "uniform_mse"}),
         ("sweep", {"kind": "bogus"}),
+        ("sweep", {"weighting": "uniform_mse"}),
     ])
     def test_config_value_of_wrong_type(self, tmp_path, capsys, command, values):
         hr = tmp_path / "hr.pgm"
@@ -398,17 +406,17 @@ class TestTrainAndSr:
         assert outs[0] == outs[1]
 
     def test_divergence_names_step_size(self, tmp_path, capsys):
-        # exact_kl weights reach ~1e3 near t = 2, so the default step size
-        # diverges within a few steps; the overflow on the way is expected
+        # a step size of 1000 diverges within a few steps; the overflow on
+        # the way is expected
         manifest = self._manifest(tmp_path, count=4)
         ckpt_path = tmp_path / "m.pxbk"
         with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["train", "--manifest", str(manifest), "--weighting",
-                         "exact_kl", "--checkpoint", str(ckpt_path),
+            assert main(["train", "--manifest", str(manifest), "--step-size",
+                         "1000", "--checkpoint", str(ckpt_path),
                          "--seed", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: loss became non-finite at step ")
-        assert "step_size=0.01" in err and "weighting=exact_kl" in err
+        assert "step_size=1000.0;" in err
         assert "smaller step size" in err
         assert not ckpt_path.exists()
 
@@ -509,6 +517,24 @@ class TestTrainAndSr:
         assert main(["sr", "--input", str(lr_path), "--checkpoint", str(ckpt_path),
                      "--out", str(tmp_path / "o.pgm")]) == 1
         assert "sigma" in capsys.readouterr().err
+
+    def test_recorded_weighting_does_not_change_sampling(self, tmp_path):
+        # checkpoints once trained under exact_kl still load and sample;
+        # sampling never reads the recorded weighting
+        ckpt = init_checkpoint(spec_for_images("conv2"), make_config(seed=0))
+        lr_path = tmp_path / "lr.pgm"
+        _make_image(lr_path, size=8)
+        outs = []
+        for weighting in ("uniform_mse", "exact_kl"):
+            ckpt.train_config["weighting"] = weighting
+            ckpt_path = tmp_path / f"{weighting}.pxbk"
+            save_checkpoint(ckpt, ckpt_path)
+            assert load_checkpoint(ckpt_path).train_config["weighting"] == weighting
+            out = tmp_path / f"{weighting}.pgm"
+            assert main(["sr", "--input", str(lr_path), "--checkpoint",
+                         str(ckpt_path), "--out", str(out), "--seed", "2"]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_eq4_literal_checkpoint_refused_before_upsampling(self, tmp_path, capsys,
                                                               monkeypatch):

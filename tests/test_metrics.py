@@ -11,9 +11,9 @@ import pytest
 
 from pixelboost import ParameterError, ShapeError
 from pixelboost.metrics import (EDGE_PATCH_DEFAULT, LOE_GRID_DEFAULT,
-                                SSIM_K1, SSIM_K2, MetricReport, _loe_sites,
-                                edge_report, grid_csv, lightness, loe,
-                                metric_report, psnr, sobel_magnitude, ssim)
+                                SSIM_K1, MetricReport, _loe_sites, edge_report,
+                                grid_csv, lightness, loe, metric_report, psnr,
+                                sobel_magnitude, ssim)
 from pixelboost.noise import RngStream
 
 

@@ -76,7 +76,6 @@ TRAINING = {
     "--step-size": _values(FLOATS),
     "--batch-size": _values(["-1", "0", "1", "4", "x"]),
     "--hidden-width": _values(["-1", "0", "1", "8", "200", "x"]),
-    "--weighting": _values(["uniform_mse", "exact_kl", "bogus"]),
 }
 IMAGE = _paths(IMAGES)
 IMAGE_PAIR = {"--gt": IMAGE, "--test": IMAGE}
