@@ -1,6 +1,6 @@
 """Brownian residual-shifting diffusion for image super-resolution.
 
-A small numpy/scipy library: a sigmoid shifting schedule moves the
+A small numpy library: a sigmoid shifting schedule moves the
 bicubic-upsampling residual into a low-resolution image along a
 Brownian bridge-like forward chain; a trainable toy denoiser reverses
 it.  Includes noise-distribution analysis, image-quality metrics, and a

@@ -43,8 +43,11 @@ class DenoiserSpec:
     hidden_width: int = 8
 
     def __post_init__(self):
-        _require_int("image_channels", self.image_channels, 1)
-        _require_int("hidden_width", self.hidden_width, 1)
+        # stored as plain ints, like the sizes a checkpoint file records
+        object.__setattr__(self, "image_channels",
+                           _require_int("image_channels", self.image_channels, 1))
+        object.__setattr__(self, "hidden_width",
+                           _require_int("hidden_width", self.hidden_width, 1))
         if self.param_count() >= MAX_CONV2_PARAMS:
             raise ParameterError(
                 f"conv2 parameter count {self.param_count()} exceeds {MAX_CONV2_PARAMS}")
@@ -503,8 +506,10 @@ class TrainOptions:
         if not 0 < self.step_size < math.inf:
             raise ParameterError(
                 f"step_size must be positive and finite, got {self.step_size}")
-        _require_int("steps", self.steps, 0)
-        _require_int("batch_size", self.batch_size, 1)
+        # stored as plain ints, so checkpoints record them as JSON
+        object.__setattr__(self, "steps", _require_int("steps", self.steps, 0))
+        object.__setattr__(self, "batch_size",
+                           _require_int("batch_size", self.batch_size, 1))
 
 
 def init_checkpoint(spec, cfg):

@@ -44,8 +44,12 @@ class DegenerateFitError(PixelBoostError, ValueError):
 
 
 def _require_int(name, value, low=None):
-    """``value`` as an int; refused, not truncated, unless an integer >= ``low``."""
-    if not isinstance(value, numbers.Integral) or (low is not None and value < low):
+    """``value`` as an int; refused, not truncated, unless an integer >= ``low``.
+
+    A bool is refused too: ``True`` is an Integral that would pass as 1.
+    """
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or (low is not None and value < low)):
         bound = "" if low is None else f" >= {low}"
         raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)

@@ -50,20 +50,112 @@ def psnr(a, b):
     return float(10.0 * np.log10(_DATA_RANGE ** 2 / mse))
 
 
+# Values (1 MiB) that one band's working arrays hold together: SSIM and
+# the Sobel filters run a band of rows at a time, so their working set
+# stays in cache and their memory stays flat however large the image.
+_BAND_VALUES = 1 << 17
+
+
+def _reflect_index(n, r):
+    """Indices of a length-n axis padded by r <= n in reflect mode (dcba|abcd|dcba)."""
+    i = np.arange(-r, n + r)
+    i = np.maximum(i, ~i)
+    return np.minimum(i, 2 * n - 1 - i)
+
+
+def _moment_bands(x, y):
+    """Local means of x, y, x*x, y*y and x*y over the SSIM window, by bands of rows.
+
+    Yields ``(row, means)``: ``means[k, i, SSIM_WINDOW - 1:]`` is the k-th
+    map's mean at image row ``row + i``; the first ``SSIM_WINDOW - 1``
+    columns hold partial windows.  The caller may overwrite ``means``; the
+    next band reuses its memory.
+
+    The means are scipy.ndimage.uniform_filter's, bit for bit: reflect
+    padding, then along axis 0 and then axis 1 a running sum that starts at
+    0.0 with each line's first window, adds (entering - leaving) per step,
+    and divides each output by the window size.
+    """
+    win, r = SSIM_WINDOW, SSIM_WINDOW // 2
+    h, w = x.shape
+    hp, wp = h + 2 * r, w + 2 * r
+    src = _reflect_index(h, r)
+    band = min(hp, max(win, _BAND_VALUES // (10 * wp)))
+    # rows[:, win:] holds a band's padded rows and rows[:, :win] the win
+    # rows before them: zeros before the first band, where entering - 0.0
+    # is the entering value
+    rows = np.zeros((5, win + band, wp))
+    # axis-0 running sums, one row per padded row; row 0 carries in the
+    # previous band's last sums, and 0.0 into the first band, from which
+    # scipy sums each line's first window
+    sums = np.zeros((1 + band, 5, wp))
+    lines = list(sums)
+    for j0 in range(0, hp, band):
+        n = min(band, hp - j0)
+        cur = rows[:, win:win + n]
+        xs, ys = x[src[j0:j0 + n]], y[src[j0:j0 + n]]
+        mid = cur[..., r:-r]
+        mid[0] = xs
+        mid[1] = ys
+        np.multiply(xs, xs, out=mid[2])
+        np.multiply(ys, ys, out=mid[3])
+        np.multiply(xs, ys, out=mid[4])
+        cur[..., :r] = cur[..., 2 * r - 1:r - 1:-1]
+        cur[..., -r:] = cur[..., -r - 1:-2 * r - 1:-1]
+        np.subtract(cur, rows[:, :n], out=sums[1:1 + n].transpose(1, 0, 2))
+        rows[:, :win] = rows[:, n:n + win]
+        # in order down the rows, each add across all five maps' columns
+        for prev, line in zip(lines, lines[1:1 + n]):
+            np.add(prev, line, out=line)
+        sums[0] = sums[n]
+        # padded rows before win - 1 hold partial windows, not outputs
+        first = max(0, win - 1 - j0)
+        count = n - first
+        mean0 = sums[1 + first:1 + n].transpose(1, 0, 2)
+        mean0 /= win
+        # axis 1, into rows' spent band; a running sum is never -0.0, so
+        # here a line's first value needs no 0.0 +
+        means = rows[:, win:win + count]
+        means[..., :win] = mean0[..., :win]
+        np.subtract(mean0[..., win:], mean0[..., :-win], out=means[..., win:])
+        np.cumsum(means, axis=2, out=means)
+        means /= win
+        yield j0 + first - (win - 1), means
+
+
 def _ssim_plane(x, y):
-    # imported here: scipy.ndimage is most of the package's import time
-    from scipy.ndimage import uniform_filter
     np_win = SSIM_WINDOW * SSIM_WINDOW
     cov_norm = np_win / (np_win - 1.0)  # unbiased sample covariance
-    filt = lambda im: uniform_filter(im, size=SSIM_WINDOW)
-    ux, uy = filt(x), filt(y)
-    vx = cov_norm * (filt(x * x) - ux * ux)
-    vy = cov_norm * (filt(y * y) - uy * uy)
-    vxy = cov_norm * (filt(x * y) - ux * uy)
     c1 = (SSIM_K1 * _DATA_RANGE) ** 2
     c2 = (SSIM_K2 * _DATA_RANGE) ** 2
-    s = ((2.0 * ux * uy + c1) * (2.0 * vxy + c2)) / \
-        ((ux * ux + uy * uy + c1) * (vx + vy + c2))
+    s = np.empty(x.shape)
+    cols = slice(SSIM_WINDOW - 1, None)
+    # s = ((2 ux uy + c1)(2 vxy + c2)) / ((ux ux + uy uy + c1)(vx + vy + c2))
+    # with v = cov_norm (mean of product - product of means), computed in
+    # place in that order of operations; vx, vy and vxy start as the means
+    # of x*x, y*y and x*y
+    for row, (ux, uy, vx, vy, vxy) in _moment_bands(x, y):
+        den = ux * ux
+        t = uy * uy
+        vx -= den
+        vx *= cov_norm
+        vy -= t
+        vy *= cov_norm
+        den += t
+        den += c1
+        vx += vy
+        vx += c2
+        den *= vx
+        np.multiply(ux, uy, out=t)
+        vxy -= t
+        vxy *= cov_norm
+        vxy *= 2.0
+        vxy += c2
+        np.multiply(ux, 2.0, out=t)
+        t *= uy
+        t += c1
+        t *= vxy
+        np.divide(t[:, cols], den[:, cols], out=s[row:row + len(t)])
     pad = (SSIM_WINDOW - 1) // 2
     return float(np.mean(s[pad:-pad, pad:-pad]))
 
@@ -146,14 +238,40 @@ def loe(enhanced, original, grid=LOE_GRID_DEFAULT):
     return flips / u.size
 
 
+def _correlate3(p, weights):
+    """``weights`` correlated with an edge-padded plane, as scipy.ndimage.correlate.
+
+    Each output sums its non-zero taps in C order from 0.0; a weight of
+    +-1 or +-2 makes every product exact, so every bit matches.
+    """
+    h, w = p.shape[0] - 2, p.shape[1] - 2
+    g = np.zeros((h, w))
+    product = np.empty((h, w))
+    for (i, j), weight in np.ndenumerate(weights):
+        if weight:
+            g += np.multiply(p[i:i + h, j:j + w], weight, out=product)
+    return g
+
+
 def sobel_magnitude(img):
     """Gradient magnitude sqrt(Gx^2 + Gy^2) of the lightness plane."""
-    # imported here: scipy.ndimage is most of the package's import time
-    from scipy.ndimage import correlate
     plane = lightness(img)
-    gx = correlate(plane, SOBEL_X, mode="nearest")
-    gy = correlate(plane, SOBEL_Y, mode="nearest")
-    return np.sqrt(gx * gx + gy * gy)
+    h, w = plane.shape
+    p = np.empty((h + 2, w + 2))  # the plane, edge-padded by one
+    p[1:-1, 1:-1] = plane
+    p[0], p[-1] = p[1], p[-2]
+    p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
+    mag = np.empty((h, w))
+    band = max(1, _BAND_VALUES // (4 * w))
+    for r0 in range(0, h, band):
+        rows = p[r0:r0 + band + 2]
+        gx = _correlate3(rows, SOBEL_X)
+        gy = _correlate3(rows, SOBEL_Y)
+        gx *= gx
+        gy *= gy
+        gx += gy
+        np.sqrt(gx, out=mag[r0:r0 + len(gx)])
+    return mag
 
 
 def _patch_means(mag, patch):

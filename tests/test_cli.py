@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,10 @@ def _noisy_pair(gt, test):
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# SHA-256 of the metrics CSV for _noisy_pair's images named gt.pgm and test.pgm
+METRICS_CSV_SHA256 = "5656b58bdc41a2553e0c22c93306d032444a9e532a5ab5bd5867c9b30b695d8f"
 
 
 def _no_training(*args, **kwargs):
@@ -701,8 +709,7 @@ class TestMetricsCommand:
         _noisy_pair(tmp_path / "gt.pgm", tmp_path / "test.pgm")
         assert main(["metrics", "--gt", "gt.pgm", "--test", "test.pgm",
                      "--out", "metrics.csv"]) == 0
-        assert (_sha256(tmp_path / "metrics.csv")
-                == "5656b58bdc41a2553e0c22c93306d032444a9e532a5ab5bd5867c9b30b695d8f")
+        assert _sha256(tmp_path / "metrics.csv") == METRICS_CSV_SHA256
 
     @pytest.mark.parametrize("grid", ["0", "65", "-1"])
     def test_grid_out_of_range_refused_before_reading(self, capsys, monkeypatch,
@@ -806,3 +813,50 @@ class TestSweep:
         assert main(argv) == 2
         assert "--convention" in capsys.readouterr().err
         assert not out.exists()
+
+
+# an interpreter in which any scipy import fails scores grey and colour
+# pairs through the library, then runs the commands given as JSON
+_WITHOUT_SCIPY = """
+import importlib.abc, json, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+import numpy as np
+import pixelboost as pb
+from pixelboost import cli
+
+rng = np.random.default_rng(0)
+for shape in [(32, 32), (32, 32, 3)]:
+    a = rng.random(shape)
+    b = np.clip(a + 0.1 * rng.standard_normal(shape), 0.0, 1.0)
+    pb.ssim(a, b)
+    pb.edge_report(a, b)
+    pb.metric_report(a, b)
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_library_runs_without_scipy(tmp_path):
+    # a fresh interpreter: the test run has already imported scipy.stats
+    _noisy_pair(tmp_path / "gt.pgm", tmp_path / "test.pgm")
+    pair = ["--gt", "gt.pgm", "--test", "test.pgm"]
+    commands = [["metrics", *pair, "--out", "metrics.csv"],
+                ["edge-report", *pair, "--out", "edges"],
+                ["sweep", "--sigmas", "1.5", "--count", "2", "--eval-count", "1",
+                 "--size", "16", "--train-steps", "2", "--out", "sweep.csv"]]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(commands)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [0, 0, 0]
+    assert _sha256(tmp_path / "metrics.csv") == METRICS_CSV_SHA256

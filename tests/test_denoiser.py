@@ -86,10 +86,10 @@ class TestSpec:
             pb.DenoiserSpec(hidden_width=0)
 
     @pytest.mark.parametrize("name", ["image_channels", "hidden_width"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
     def test_sizes_need_integers(self, name, value):
         # hidden_width=2.5 used to validate with a parameter count of 93.5
-        # and end in a bare TypeError from init_checkpoint
+        # and end in a bare TypeError from init_checkpoint; True passed as 1
         with pytest.raises(ParameterError, match=f"{name} must be an integer"):
             pb.DenoiserSpec(**{name: value})
 
@@ -142,9 +142,9 @@ class TestPredict:
         with pytest.raises(IndexError, match=rf"^t={t} outside 1\.\.15$"):
             pb.predict(ckpt, x_t, y, t)
 
-    @pytest.mark.parametrize("t", [2.7, 2.0, np.float64(3.0)])
+    @pytest.mark.parametrize("t", [2.7, 2.0, np.float64(3.0), True])
     def test_fractional_timestep_refused(self, t):
-        # int() used to run t=2.7 at t=2
+        # int() used to run t=2.7 at t=2, and True ran at t=1
         ckpt = _ckpt()
         _, y, x_t = _item()
         with pytest.raises(ParameterError, match="t must be an integer"):
@@ -667,19 +667,23 @@ class TestTrain:
         assert ha == hb
 
     def test_numpy_integer_seed_trains_and_saves(self, tmp_path):
-        # an np.int64 seed used to be recorded as is, and json refused it
+        # an np.int64 seed or batch size used to be recorded as is, and json
+        # refused it
         data = _dataset(seed=3)
-        opt = pb.TrainOptions(steps=2)
+        opt = pb.TrainOptions(steps=np.int64(2), batch_size=np.int64(2))
         cfg = pb.DiffusionConfig(sigma=1.5, schedule=pb.build_schedule(15),
                                  seed=np.int64(3))
         ckpt, _ = pb.train(data, cfg, opt)
         path = tmp_path / "m.pxbk"
         pb.save_checkpoint(ckpt, path)
         loaded = pb.load_checkpoint(path)
-        assert type(loaded.train_config["seed"]) is int
-        assert loaded.train_config["seed"] == 3
+        for key, value in (("seed", 3), ("batch_size", 2)):
+            assert type(loaded.train_config[key]) is int
+            assert loaded.train_config[key] == value
         np.testing.assert_array_equal(
-            loaded.params, pb.train(data, pb.make_config(seed=3), opt)[0].params)
+            loaded.params,
+            pb.train(data, pb.make_config(seed=3),
+                     pb.TrainOptions(steps=2, batch_size=2))[0].params)
 
     def test_divergence_raises(self):
         cfg = pb.make_config(seed=3)
@@ -702,9 +706,10 @@ class TestTrain:
             pb.TrainOptions(batch_size=0)
 
     @pytest.mark.parametrize("name", ["steps", "batch_size"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
     def test_options_need_integer_counts(self, name, value):
-        # a fractional count used to pass and end in a bare TypeError
+        # a fractional count used to pass and end in a bare TypeError; True
+        # passed as 1
         with pytest.raises(ParameterError, match=f"{name} must be an integer"):
             pb.TrainOptions(**{name: value})
 

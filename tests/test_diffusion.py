@@ -33,9 +33,11 @@ class TestConfig:
             pb.make_config(sigma=np.inf)
 
     @pytest.mark.parametrize("name,value", [("steps", 15.7), ("steps", 15.0),
-                                            ("seed", 2.9), ("seed", "2")])
+                                            ("seed", 2.9), ("seed", "2"),
+                                            ("steps", True), ("seed", True)])
     def test_fractional_integers_refused(self, name, value):
-        # int() used to build 15 steps from 15.7 and seed 2 from 2.9
+        # int() used to build 15 steps from 15.7 and seed 2 from 2.9, and
+        # True passed as 1
         with pytest.raises(ParameterError, match=f"{name} must be an integer"):
             pb.make_config(**{name: value})
 

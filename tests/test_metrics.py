@@ -1,19 +1,16 @@
 """PSNR, SSIM, lightness-order error, and Sobel edge statistics."""
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
+from scipy.ndimage import correlate, uniform_filter
 
-from pixelboost import ParameterError, ShapeError
+from pixelboost import ParameterError, ShapeError, metrics
 from pixelboost.metrics import (EDGE_PATCH_DEFAULT, LOE_GRID_DEFAULT,
-                                SSIM_K1, MetricReport, _loe_sites, edge_report,
-                                grid_csv, lightness, loe, metric_report, psnr,
-                                sobel_magnitude, ssim)
+                                SOBEL_X, SOBEL_Y, SSIM_K1, SSIM_K2,
+                                SSIM_WINDOW, MetricReport, _correlate3,
+                                _loe_sites, _moment_bands, _patch_means,
+                                edge_report, grid_csv, lightness, loe,
+                                metric_report, psnr, sobel_magnitude, ssim)
 from pixelboost.noise import RngStream
 
 
@@ -29,6 +26,60 @@ def _ref_loe(enhanced, original, grid=LOE_GRID_DEFAULT):
     order_v = v[:, None] >= v[None, :]
     flips = (order_u ^ order_v).sum(axis=1)
     return float(flips.mean())
+
+
+def _ref_ssim(a, b):
+    """SSIM with scipy's uniform_filter, as first written."""
+    def plane(x, y):
+        np_win = SSIM_WINDOW * SSIM_WINDOW
+        cov_norm = np_win / (np_win - 1.0)
+        filt = lambda im: uniform_filter(im, size=SSIM_WINDOW)
+        ux, uy = filt(x), filt(y)
+        vx = cov_norm * (filt(x * x) - ux * ux)
+        vy = cov_norm * (filt(y * y) - uy * uy)
+        vxy = cov_norm * (filt(x * y) - ux * uy)
+        c1, c2 = SSIM_K1 ** 2, SSIM_K2 ** 2
+        s = ((2.0 * ux * uy + c1) * (2.0 * vxy + c2)) / \
+            ((ux * ux + uy * uy + c1) * (vx + vy + c2))
+        pad = (SSIM_WINDOW - 1) // 2
+        return float(np.mean(s[pad:-pad, pad:-pad]))
+
+    a, b = np.atleast_3d(a), np.atleast_3d(b)
+    return float(np.mean([plane(a[:, :, c], b[:, :, c])
+                          for c in range(a.shape[2])]))
+
+
+def _ref_sobel_magnitude(img):
+    """The Sobel magnitude with scipy's correlate, as first written."""
+    plane = lightness(img)
+    gx = correlate(plane, SOBEL_X, mode="nearest")
+    gy = correlate(plane, SOBEL_Y, mode="nearest")
+    return np.sqrt(gx * gx + gy * gy)
+
+
+def _planes(shape, seed):
+    """Random, 8-bit, constant, negative and signed-zero planes."""
+    rng = np.random.default_rng(seed)
+    return [rng.random(shape),
+            rng.integers(0, 256, shape) / 255.0,
+            np.full(shape, 0.3),
+            rng.standard_normal(shape) - 1.0,
+            np.where(rng.random(shape) < 0.7, -0.0, 0.0)]
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def _assert_box_filter_matches(x, y):
+    """The five SSIM moment means, from the filter's bands, against scipy's."""
+    means = np.empty((5,) + x.shape)
+    for row, band in _moment_bands(x, y):
+        means[:, row:row + band.shape[1]] = band[..., SSIM_WINDOW - 1:]
+    for m, plane in enumerate([x, y, x * x, y * y, x * y]):
+        _assert_same_bits(means[m], uniform_filter(plane, size=SSIM_WINDOW))
 
 
 def _quantised(shape, levels, seed):
@@ -244,22 +295,60 @@ class TestGridCsv:
         assert repr(val) in grid_csv(np.array([[val]]))
 
 
-def test_scipy_is_imported_only_by_ssim_and_sobel():
-    # a fresh interpreter: the test run has already imported scipy.stats
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = (
-        "import json, sys\n"
-        "import numpy as np\n"
-        "import pixelboost as pb, pixelboost.cli\n"
-        "code = pixelboost.cli.main(['schedule'])\n"
-        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "loaded = scipy()\n"
-        "pb.ssim(np.zeros((16, 16)), np.ones((16, 16)))\n"
-        "print(json.dumps([code, loaded, 'scipy.ndimage' in sys.modules]))\n")
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout.splitlines()[-1]) == [0, [], True]
+class TestScipyIdentity:
+    """The numpy filters give scipy.ndimage's bits, signed zeros included."""
+
+    SIDES = [7, 8, 9, 10, 13, 16, 31, 64, 65, 119]
+
+    @pytest.mark.parametrize("h", SIDES)
+    def test_box_filter_matches_uniform_filter(self, h):
+        for w in self.SIDES:
+            for k, x in enumerate(_planes((h, w), seed=h * 1000 + w)):
+                _assert_box_filter_matches(x, _planes((h, w), seed=k)[k])
+
+    @pytest.mark.parametrize("band_values", [1, 1200, 4000])
+    def test_banded_box_filter_matches_uniform_filter(self, monkeypatch,
+                                                      band_values):
+        # bands from the 7-row minimum up, short last bands, and first
+        # bands that complete a single row of windows
+        monkeypatch.setattr(metrics, "_BAND_VALUES", band_values)
+        for h, w in [(7, 7), (8, 20), (40, 9), (119, 64), (64, 119)]:
+            for x in _planes((h, w), seed=h + w):
+                _assert_box_filter_matches(x, _planes((h, w), seed=h)[0])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 3), (17, 1),
+                                       (1, 64), (31, 32), (119, 64)])
+    def test_sobel_gradients_match_correlate(self, shape):
+        for plane in _planes(shape, seed=shape[0] * shape[1]):
+            padded = np.pad(plane, 1, mode="edge")
+            for weights in (SOBEL_X, SOBEL_Y):
+                _assert_same_bits(_correlate3(padded, weights),
+                                  correlate(plane, weights, mode="nearest"))
+
+    @pytest.mark.parametrize("band_values", [1, 200, 1 << 17])
+    def test_sobel_magnitude_matches_reference(self, monkeypatch, band_values):
+        monkeypatch.setattr(metrics, "_BAND_VALUES", band_values)
+        for shape in [(1, 7), (7, 1), (3, 3), (33, 20), (20, 33, 3)]:
+            for plane in _planes(shape, seed=sum(shape)):
+                _assert_same_bits(sobel_magnitude(plane),
+                                  _ref_sobel_magnitude(plane))
+
+    @pytest.mark.parametrize("shape", [(7, 7), (7, 30), (30, 7), (16, 16),
+                                       (16, 16, 3), (33, 47), (64, 64),
+                                       (64, 64, 3), (119, 90, 3), (512, 512)])
+    def test_ssim_matches_reference(self, shape):
+        for k, a in enumerate(_planes(shape, seed=len(shape))):
+            b = np.clip(a + 0.1 * _random_image(shape, seed=k), 0.0, 1.0)
+            assert ssim(a, b) == _ref_ssim(a, b)
+            assert ssim(b, a) == _ref_ssim(b, a)
+
+    def test_edge_report_matches_reference(self):
+        for shape in [(7, 7), (30, 45), (64, 64, 3)]:
+            a = _random_image(shape, seed=1)
+            b = np.clip(a + 0.1 * _random_image(shape, seed=2), 0.0, 1.0)
+            rep = edge_report(a, b)
+            mag_a, mag_b = _ref_sobel_magnitude(a), _ref_sobel_magnitude(b)
+            _assert_same_bits(rep.magnitude_a, mag_a)
+            _assert_same_bits(rep.magnitude_b, mag_b)
+            _assert_same_bits(rep.diff, _patch_means(mag_a, rep.patch)
+                              - _patch_means(mag_b, rep.patch))
