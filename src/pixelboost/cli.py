@@ -368,11 +368,12 @@ def cmd_sweep(cfg):
                         hidden_width=cfg.hidden_width)
     opt = _train_options(cfg)
     rows = ["sigma,psnr_db,ssim,loe"]
-    for i, dcfg in enumerate(dcfgs):
+    for dcfg in dcfgs:
         ckpt, _ = train(train_set, dcfg, opt, spec)
         scores = []
         for j, pair in enumerate(eval_pairs):
-            rng = RngStream(cfg.seed, STREAM_SAMPLER).substream(i * 1000 + j)
+            # keyed by image alone, so no row depends on the order of --sigmas
+            rng = RngStream(cfg.seed, STREAM_SAMPLER).substream(j)
             sr, _ = reverse_sample(pair.lr_up, as_denoiser(ckpt), dcfg, rng)
             rep = metric_report(pair.hr, sr, grid=cfg.grid)
             scores.append((rep.psnr_db, rep.ssim, rep.loe))

@@ -446,11 +446,11 @@ def _backward(spec, params, cache, gout):
 
 
 def _losses_and_gradients(ckpt, items):
-    """Per-item losses and gradients of (x0, y0_up, t, x_t) items, in item order.
+    """Per-item losses (B,) and gradients (B, P) of (x0, y0_up, t, x_t) items.
 
-    Items of one image shape share one forward and one backward pass.
+    Items of one image shape share a forward, a backward and an item_loss call.
     """
-    losses = [0.0] * len(items)
+    losses = np.empty(len(items))
     grads = np.empty((len(items), ckpt.params.size))
     groups = {}
     for k, item in enumerate(items):
@@ -463,8 +463,7 @@ def _losses_and_gradients(ckpt, items):
         # d mean((prediction - x0)^2) / d prediction = 2 / size * (prediction - x0)
         gout = (2.0 / diff[0].size) * diff
         grads[ks] = _backward(ckpt.spec, ckpt.params, cache, gout)
-        for i, k in enumerate(ks):
-            losses[k] = item_loss(x0[i], out[i])
+        losses[ks] = item_loss(x0, out)
     return losses, grads
 
 
@@ -474,24 +473,26 @@ def predict(ckpt, x_t, y0_up, t):
     return _forward(ckpt, x_t[None], y0_up[None], [t])[0][0]
 
 
-def loss_gradient(ckpt, item, t, x_t):
-    """Analytic gradient of the single-item loss w.r.t. every parameter."""
+def _check_item(spec, item, t, x_t):
+    """A validated item in _losses_and_gradients' layout (x0, y0_up, t, x_t)."""
     x0, y0_up = item
     x0 = np.asarray(x0, dtype=np.float64)
-    x_t, y0_up = _check_pair(ckpt.spec, x_t, y0_up)
+    x_t, y0_up = _check_pair(spec, x_t, y0_up)
     check_same_shape(x0, x_t)
-    _, grads = _losses_and_gradients(ckpt, [(x0, y0_up, t, x_t)])
+    return x0, y0_up, t, x_t
+
+
+def loss_gradient(ckpt, item, t, x_t):
+    """Analytic gradient of the single-item loss w.r.t. every parameter."""
+    _, grads = _losses_and_gradients(ckpt, [_check_item(ckpt.spec, item, t, x_t)])
     return grads[0]
 
 
 def item_loss_value(ckpt, item, t, x_t):
-    """The loss whose gradient loss_gradient returns."""
-    x0, y0_up = item
-    x0 = np.asarray(x0, dtype=np.float64)
-    x_t, y0_up = _check_pair(ckpt.spec, x_t, y0_up)
-    check_same_shape(x0, x_t)
+    """The loss whose gradient loss_gradient returns, as a Python float."""
+    x0, y0_up, t, x_t = _check_item(ckpt.spec, item, t, x_t)
     out, _ = _forward(ckpt, x_t[None], y0_up[None], [t])
-    return item_loss(x0, out[0])
+    return float(item_loss(x0, out[0]))
 
 
 # --- training ----------------------------------------------------------------
@@ -564,18 +565,14 @@ def train(dataset, cfg, opt=None, spec=None):
             t = int(rng.integers(1, cfg.steps + 1))
             items.append((x0, y0_up, t, forward_marginal(x0, y0_up - x0, t, cfg, rng)))
         losses, grads = _losses_and_gradients(ckpt, items)
-        # summed in item order, as the per-item reference does
-        grad = np.zeros_like(params)
-        loss_acc = 0.0
-        for value, item_grad in zip(losses, grads):
-            loss_acc += value
-            grad += item_grad
-        loss = loss_acc / opt.batch_size
+        # both sums add the items in order, as the per-item reference does:
+        # np.sum would pair the losses, and sum() compensates from Python 3.12
+        loss = float(np.cumsum(losses)[-1]) / opt.batch_size
         if not np.isfinite(loss):
             raise TrainingError(
                 f"loss became non-finite at step {step} with step_size="
                 f"{opt.step_size}; try a smaller step size")
-        params -= opt.step_size * (grad / opt.batch_size)
+        params -= opt.step_size * (grads.sum(axis=0) / opt.batch_size)
         history.append(loss)
     ckpt.step_count = opt.steps
     return ckpt, history

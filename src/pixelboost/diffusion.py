@@ -205,6 +205,6 @@ def reverse_sample(y0_up, denoiser, cfg, rng, keep_trajectory=False):
 
 
 def item_loss(x0, x0_hat):
-    """Per-item training loss: the mean squared error of an x0 prediction."""
+    """Training loss: each item's mean squared error over its (H, W, C) axes."""
     diff = x0_hat - x0
-    return float(np.mean(diff * diff))
+    return np.mean(diff * diff, axis=(-3, -2, -1))

@@ -385,6 +385,23 @@ class TestTrainAndSr:
                      "--out", str(sr_path), "--seed", "1"]) == 0
         assert read_image(sr_path).shape == (16, 16, 1)
 
+    # SHA-256 of the loss CSV and the checkpoint; the losses are written
+    # with repr, so a last-bit change in any step's loss or parameter shows
+    TRAIN_DIGESTS = {
+        "loss.csv": "a2c0ac0c01f251c527e6699c2fa5f9a766bb6f973ad479929adf69848b89ba3c",
+        "m.pxbk": "3572a35448b1a721237c05f32d59335d3382168ccc4d41364d48bedda6ce477b",
+    }
+
+    def test_train_outputs_are_pinned(self, tmp_path):
+        manifest = self._manifest(tmp_path, count=4)
+        assert main(["train", "--manifest", str(manifest),
+                     "--checkpoint", str(tmp_path / "m.pxbk"),
+                     "--out", str(tmp_path / "loss.csv"), "--train-steps", "40",
+                     "--batch-size", "8", "--seed", "0"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in self.TRAIN_DIGESTS}
+        assert digests == self.TRAIN_DIGESTS
+
     def test_train_reproducible(self, tmp_path):
         manifest = self._manifest(tmp_path, count=2)
         blobs = []
@@ -765,6 +782,18 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].startswith("0.5,")
         assert lines[2].startswith("1.5,")
+
+    def test_row_does_not_depend_on_sigma_order(self, tmp_path):
+        # each held-out image draws from its own substream for every sigma
+        argv = ["sweep", "--count", "4", "--eval-count", "2", "--size", "16",
+                "--train-steps", "5", "--seed", "3"]
+        rows = []
+        for sigmas in ("0.5", "1.5,0.5"):
+            out = tmp_path / "x.csv"
+            assert main(argv + ["--sigmas", sigmas, "--out", str(out)]) == 0
+            rows.append(out.read_bytes().splitlines()[-1])
+        assert rows[0].startswith(b"0.5,")
+        assert rows[0] == rows[1]
 
     @pytest.mark.parametrize("eval_count", ["0", "-1"])
     def test_eval_count_must_be_positive(self, tmp_path, capsys, eval_count):

@@ -306,7 +306,7 @@ def _ref_loss_and_gradient(ckpt, x0, y0_up, t, x_t):
     out, cache = _ref_forward(ckpt, x_t, y0_up, t)
     diff = out - x0
     gout = (2.0 / diff.size) * diff
-    return pb.item_loss(x0, out), _ref_backward(ckpt, cache, gout)
+    return float(np.mean(diff * diff)), _ref_backward(ckpt, cache, gout)
 
 
 def _ref_train(dataset, cfg, opt, spec):
@@ -684,6 +684,15 @@ class TestTrain:
             loaded.params,
             pb.train(data, pb.make_config(seed=3),
                      pb.TrainOptions(steps=2, batch_size=2))[0].params)
+
+    def test_losses_are_python_floats(self):
+        # a batch's losses are scored as one array; what train() records
+        # and item_loss_value returns stay plain floats
+        ckpt, history = pb.train(_dataset(seed=2), pb.make_config(seed=2),
+                                 pb.TrainOptions(steps=3))
+        assert [type(v) for v in history] == [float] * 3
+        x0, y, x_t = _item()
+        assert type(item_loss_value(ckpt, (x0, y), 3, x_t)) is float
 
     def test_divergence_raises(self):
         cfg = pb.make_config(seed=3)

@@ -315,3 +315,15 @@ class TestLosses:
         x0 = np.zeros((2, 2, 1))
         x0_hat = np.full((2, 2, 1), 0.5)
         assert pb.item_loss(x0, x0_hat) == 0.25
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (5, 7, 1), (5, 7, 3),
+                                       (13, 9, 3), (97, 103, 3)])
+    def test_stacked_group_scores_each_item_bit_for_bit(self, shape):
+        # training scores each shape group of a batch in one call
+        rng = _rng(11)
+        x0, x0_hat = (rng.uniform(0.0, 1.0, (4,) + shape) for _ in range(2))
+        losses = pb.item_loss(x0, x0_hat)
+        assert losses.shape == (4,)
+        for k in range(4):
+            diff = x0_hat[k] - x0[k]
+            assert losses[k] == float(np.mean(diff * diff))
