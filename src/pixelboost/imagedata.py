@@ -5,13 +5,16 @@ nominally in [0, 1].  Values may leave [0, 1] mid-diffusion; only the
 codec clamps, and only on write.
 """
 
+import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CodecError, ParameterError, ShapeError, UnsupportedFormatError
+from .errors import (CodecError, ParameterError, ShapeError, UnsupportedFormatError,
+                     _require_int)
 
 
 def as_image(arr):
@@ -98,6 +101,9 @@ def bicubic_resize(img, scale):
     input values unchanged.
     """
     img = as_image(img)
+    if (not isinstance(scale, numbers.Real) or isinstance(scale, bool)
+            or not math.isfinite(scale)):
+        raise ParameterError(f"scale must be a finite number, got {scale!r}")
     h, w, _ = img.shape
     h_out = int(round(h * scale))
     w_out = int(round(w * scale))
@@ -178,12 +184,12 @@ def synth_dataset(kind, count, size, rng):
     """Deterministic-per-seed synthetic HR images in [0, 1], shape (size, size, 1)."""
     if kind not in SYNTH_KINDS:
         raise ParameterError(f"kind must be one of {SYNTH_KINDS}, got {kind!r}")
+    count = _require_int("count", count, 1)
+    size = _require_int("size", size)
     if size % 4:
         raise ParameterError(f"size must be divisible by 4, got {size}")
     if size < 8:
         raise ParameterError(f"size must be at least 8, got {size}")
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
     makers = {"gradients": _synth_gradient, "checkers": _synth_checker,
               "blobs": _synth_blobs, "mixed": _synth_mixed}
     return [makers[kind](size, rng) for _ in range(count)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _require_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -114,12 +114,11 @@ def sample_noise(kind, shape, rng):
     ``shape`` may be an int or a tuple of ints with at least one element.
     Returns a float64 array of that shape.
     """
-    if isinstance(shape, (int, np.integer)):
-        shape = (int(shape),)
-    else:
-        shape = tuple(int(n) for n in shape)
-    if len(shape) == 0 or any(n <= 0 for n in shape):
-        raise ParameterError(f"shape must be nonempty with positive dims, got {shape}")
+    if np.ndim(shape) == 0:
+        shape = (shape,)
+    shape = tuple(_require_int("each shape entry", n, 1) for n in shape)
+    if len(shape) == 0:
+        raise ParameterError("shape must have at least one entry")
 
     tag = kind.tag
     if tag == "gaussian":

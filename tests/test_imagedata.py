@@ -107,6 +107,12 @@ class TestBicubicResize:
         with pytest.raises(ParameterError):
             pb.bicubic_resize(np.zeros((4, 4, 1)), 0.01)
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf"),
+                                       "4", None, True])
+    def test_non_finite_or_non_numeric_scale_refused(self, scale):
+        with pytest.raises(ParameterError):
+            pb.bicubic_resize(np.zeros((4, 4, 1)), scale)
+
     def test_resize_weights_is_a_private_copy(self):
         img = _rng(6).uniform(0.0, 1.0, (16, 16, 1))
         before = pb.bicubic_resize(img, 0.25)
@@ -177,6 +183,12 @@ class TestSynthDataset:
             pb.synth_dataset("mixed", 1, 15, _rng())
         with pytest.raises(ParameterError):
             pb.synth_dataset("mixed", 0, 16, _rng())
+
+    @pytest.mark.parametrize("count, size", [(2.5, 16), (True, 16), (1, 16.0),
+                                             (1, 16.5), ("2", 16)])
+    def test_non_integer_count_or_size_refused(self, count, size):
+        with pytest.raises(ParameterError):
+            pb.synth_dataset("mixed", count, size, _rng())
 
 
 class TestBitIdentityPins:

@@ -8,9 +8,10 @@ from pixelboost import ParameterError, ShapeError, metrics
 from pixelboost.metrics import (EDGE_PATCH_DEFAULT, LOE_GRID_DEFAULT,
                                 SOBEL_X, SOBEL_Y, SSIM_K1, SSIM_K2,
                                 SSIM_WINDOW, MetricReport, _correlate3,
-                                _loe_sites, _moment_bands, _patch_means,
-                                edge_report, grid_csv, lightness, loe,
-                                metric_report, psnr, sobel_magnitude, ssim)
+                                _inversions, _loe_sites, _moment_bands,
+                                _patch_means, edge_report, grid_csv,
+                                lightness, loe, metric_report, psnr,
+                                sobel_magnitude, ssim)
 from pixelboost.noise import RngStream
 
 
@@ -209,6 +210,49 @@ class TestLoe:
             for grid in (1, 7, 64):
                 assert loe(a, b, grid) == _ref_loe(a, b, grid)
 
+    def test_signed_zeros_are_tied(self):
+        # -0.0 >= +0.0 and +0.0 >= -0.0: sites of either sign compare equal
+        zero = np.where(_random_image((32, 32), seed=24) < 0.5, -0.0, 0.0)
+        assert np.signbit(zero).any() and not np.signbit(zero).all()
+        other = _quantised((32, 32), 3, seed=25)
+        for grid in (7, 32):
+            assert loe(zero, other, grid) == _ref_loe(zero, other, grid)
+            assert loe(other, zero, grid) == _ref_loe(other, zero, grid)
+        mixed = np.where(other == 0.0, zero, other)
+        assert loe(mixed, other) == _ref_loe(mixed, other) == 0.0
+
+    @pytest.mark.parametrize("grid", [2.5, True, "8", None, 0, 65])
+    def test_bad_grid_refused(self, grid):
+        a = np.zeros((8, 8))
+        with pytest.raises(ParameterError):
+            loe(a, a, grid=grid)
+        with pytest.raises(ParameterError):
+            metric_report(a, a, grid=grid)
+
+    def test_metric_report_refuses_grid_before_scoring(self, monkeypatch):
+        monkeypatch.setattr(metrics, "ssim", lambda a, b: pytest.fail("scored"))
+        with pytest.raises(ParameterError):
+            metric_report(np.zeros((8, 8)), np.zeros((8, 8)), grid=65)
+
+
+def _brute_inversions(r):
+    return int(np.count_nonzero(np.triu(r[:, None] > r[None, :], 1)))
+
+
+class TestInversions:
+    # sizes around the 16-site blocks and the power-of-two padding
+    @pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 17, 31, 32, 33,
+                                   255, 256, 257, 4095, 4096])
+    def test_matches_quadratic_count(self, n):
+        rng = np.random.default_rng(n)
+        equal = np.zeros(n, dtype=np.intp)
+        decreasing = np.arange(n, dtype=np.intp)[::-1]
+        tied = rng.integers(0, max(1, n // 3), n)
+        assert _inversions(equal) == 0
+        assert _inversions(decreasing) == n * (n - 1) // 2
+        assert _inversions(tied) == _brute_inversions(tied)
+        assert _inversions(decreasing) == _brute_inversions(decreasing)
+
 
 class TestSobelMagnitude:
     def test_constant_image_is_flat(self):
@@ -266,6 +310,12 @@ class TestEdgeReport:
             edge_report(a, a, patch=1)
         with pytest.raises(ParameterError):
             edge_report(np.zeros((4, 4)), np.zeros((4, 4)), patch=5)
+
+    @pytest.mark.parametrize("patch", [2.5, True, 7.0])
+    def test_non_integer_patch_refused(self, patch):
+        a = np.zeros((8, 8))
+        with pytest.raises(ParameterError):
+            edge_report(a, a, patch=patch)
 
 
 class TestMetricReport:

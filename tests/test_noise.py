@@ -99,7 +99,8 @@ class TestSampleNoise:
         x = sample_noise(NoiseKind("gaussian"), 10, RngStream(0))
         assert x.shape == (10,)
 
-    @pytest.mark.parametrize("shape", [(), (0,), (3, 0)])
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0), (2.5,), (3, 2.5),
+                                       (True,), 2.5, "ab"])
     def test_degenerate_shapes_rejected(self, shape):
         with pytest.raises(ParameterError):
             sample_noise(NoiseKind("gaussian"), shape, RngStream(0))
