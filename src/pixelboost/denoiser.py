@@ -30,6 +30,9 @@ _KERNEL_SIZE = 3
 _BAND_VALUES = 1 << 17
 # hidden activation values per item in one tile of the forward: 1.5 MiB
 _TILE_VALUES = 3 * _BAND_VALUES // 2
+# zeroed values before the first row and after the last of a flat padded
+# plane, which the throw-away columns of a band read
+_SLACK = 16
 
 INIT_WEIGHT_HALF_RANGE = 0.05
 MAX_CONV2_PARAMS = 10_000
@@ -152,10 +155,11 @@ def as_denoiser(ckpt):
 
 # --- forward / backward ------------------------------------------------------
 # The forward holds activations channel-first as padded (B, C, N+2, W+2)
-# buffers of N rows; the backward holds gradients channel-last, (B, H, W, C).
+# rows; the backward holds gradients channel-last, (B, H, W, C).
 # Every BLAS call is one matmul per item on the operands that the
 # single-image einsums (np.einsum(..., optimize=True), kept as the reference
-# in the tests) pass, or on a band of their columns: the conv is
+# in the tests) pass, or on a band of their columns (in predict's, with
+# throw-away columns between rows; see below): the conv is
 # W(o, u*v*c) @ cols(u*v*c, n) for a band of n = rows*W output columns, the
 # weight gradient gout(o, H*W) @ cols(H*W, u*v*c) on the whole patch matrix
 # that the forward built, and with o > 1 the input gradient's products
@@ -179,36 +183,53 @@ def as_denoiser(ckpt):
 # from the padding change no sum, which starts at +0.0 and never becomes
 # -0.0, so the result is bit-identical to the reference's.
 #
-# The conv's bands hold about _BAND_VALUES patch values (1 MiB) per item, so
-# one small workspace serves every band and the whole patch matrix (151 MB
-# for the second conv at 512x512) never exists outside training.  Training
-# images fit in one band, so their operands are exactly the reference's; on
-# taller ones each band fills its columns of the whole matrix, and a matmul
-# on those columns equals one on a contiguous band.  With o = 1 the
-# matmul is a BLAS gemv, which works through the columns in blocks and
-# treats the left-over columns at the end of its range another way; a
-# column's last bit thus depends on where its call's range, and each BLAS
-# thread's share of it, ends.  So every band but the last starts and ends
-# on a multiple of 8 columns, and with one BLAS thread the banded conv
-# equals the whole-image reference on every shape.  With T threads OpenBLAS
-# splits a call into T near-equal shares.  Where H*W is not a multiple of 8
-# the reference's shares or the short last band's shares can end off a
-# block boundary, and a few outputs differ from the reference in the last
-# bit: at 97x1029 with 2 threads, 2 to 4 of 99813 outputs, by at most 7e-18.
-# On 2 threads, all 70 shapes tried whose H*W is a multiple of 8 matched.
+# Training keeps each conv's whole patch matrix (B, 9C, H*W), columns in
+# the reference's pixel order, because the backward's gemv and gemm take it
+# as the reference's operands.  _conv3x3 fills it in bands of _BAND_VALUES
+# patch values (1 MiB) per item; training images fit in one band, and on
+# taller ones a matmul on a band's columns equals one on a contiguous band.
+#
+# predict never holds a whole patch matrix (151 MB for the second conv at
+# 512x512).  Its forward keeps the padded input and hidden activation as
+# flat channel-first planes of pitch P = W + 2, and the band whose first
+# output row is q has one patch-matrix column per plane position from
+# (q, 0) on: tap (u, v) of the band is then, over all channels, the one
+# contiguous slice planes[..., (q+u)*P + v : ... + L], where the unpadded
+# layout copies n rows of W values.  The matmul thus also computes the 2
+# columns between rows, which are thrown away: the first conv writes its
+# band straight into the hidden planes at flat offset P + 1, where they
+# land on border cells that _fill_border then overwrites, and the second
+# conv's tile is de-padded, with its bias, into the channel-last output.
+#
+# BLAS gives a column the same bits wherever it sits in a call, except in
+# the left-over block at a call's end: with o = 1 the matmul is a gemv,
+# which treats the last N mod 4 of N columns another way, and also takes
+# another path for a call of 3 or fewer columns.  So each pitched band is
+# rounded up to a multiple of 8 columns (the extra columns read and write
+# the zeroed slack past the rows), and where H*W is not a multiple of 8,
+# each conv's last band runs unpadded, as _conv3x3 runs it: that call
+# starts on a multiple of 8 outputs and ends on the image's last, so the
+# reference's left-over columns are left over there too.  (Starting a
+# pitched last call early so that its length is H*W mod 8 does not do:
+# one pixel wide, the left-over block spans more than the last row.)
+# With one BLAS thread the forward then equals the whole-image reference
+# on every shape.  With T threads OpenBLAS splits a call into T near-equal
+# shares, and where H*W is not a multiple of 8 the reference's shares or
+# the short last band's can end off a block boundary: a few outputs then
+# differ from the reference in the last bit, at 97x1029 with 2 threads 2
+# to 4 of 99813, by at most 7e-18.  On 2 threads, all 70 shapes tried
+# whose H*W is a multiple of 8 matched.
 #
 # The forward runs one tile of output rows at a time through both convs
 # (_tile_rows), so no image-sized activation exists: a 512x512 predict
-# peaks at about 7 MB, 2 MB of it the output, where whole-image
+# peaks at about 6 MB, 2 MB of it the output, where whole-image
 # activations took 43 MB.  A tile is a whole number of the second conv's
-# bands, so each call of that conv, the thread-sensitive gemv, is the one
-# the whole-image banded conv makes.  The first conv computes each hidden
-# row once, running a few rows ahead of the tile so that each of its calls
-# also starts and ends on a multiple of 8 columns or at the image's end;
-# the tile's hidden rows above and below it are thus the real neighbouring
-# rows, bit for bit, and replicate padding applies only at the image's
-# border.  Training runs the whole image as one tile and keeps both convs'
-# whole patch matrices for the backward.
+# bands, so each call of that conv, the thread-sensitive gemv, starts and
+# ends where the whole-image banded conv's did.  The first conv computes
+# each hidden row once, running a few rows ahead of the tile so that each
+# of its bands also starts on a multiple of 8 outputs; the tile's hidden
+# rows above and below it are thus the real neighbouring rows, bit for
+# bit, and replicate padding applies only at the image's border.
 
 def _fill_border(xp, top, bottom):
     """Replicate edge pixels into the border of padded rows (B, C, N+2, W+2).
@@ -246,28 +267,62 @@ def _tile_rows(wh, h, wd):
     return min(h, rows * max(1, _TILE_VALUES // (wh * rows * wd)))
 
 
-def _conv3x3(xp, w, out, work, rows):
+def _conv3x3(xp, w, out, cols, rows):
     """3x3 conv, without bias, of padded channel-first rows into ``out``.
 
-    ``xp`` is (B, C, N+2, W+2) and ``out`` (B, Co, N*W).  The patch matrix
-    is built ``rows`` output rows at a time, rows in (u, v, c) order: in
-    the flat workspace ``work``, which each band overwrites, or, where
-    ``work`` is the whole (B, 9C, N*W) patch matrix, in the band's columns
-    of it, so that the whole matrix outlives the call.
+    ``xp`` is (B, C, H+2, W+2) and ``out`` (B, Co, H*W).  The whole patch
+    matrix ``cols`` (B, 9C, H*W), rows in (u, v, c) order, is filled
+    ``rows`` output rows at a time, and each band's columns are multiplied
+    as they are filled; the matrix outlives the call, for the backward.
     """
     b, c, h, wd = xp.shape[0], xp.shape[1], xp.shape[2] - 2, xp.shape[3] - 2
     wt = w.reshape(9 * c, -1).T
     for r0 in range(0, h, rows):
         n = min(rows, h - r0)
-        if work.ndim == 1:
-            band = work[:b * 9 * c * n * wd].reshape(b, 9 * c, n * wd)
-        else:
-            band = work[:, :, r0 * wd:(r0 + n) * wd]
-        cols = band.reshape(b, 3, 3, c, n, wd)
+        band = cols[:, :, r0 * wd:(r0 + n) * wd]
+        taps = band.reshape(b, 3, 3, c, n, wd)
         for u in range(3):
             for v in range(3):
-                cols[:, u, v] = xp[:, :, r0 + u:r0 + u + n, v:v + wd]
+                taps[:, u, v] = xp[:, :, r0 + u:r0 + u + n, v:v + wd]
         np.matmul(wt, band, out=out[:, :, r0 * wd:(r0 + n) * wd])
+
+
+def _conv3x3_rows(planes, pitch, m, w, rows, ends, work, out, at):
+    """3x3 conv, without bias, of M output rows of flat padded planes, by bands.
+
+    ``planes`` is (B, C, S), channel-first planes of pitch P = W + 2 whose
+    padded row i starts at _SLACK + i*P, with finite values around the
+    rows, and output (i, x) goes to out[:, :, at + i*P + x], likewise of
+    pitch P.  A band of n rows is one matmul of n*P columns rounded up to
+    a multiple of 8, whose patch matrix is built in the flat workspace
+    ``work``, each tap (u, v) one contiguous slice of every plane, and
+    whose product goes straight into ``out``, the columns past each row's
+    W outputs and past the band included.  With ``ends`` the last band is
+    instead one call of _conv3x3 on n*W columns, copied into ``out``.
+    """
+    b, c = planes.shape[:2]
+    wd = pitch - 2
+    wt = w.reshape(9 * c, -1).T
+    for q in range(0, m, rows):
+        n = min(rows, m - q)
+        if ends and q + n == m:
+            # the image's last band, which holds the left-over columns
+            xp = planes[:, :, _SLACK:_SLACK + (m + 2) * pitch].reshape(b, c, m + 2, pitch)
+            pat = work[:b * 9 * c * n * wd].reshape(b, 9 * c, n * wd)
+            res = np.empty((b, wt.shape[0], n * wd))
+            _conv3x3(xp[:, :, q:], w, res, pat, n)
+            dst = out[:, :, at + q * pitch:at + m * pitch].reshape(b, -1, n, pitch)
+            dst[..., :wd] = res.reshape(b, -1, n, wd)
+            break
+        cols = -(-n * pitch // 8) * 8
+        pat = work[:b * 9 * c * cols].reshape(b, 9 * c, cols)
+        taps = pat.reshape(b, 3, 3, c, cols)
+        for u in range(3):
+            for v in range(3):
+                k = _SLACK + (q + u) * pitch + v
+                taps[:, u, v] = planes[:, :, k:k + cols]
+        k = at + q * pitch
+        np.matmul(wt, pat, out=out[:, :, k:k + cols])
 
 
 def _conv3x3_grads(cols, gout):
@@ -372,41 +427,77 @@ def _stack_rows(zp, x_t, y0_up, r0, r1):
 def _forward(ckpt, x_t, y0_up, ts, keep_cache=False):
     """Network output (B, H, W, Co) for (B, H, W, C) inputs, and _backward's cache.
 
-    The image runs one tile of output rows at a time through both convs
-    (see the comment above _fill_border); every buffer is allocated once
-    and reused by each tile.  Row j of the padded activation ``ap`` holds
-    hidden row r0 - 1 + j of the tile that starts at row r0.  With
-    ``keep_cache`` the tile is the whole image and the cache holds both
-    convs' whole patch matrices and the padded activation, as _backward
-    needs; otherwise the cache is None and predict's peak is a few tile
-    buffers and the output.
+    With ``keep_cache`` the cache holds both convs' whole patch matrices and
+    the padded activation, as _backward needs; otherwise it is None and the
+    image runs in tiles (see the comment above _fill_border).
     """
     schedule = ckpt.schedule()
     etas = schedule.etas[[_check_t(t, schedule.steps) for t in ts]]
-    spec = ckpt.spec
-    p = spec._unpack(ckpt.params)
+    p = ckpt.spec._unpack(ckpt.params)
+    if keep_cache:
+        return _forward_whole(p, x_t, y0_up, etas)
+    return _forward_tiled(p, x_t, y0_up, etas), None
+
+
+def _forward_whole(p, x_t, y0_up, etas):
+    """The whole-image forward of training: its output and _backward's cache."""
     b, h, wd, c = x_t.shape
-    ci, wh = 2 * c + 1, spec.hidden_width
-    rows = h if keep_cache else _tile_rows(wh, h, wd)
-    ahead = 8 // math.gcd(wd, 8)
-    # the most rows the first conv computes in one tile
-    span = min(rows + ahead, h)
-    band1, band2 = _band_rows(ci, h, wd), _band_rows(wh, h, wd)
+    ci, wh, co = 2 * c + 1, p["b1"].size, p["b2"].size
     # what may outlive the call first, in one buffer: the temporaries then
     # lie on top of the heap, which glibc reuses; another order had it trim
     # the heap and fault the pages back in, 540 or more minor faults per
     # training step
-    if keep_cache:
-        pat = np.empty((b, 9 * (ci + wh), h * wd))
-        work1, work2 = pat[:, :9 * ci], pat[:, 9 * ci:]
-    out = np.empty((b, spec.image_channels, h * wd))
-    zp = np.empty((b, ci, span + 2, wd + 2))
+    pat = np.empty((b, 9 * (ci + wh), h * wd))
+    cols1, cols2 = pat[:, :9 * ci], pat[:, 9 * ci:]
+    out = np.empty((b, co, h * wd))
+    zp = np.empty((b, ci, h + 2, wd + 2))
     zp[:, 2 * c] = etas[:, None, None]
-    ap = np.empty((b, wh, span + 2, wd + 2))
-    hid = np.empty((b, wh, span * wd))
-    if not keep_cache:
-        work1 = work2 = np.empty(
-            b * 9 * wd * max(ci * min(band1, span), wh * min(band2, rows)))
+    ap = np.empty((b, wh, h + 2, wd + 2))
+    hid = np.empty((b, wh, h * wd))
+    _stack_rows(zp, x_t, y0_up, 0, h)
+    _conv3x3(zp, p["w1"], hid, cols1, _band_rows(ci, h, wd))
+    hid += p["b1"][:, None]
+    np.maximum(hid.reshape(b, wh, h, wd), 0.0, out=ap[:, :, 1:-1, 1:-1])
+    _fill_border(ap, top=True, bottom=True)
+    _conv3x3(ap, p["w2"], out, cols2, _band_rows(wh, h, wd))
+    out += p["b2"][:, None]
+    out = np.ascontiguousarray(out.reshape(b, co, h, wd).transpose(0, 2, 3, 1))
+    return out, (cols1, cols2, ap)
+
+
+def _forward_tiled(p, x_t, y0_up, etas):
+    """The forward of predict, one tile of output rows at a time.
+
+    ``zp`` and ``ap`` hold the tile's padded input and hidden activation,
+    and ``op`` the tile's second-conv output, as flat planes of pitch W + 2
+    (see _conv3x3_rows), zero around the rows; ``zq`` and ``aq`` view their
+    rows.  Row j of ``aq`` holds hidden row r0 - 1 + j of the tile that
+    starts at row r0.  Every buffer is allocated once and reused by each
+    tile and band.
+    """
+    b, h, wd, c = x_t.shape
+    ci, wh, co = 2 * c + 1, p["b1"].size, p["b2"].size
+    pitch = wd + 2
+    rows = _tile_rows(wh, h, wd)
+    # the first conv runs this many rows ahead of the tile, so that each of
+    # its bands starts on a multiple of 8 columns of the image
+    ahead = 8 // math.gcd(wd, 8)
+    # the most rows the first conv computes in one tile
+    span = min(rows + ahead, h)
+    band1, band2 = _band_rows(ci, h, wd), _band_rows(wh, h, wd)
+    # each conv's last band then runs as _conv3x3 runs it
+    ragged = h * wd % 8 != 0
+    out = np.empty((b, h, wd, co))
+    size = _SLACK + (span + 2) * pitch + _SLACK
+    zp = np.zeros((b, ci, size))
+    zp[:, 2 * c] = etas[:, None]
+    ap = np.zeros((b, wh, size))
+    zq, aq = (x[:, :, _SLACK:size - _SLACK].reshape(b, -1, span + 2, pitch)
+              for x in (zp, ap))
+    op = np.empty((b, co, _SLACK + rows * pitch + _SLACK))
+    # a band of n rows has at most n*P + 7 columns
+    work = np.empty(b * 9 * max(ci * (min(band1, span) * pitch + 8),
+                                wh * (min(band2, rows) * pitch + 8)))
     done = 0  # hidden rows 0..done-1 are computed
     for r0 in range(0, h, rows):
         r1 = min(r0 + rows, h)
@@ -414,22 +505,24 @@ def _forward(ckpt, x_t, y0_up, ts, keep_cache=False):
         if r0:
             # the last tile's final row and the rows it computed ahead
             k = done - r0 + 1
-            ap[:, :, :k] = ap[:, :, rows:rows + k]
+            aq[:, :, :k] = aq[:, :, rows:rows + k]
         end = min(r1 + ahead, h)
         if end > done:
-            m, j = end - done, done - r0 + 1
-            _stack_rows(zp, x_t, y0_up, done, end)
-            hv = hid[:, :, :m * wd]
-            _conv3x3(zp[:, :, :m + 2], p["w1"], hv, work1, band1)
-            hv += p["b1"][:, None]
-            np.maximum(hv.reshape(b, wh, m, wd), 0.0, out=ap[:, :, j:j + m, 1:-1])
+            _stack_rows(zq, x_t, y0_up, done, end)
+            k = _SLACK + (done - r0 + 1) * pitch + 1
+            _conv3x3_rows(zp, pitch, end - done, p["w1"], band1,
+                          ragged and end == h, work, ap, k)
+            # the throw-away columns between rows are border cells
+            run = ap[:, :, k:k + (end - done) * pitch - 2]
+            run += p["b1"][:, None]
+            np.maximum(run, 0.0, out=run)
             done = end
-        _fill_border(ap[:, :, :n + 2], top=r0 == 0, bottom=r1 == h)
-        tile = out[:, :, r0 * wd:r1 * wd]
-        _conv3x3(ap[:, :, :n + 2], p["w2"], tile, work2, band2)
-        tile += p["b2"][:, None]
-    out = np.ascontiguousarray(out.reshape(b, -1, h, wd).transpose(0, 2, 3, 1))
-    return out, ((work1, work2, ap) if keep_cache else None)
+        _fill_border(aq[:, :, :n + 2], top=r0 == 0, bottom=r1 == h)
+        _conv3x3_rows(ap, pitch, n, p["w2"], band2, ragged and r1 == h,
+                      work, op, _SLACK)
+        tile = op[:, :, _SLACK:_SLACK + n * pitch].reshape(b, co, n, pitch)[..., :wd]
+        np.add(tile.transpose(0, 2, 3, 1), p["b2"], out=out[:, r0:r1])
+    return out
 
 
 def _backward(spec, params, cache, gout):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ def record():
     return module
 
 
-def _stdout(seed, ops_per_s):
+def _stdout(seed, ops_per_s, correct=True, failed=0):
     """What bench/run.py prints: progress, then the report and result lines."""
     report = {"workload": "eval_64", "seconds": 25.0, "trace": 0,
               "provenance": {"nproc": 2, "numpy": "2.4.6", "seed": seed,
@@ -29,7 +30,7 @@ def _stdout(seed, ops_per_s):
               "op_ms": [16.0, 17.0]}
     values = {"setup_s": 0.3, "ops_per_s": ops_per_s, "op_ms_p50": 1000 / ops_per_s,
               "psnr_gain_db": 0.623, "peak_rss_mb": 63.4}
-    result = {"correct": True, "attempted": 400, "failed": 0,
+    result = {"correct": correct, "attempted": 400, "failed": failed,
               "metrics": {name: {"value": values[name], "unit": "u"} for name in E2E}}
     return f"warming up\n{json.dumps(report)}\n{json.dumps(result)}\n"
 
@@ -62,6 +63,33 @@ def test_assemble_keeps_every_run_and_takes_medians(record):
     assert entry["median"]["ops_per_s"] == 61.0
     assert entry["median"]["op_ms_p50"] == 1000 / 61.0
     json.dumps(bench)  # the file is plain JSON
+
+
+@pytest.mark.parametrize("correct,failed", [(False, 0), (True, 3)])
+def test_wrong_or_failing_run_writes_no_file(record, monkeypatch, tmp_path,
+                                             correct, failed):
+    def bench(argv, **kwargs):
+        return subprocess.CompletedProcess(
+            argv, 0, stdout=_stdout(7, 60.0, correct, failed), stderr="")
+
+    monkeypatch.setattr(record.subprocess, "run", bench)
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    monkeypatch.setattr(record, "checkout_state", lambda: {"commit": "a" * 40})
+    with pytest.raises(SystemExit) as exc:
+        record.main(["--seeds", "7", "8"])
+    message = str(exc.value.code)
+    assert message.startswith(f"error: {WORKLOADS[0]} seed 7: ")
+    assert f"correct={correct}, failed={failed} of 400" in message
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_correct_run_passes_the_check(record, monkeypatch):
+    def bench(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout=_stdout(7, 60.0), stderr="")
+
+    monkeypatch.setattr(record.subprocess, "run", bench)
+    run = record.run_once("eval_64", 7, 1.0)
+    assert run["seed"] == 7 and run["result"]["failed"] == 0
 
 
 def test_next_path_numbers_after_the_highest(record, tmp_path):

@@ -489,8 +489,15 @@ def _tile_shapes(w):
 # 333 columns: bands of 8 rows; 512: bands of 3 rows, as in the bench
 TILE_SHAPES = _tile_shapes(333) + _tile_shapes(512)
 
+# H*W mod 8 is 7, 3, 3, 1, 2 and 6, where BLAS treats the last columns of
+# the reference's call as left-overs; one pixel wide, where they span more
+# than the last row; a last band of 3 columns, which BLAS's gemv treats
+# another way; and eval_64's 64x64
+LEFTOVER_SHAPES = [(3, 5), (13, 7), (15, 29), (31, 31), (5, 2), (2, 3),
+                   (66, 1), (123, 1), (49, 3), (64, 64)]
 
-def _band_mismatches(channels, shapes=BAND_SHAPES + TILE_SHAPES):
+
+def _band_mismatches(channels, shapes=BAND_SHAPES + TILE_SHAPES + LEFTOVER_SHAPES):
     """(H, W) shapes whose two-image batched forward differs from the reference."""
     ckpt = _ckpt(seed=12, image_channels=channels)
     bad = []
@@ -596,27 +603,51 @@ class TestBands:
         assert peaks[512] < 12e6
         assert peaks[2048] - peaks[512] <= (2048 - 512) * 512 * 8 + 1e6
 
+    def test_colour_predict_holds_one_output(self):
+        # the second conv's tiles go straight into the channel-last output:
+        # two output-sized arrays of 6.3 MB each peaked at 18.4 MB
+        ckpt = _ckpt(image_channels=3)
+        x = np.zeros((512, 512, 3))
+        tracemalloc.start()
+        try:
+            pb.predict(ckpt, x, x, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6
+
     @pytest.mark.parametrize("c", [1, 3])
-    @pytest.mark.parametrize("h,w", BAND_SHAPES + TILE_SHAPES)
+    @pytest.mark.parametrize("h,w", BAND_SHAPES + TILE_SHAPES + LEFTOVER_SHAPES)
     def test_tiles_are_whole_second_conv_bands(self, monkeypatch, c, h, w):
-        # so that every call of the thread-sensitive one-output conv is the
-        # whole-image banded conv's
+        # so that every call of the thread-sensitive one-output conv starts
+        # and ends as the whole-image banded conv's did; where H*W is not a
+        # multiple of 8, each conv's last band, the one call with left-over
+        # columns, is run unpitched as the banded conv ran it
         calls = []
-        conv = denoiser._conv3x3
+        conv = denoiser._conv3x3_rows
 
-        def spy(xp, wt, out, work, rows):
-            calls.append((xp.shape[1], xp.shape[2] - 2, rows))
-            conv(xp, wt, out, work, rows)
+        def spy(planes, pitch, m, wt, rows, ends, work, out, at):
+            calls.append((planes.shape[1], m, rows, ends))
+            conv(planes, pitch, m, wt, rows, ends, work, out, at)
 
-        monkeypatch.setattr(denoiser, "_conv3x3", spy)
+        monkeypatch.setattr(denoiser, "_conv3x3_rows", spy)
         x = np.zeros((h, w, c))
         pb.predict(_ckpt(image_channels=c), x, x, 8)
         band = _band_rows(8, h, w)
-        tiles = [n for channels, n, rows in calls if channels == 8 and rows == band]
-        assert len(tiles) == sum(channels == 8 for channels, _, _ in calls)
+        second = [call for call in calls if call[0] == 8]
+        assert [rows for _, _, rows, _ in second] == [band] * len(second)
+        tiles = [m for _, m, _, _ in second]
         assert sum(tiles) == h
         assert all(n % band == 0 for n in tiles[:-1])
         assert tiles[:-1] == [_tile_rows(8, h, w)] * (len(tiles) - 1)
+        first = [call for call in calls if call[0] != 8]
+        assert sum(m for _, m, _, _ in first) == h
+        # the first conv's calls start on a multiple of 8 columns too
+        assert all(sum(m for _, m, _, _ in first[:i]) * w % 8 == 0
+                   for i in range(len(first)))
+        for convs in (first, second):
+            assert [ends for _, _, _, ends in convs] == (
+                [False] * (len(convs) - 1) + [h * w % 8 != 0])
 
 
 def _train_faults_per_step(hidden, steps=100):

@@ -9,6 +9,9 @@ more than the highest number already there.  The file holds every run's
 result line with its report line's provenance, the per-workload median
 of each end-to-end metric, the git commit of the checkout, whether src/
 or bench/ differed from it, and a SHA-256 of the src/ files measured.
+A run whose result says ``"correct": false`` or ``"failed"`` > 0 stops
+the script with a non-zero exit naming its workload and seed, and no
+file is written.
 Three seeds per workload is the usual record; pick seeds that no
 earlier file used.
 """
@@ -33,6 +36,13 @@ def parse_output(stdout):
     return report, result
 
 
+def check_result(workload, seed, result):
+    """Exit non-zero, before any file is written, on a wrong or failing run."""
+    if result["correct"] is not True or result["failed"] != 0:
+        sys.exit(f"error: {workload} seed {seed}: correct={result['correct']}, "
+                 f"failed={result['failed']} of {result['attempted']}; no file written")
+
+
 def run_once(workload, seed, seconds):
     argv = [sys.executable, "bench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -41,6 +51,7 @@ def run_once(workload, seed, seconds):
         sys.exit(f"error: {' '.join(argv)} exited with {done.returncode}: "
                  f"{done.stderr.strip()}")
     report, result = parse_output(done.stdout)
+    check_result(workload, seed, result)
     return {"workload": workload, "seed": seed,
             "provenance": report["provenance"], "result": result}
 
