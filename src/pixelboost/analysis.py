@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, ParameterError, _require_int
+from .errors import DegenerateFitError, ParameterError, _require_arrays, _require_int
 from .noise import FAMILIES as FIT_FAMILIES, NoiseKind, sample_noise
 
 DEFAULT_BIN_COUNT = 64
@@ -27,7 +27,7 @@ REFERENCE_STATISTICS = {
 
 
 def _clean_sample(sample, name):
-    arr = np.ravel(np.asarray(sample, dtype=np.float64))
+    arr = np.ravel(_require_arrays(sample)[0])
     if arr.size == 0:
         raise ParameterError(f"{name} sample is empty")
     if not np.all(np.isfinite(arr)):

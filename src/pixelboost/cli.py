@@ -30,9 +30,9 @@ from .analysis import noise_fit_report
 from .denoiser import (DenoiserSpec, TrainOptions, as_denoiser,
                        load_checkpoint, save_checkpoint, train)
 from .diffusion import CONVENTIONS, forward_chain, make_config, reverse_sample
-from .errors import CodecError, PixelBoostError, ShapeError
-from .imagedata import (bicubic_resize, check_same_shape, make_lr_pair,
-                        read_image, synth_dataset, write_image, SYNTH_KINDS)
+from .errors import CodecError, PixelBoostError, ShapeError, _require_arrays
+from .imagedata import (bicubic_resize, make_lr_pair, read_image, synth_dataset,
+                        write_image, SYNTH_KINDS)
 from .metrics import LOE_GRID_MAX, edge_report, grid_csv, metric_report
 from .noise import (STREAM_ANALYSIS, STREAM_DATASET, STREAM_FORWARD,
                     STREAM_SAMPLER, RngStream)
@@ -311,8 +311,7 @@ def cmd_analyze_noise(cfg):
                              "not a whole number of float64 values")
         sample = np.fromfile(cfg.input, dtype="<f8")
     elif cfg.gt is not None and cfg.test is not None:
-        gt, test = read_image(cfg.gt), read_image(cfg.test)
-        check_same_shape(gt, test)
+        gt, test = _require_arrays(read_image(cfg.gt), read_image(cfg.test))
         sample = (test - gt).ravel()
     else:
         raise _UsageError("analyze-noise needs --input or both --gt and --test")

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import DiffusionConfig, _check_t, forward_marginal, item_loss
+from .diffusion import DiffusionConfig, _check_t, _item_loss, _marginal
 from .errors import (CheckpointError, CheckpointVersionError, ParameterError,
-                     ShapeError, TrainingError, _require_int)
-from .imagedata import check_same_shape
+                     ShapeError, TrainingError, _require_arrays, _require_int,
+                     _require_positive)
 from .noise import STREAM_INIT, STREAM_TRAIN, RngStream
 from .schedule import build_schedule
 
@@ -78,7 +78,7 @@ class DenoiserSpec:
 def spec_for_images(kind, image_channels=1, hidden_width=8):
     # ``kind`` stays while the bench calls spec_for_images("conv2"); it goes
     # when the bench builds a DenoiserSpec itself
-    if kind != "conv2":
+    if not isinstance(kind, str) or kind != "conv2":
         raise ParameterError(f"the one denoiser kind is 'conv2', got {kind!r}")
     return DenoiserSpec(image_channels=image_channels, hidden_width=hidden_width)
 
@@ -93,7 +93,7 @@ class DenoiserCheckpoint:
     train_config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.params = np.asarray(self.params, dtype=np.float64).reshape(-1)
+        self.params = _require_arrays(self.params)[0].reshape(-1)
         if self.params.size != self.spec.param_count():
             raise CheckpointError(
                 f"parameter count {self.params.size} does not match spec "
@@ -142,7 +142,7 @@ class OracleDenoiser:
     """Test-only predictor that always returns the attached ground truth."""
 
     def __init__(self, x0):
-        self.x0 = np.asarray(x0, dtype=np.float64)
+        (self.x0,) = _require_arrays(x0)
 
     def __call__(self, x_t, y0_up, t):
         return self.x0.copy()
@@ -398,15 +398,25 @@ def _conv3x3_input_grad(w, gout):
     return dx
 
 
-def _check_pair(spec, x_t, y0_up):
-    """One (H, W, C) input pair as float64 arrays, validated against the spec."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    y0_up = np.asarray(y0_up, dtype=np.float64)
-    check_same_shape(x_t, y0_up)
-    if x_t.ndim != 3 or x_t.shape[2] != spec.image_channels:
+def _check_images(spec, *arrays):
+    """Float64 (H, W, C) arrays of one shape, C the spec's channels, H and W >= 1."""
+    arrays = _require_arrays(*arrays)
+    shape = arrays[0].shape
+    if len(shape) != 3 or shape[2] != spec.image_channels or 0 in shape:
         raise ShapeError(
-            f"expected (H, W, {spec.image_channels}) inputs, got {x_t.shape}")
-    return x_t, y0_up
+            f"expected nonempty (H, W, {spec.image_channels}) inputs, got {shape}")
+    return arrays
+
+
+def _as_pairs(dataset):
+    """``dataset`` as a list of 2-tuples; refused unless a nonempty sequence of pairs."""
+    try:
+        pairs = [tuple(pair) for pair in dataset]
+    except TypeError:
+        pairs = []
+    if not pairs or any(len(pair) != 2 for pair in pairs):
+        raise ParameterError(f"need a nonempty sequence of pairs, got {dataset!r:.40}")
+    return pairs
 
 
 def _stack_rows(zp, x_t, y0_up, r0, r1):
@@ -425,14 +435,13 @@ def _stack_rows(zp, x_t, y0_up, r0, r1):
 
 
 def _forward(ckpt, x_t, y0_up, ts, keep_cache=False):
-    """Network output (B, H, W, Co) for (B, H, W, C) inputs, and _backward's cache.
+    """Network output (B, H, W, Co) of checked (B, H, W, C) inputs, and _backward's cache.
 
     With ``keep_cache`` the cache holds both convs' whole patch matrices and
     the padded activation, as _backward needs; otherwise it is None and the
     image runs in tiles (see the comment above _fill_border).
     """
-    schedule = ckpt.schedule()
-    etas = schedule.etas[[_check_t(t, schedule.steps) for t in ts]]
+    etas = ckpt.schedule().etas[ts]
     p = ckpt.spec._unpack(ckpt.params)
     if keep_cache:
         return _forward_whole(p, x_t, y0_up, etas)
@@ -539,7 +548,7 @@ def _backward(spec, params, cache, gout):
 
 
 def _losses_and_gradients(ckpt, items):
-    """Per-item losses (B,) and gradients (B, P) of (x0, y0_up, t, x_t) items.
+    """Per-item losses (B,) and gradients (B, P) of checked (x0, y0_up, t, x_t) items.
 
     Items of one image shape share a forward, a backward and an item_loss call.
     """
@@ -556,36 +565,31 @@ def _losses_and_gradients(ckpt, items):
         # d mean((prediction - x0)^2) / d prediction = 2 / size * (prediction - x0)
         gout = (2.0 / diff[0].size) * diff
         grads[ks] = _backward(ckpt.spec, ckpt.params, cache, gout)
-        losses[ks] = item_loss(x0, out)
+        losses[ks] = _item_loss(x0, out)
     return losses, grads
 
 
 def predict(ckpt, x_t, y0_up, t):
     """x0 prediction; the timestep enters as a constant eta_t channel."""
-    x_t, y0_up = _check_pair(ckpt.spec, x_t, y0_up)
+    x_t, y0_up = _check_images(ckpt.spec, x_t, y0_up)
+    t = _check_t(t, ckpt.schedule().steps)
     return _forward(ckpt, x_t[None], y0_up[None], [t])[0][0]
-
-
-def _check_item(spec, item, t, x_t):
-    """A validated item in _losses_and_gradients' layout (x0, y0_up, t, x_t)."""
-    x0, y0_up = item
-    x0 = np.asarray(x0, dtype=np.float64)
-    x_t, y0_up = _check_pair(spec, x_t, y0_up)
-    check_same_shape(x0, x_t)
-    return x0, y0_up, t, x_t
 
 
 def loss_gradient(ckpt, item, t, x_t):
     """Analytic gradient of the single-item loss w.r.t. every parameter."""
-    _, grads = _losses_and_gradients(ckpt, [_check_item(ckpt.spec, item, t, x_t)])
+    x0, y0_up, x_t = _check_images(ckpt.spec, *_as_pairs([item])[0], x_t)
+    t = _check_t(t, ckpt.schedule().steps)
+    _, grads = _losses_and_gradients(ckpt, [(x0, y0_up, t, x_t)])
     return grads[0]
 
 
 def item_loss_value(ckpt, item, t, x_t):
     """The loss whose gradient loss_gradient returns, as a Python float."""
-    x0, y0_up, t, x_t = _check_item(ckpt.spec, item, t, x_t)
+    x0, y0_up, x_t = _check_images(ckpt.spec, *_as_pairs([item])[0], x_t)
+    t = _check_t(t, ckpt.schedule().steps)
     out, _ = _forward(ckpt, x_t[None], y0_up[None], [t])
-    return float(item_loss(x0, out[0]))
+    return float(_item_loss(x0, out[0]))
 
 
 # --- training ----------------------------------------------------------------
@@ -597,9 +601,7 @@ class TrainOptions:
     batch_size: int = 8
 
     def __post_init__(self):
-        if not 0 < self.step_size < math.inf:
-            raise ParameterError(
-                f"step_size must be positive and finite, got {self.step_size}")
+        _require_positive("step_size", self.step_size)
         # stored as plain ints, so checkpoints record them as JSON
         object.__setattr__(self, "steps", _require_int("steps", self.steps, 0))
         object.__setattr__(self, "batch_size",
@@ -634,13 +636,13 @@ def train(dataset, cfg, opt=None, spec=None):
     ``dataset`` is a list of (x_0, y0_up) pairs on the HR grid.  Returns
     the trained checkpoint and the per-step batch losses.
     """
-    if len(dataset) == 0:
-        raise ParameterError("dataset must be nonempty")
+    dataset = _as_pairs(dataset)
     if opt is None:
         opt = TrainOptions()
     if spec is None:
-        spec = DenoiserSpec(image_channels=np.shape(dataset[0][0])[2])
-    dataset = [_check_pair(spec, x0, y0_up) for x0, y0_up in dataset]
+        (x0,) = _require_arrays(dataset[0][0])
+        spec = DenoiserSpec(image_channels=x0.shape[2] if x0.ndim == 3 else 1)
+    dataset = [_check_images(spec, x0, y0_up) for x0, y0_up in dataset]
 
     ckpt = init_checkpoint(spec, cfg)
     # every checkpoint is trained on the one loss; the key stays in the metadata
@@ -656,7 +658,8 @@ def train(dataset, cfg, opt=None, spec=None):
         for i in rng.integers(0, n, opt.batch_size):
             x0, y0_up = dataset[int(i)]
             t = int(rng.integers(1, cfg.steps + 1))
-            items.append((x0, y0_up, t, forward_marginal(x0, y0_up - x0, t, cfg, rng)))
+            x_t = _marginal(x0, y0_up - x0, t, cfg, rng.standard_normal(x0.shape))
+            items.append((x0, y0_up, t, x_t))
         losses, grads = _losses_and_gradients(ckpt, items)
         # both sums add the items in order, as the per-item reference does:
         # np.sum would pair the losses, and sum() compensates from Python 3.12

@@ -13,13 +13,13 @@ sigma^2 eta_t I).  The reverse chain samples the Gaussian posterior of
 x_{t-1} given x_t and a denoiser's x0 prediction.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, ShapeError, _require_int
-from .imagedata import as_image, check_same_shape
+from .errors import (NumericError, ParameterError, ShapeError, _require_arrays,
+                     _require_int, _require_positive)
+from .imagedata import as_image
 from .schedule import Schedule, build_schedule
 
 CONVENTIONS = ("eq5_variance", "eq4_literal")
@@ -32,9 +32,8 @@ class DiffusionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.sigma < math.inf:
-            raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
-        # stored as a plain int, so checkpoints record it as JSON
+        # plain float and int, as checkpoints record them; sigma**2 stays finite
+        object.__setattr__(self, "sigma", _require_positive("sigma", self.sigma, 1e154))
         object.__setattr__(self, "seed", _require_int("seed", self.seed))
 
     @property
@@ -48,17 +47,17 @@ def make_config(steps=15, sigma=1.5, t_mid=None, mode="normalized",
     """Convenience constructor building the schedule alongside the config."""
     # the bench's sampling config still passes the checkpoint's convention;
     # this keyword goes when the bench rebuilds its config with ckpt.config()
-    if convention != "eq5_variance":
+    if not isinstance(convention, str) or convention != "eq5_variance":
         raise ParameterError(
             f"the config's closed forms are eq5_variance, got {convention!r}")
     sched = build_schedule(steps, t_mid=t_mid, mode=mode)
-    return DiffusionConfig(sigma=float(sigma), schedule=sched, seed=seed)
+    return DiffusionConfig(sigma=sigma, schedule=sched, seed=seed)
 
 
 def _check_t(t, steps):
     t = _require_int("t", t)
     if not 1 <= t <= steps:
-        raise IndexError(f"t={t} outside 1..{steps}")
+        raise ParameterError(f"t={t} outside 1..{steps}")
     return t
 
 
@@ -69,14 +68,10 @@ def step_increment(delta0, alpha_t, sigma, noise, convention="eq5_variance"):
     delta_0 = 0, alpha_t = 0.2, sigma = 0.5 and w = -1.2 the eq4_literal
     increment is exactly 0.2 * (0.5 * -1.2) = -0.12.
     """
-    delta0 = np.asarray(delta0, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    check_same_shape(delta0, noise)
-    if not alpha_t > 0:
-        raise ParameterError(f"alpha_t must be positive, got {alpha_t}")
-    if not sigma > 0:
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-    if convention not in CONVENTIONS:
+    delta0, noise = _require_arrays(delta0, noise)
+    alpha_t = _require_positive("alpha_t", alpha_t)
+    sigma = _require_positive("sigma", sigma)
+    if not isinstance(convention, str) or convention not in CONVENTIONS:
         raise ParameterError(
             f"convention must be one of {CONVENTIONS}, got {convention!r}")
     if convention == "eq4_literal":
@@ -87,10 +82,10 @@ def step_increment(delta0, alpha_t, sigma, noise, convention="eq5_variance"):
 def _noise_for(shape, rng, noise):
     """The given standard-normal field, else a fresh draw from ``rng``."""
     if noise is None:
-        if rng is None:
-            raise ParameterError("need an RngStream when noise is not supplied")
+        if not callable(getattr(rng, "standard_normal", None)):
+            raise ParameterError(f"need an rng when noise is not supplied, got {rng!r}")
         return rng.standard_normal(shape)
-    noise = np.asarray(noise, dtype=np.float64)
+    (noise,) = _require_arrays(noise)
     if noise.shape != shape:
         raise ShapeError(f"noise shape {noise.shape} != state shape {shape}")
     return noise
@@ -106,9 +101,7 @@ def forward_step(x_prev, delta0, t, cfg, rng=None, noise=None,
     eq4_literal it is alpha_t*(delta_0 + sigma*w).  Every other function
     here is the eq5_variance closed form.
     """
-    x_prev = np.asarray(x_prev, dtype=np.float64)
-    delta0 = np.asarray(delta0, dtype=np.float64)
-    check_same_shape(x_prev, delta0)
+    x_prev, delta0 = _require_arrays(x_prev, delta0)
     t = _check_t(t, cfg.steps)
     etas = cfg.schedule.etas
     a_t = etas[t] - etas[t - 1]
@@ -123,12 +116,14 @@ def forward_marginal(x0, delta0, t, cfg, rng=None, noise=None):
     for normalized schedules and keeps the marginal exactly equal to the
     composed per-step chain in raw mode too.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    delta0 = np.asarray(delta0, dtype=np.float64)
-    check_same_shape(x0, delta0)
+    x0, delta0 = _require_arrays(x0, delta0)
     t = _check_t(t, cfg.steps)
+    return _marginal(x0, delta0, t, cfg, _noise_for(x0.shape, rng, noise))
+
+
+def _marginal(x0, delta0, t, cfg, noise):
+    """forward_marginal's draw, for float64 arrays of one shape and 1 <= t <= T."""
     eta = cfg.schedule.etas[t] - cfg.schedule.etas[0]
-    noise = _noise_for(x0.shape, rng, noise)
     return x0 + eta * delta0 + cfg.sigma * np.sqrt(eta) * noise
 
 
@@ -139,7 +134,7 @@ def forward_chain(x0, delta0, cfg, rng, keep_trajectory=False,
     Returns ``(x_T, frames)``; ``frames`` lists x_0..x_T when
     ``keep_trajectory`` is set and is None otherwise.
     """
-    x = np.asarray(x0, dtype=np.float64)
+    x, delta0 = _require_arrays(x0, delta0)
     frames = [x] if keep_trajectory else None
     for t in range(1, cfg.steps + 1):
         x = forward_step(x, delta0, t, cfg, rng, convention=convention)
@@ -159,19 +154,16 @@ def posterior_params(x_t, x0_hat, t, cfg):
     Exact for schedules anchored at eta_0 = 0; at t=1 the posterior
     collapses to the prediction with zero variance.
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    x0_hat = np.asarray(x0_hat, dtype=np.float64)
-    check_same_shape(x_t, x0_hat)
-    t = _check_t(t, cfg.steps)
-    etas = cfg.schedule.etas
-    eta_t = etas[t]
-    eta_prev = etas[t - 1]
-    if eta_t == 0.0:
-        raise ParameterError(f"degenerate schedule: eta_{t} = 0")
+    x_t, x0_hat = _require_arrays(x_t, x0_hat)
+    c_t, c_0, variance = _posterior_step(_check_t(t, cfg.steps), cfg)
+    return c_t * x_t + c_0 * x0_hat, variance
+
+
+def _posterior_step(t, cfg):
+    """Step t's posterior: the mean's coefficients of x_t and x0_hat, and the variance."""
+    eta_prev, eta_t = cfg.schedule.etas[t - 1:t + 1]
     a_t = eta_t - eta_prev
-    mean = (eta_prev / eta_t) * x_t + (a_t / eta_t) * x0_hat
-    variance = cfg.sigma**2 * eta_prev * a_t / eta_t
-    return mean, float(variance)
+    return eta_prev / eta_t, a_t / eta_t, float(cfg.sigma**2 * eta_prev * a_t / eta_t)
 
 
 def reverse_sample(y0_up, denoiser, cfg, rng, keep_trajectory=False):
@@ -184,19 +176,20 @@ def reverse_sample(y0_up, denoiser, cfg, rng, keep_trajectory=False):
     sched = cfg.schedule
     if sched.etas[0] != 0.0 or sched.etas[-1] != 1.0:
         raise ParameterError("reverse sampling requires a normalized schedule")
+    if not callable(denoiser):
+        raise ParameterError(f"denoiser must be callable, got {denoiser!r}")
     y0_up = as_image(y0_up)
-    x = y0_up + cfg.sigma * np.sqrt(sched.etas[-1]) * rng.standard_normal(y0_up.shape)
+    x = y0_up + cfg.sigma * np.sqrt(sched.etas[-1]) * _noise_for(y0_up.shape, rng, None)
     frames = [x] if keep_trajectory else None
     for t in range(cfg.steps, 0, -1):
-        x0_hat = np.asarray(denoiser(x, y0_up, t), dtype=np.float64)
+        (x0_hat,) = _require_arrays(denoiser(x, y0_up, t))
         if x0_hat.shape != x.shape:
             raise ShapeError(
                 f"denoiser returned shape {x0_hat.shape}, expected {x.shape}")
-        mean, var = posterior_params(x, x0_hat, t, cfg)
+        c_t, c_0, var = _posterior_step(t, cfg)
+        x = c_t * x + c_0 * x0_hat
         if var > 0.0:
-            x = mean + np.sqrt(var) * rng.standard_normal(x.shape)
-        else:
-            x = mean
+            x = x + np.sqrt(var) * rng.standard_normal(x.shape)
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite values at reverse step t={t}")
         if keep_trajectory:
@@ -206,5 +199,12 @@ def reverse_sample(y0_up, denoiser, cfg, rng, keep_trajectory=False):
 
 def item_loss(x0, x0_hat):
     """Training loss: each item's mean squared error over its (H, W, C) axes."""
+    x0, x0_hat = _require_arrays(x0, x0_hat)
+    if x0.ndim < 3:
+        raise ShapeError(f"expected (..., H, W, C) arrays, got shape {x0.shape}")
+    return _item_loss(x0, x0_hat)
+
+
+def _item_loss(x0, x0_hat):
     diff = x0_hat - x0
     return np.mean(diff * diff, axis=(-3, -2, -1))

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the integer check."""
+"""Exception types shared across the package, and the argument checks."""
 
 import numbers
+import sys
+
+import numpy as np
 
 
 class PixelBoostError(Exception):
@@ -53,3 +56,26 @@ def _require_int(name, value, low=None):
         bound = "" if low is None else f" >= {low}"
         raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def _require_positive(name, value, below=sys.float_info.max):
+    """``value`` as a float; refused unless a real number, not a bool, in (0, below)."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not 0 < value < below):
+        bound = "" if below == sys.float_info.max else f", below {below:g}"
+        raise ParameterError(f"{name} must be positive and finite{bound}, got {value!r}")
+    return float(value)
+
+
+def _require_arrays(*arrays):
+    """Each argument as a float64 array, in a list; all must have one shape."""
+    try:
+        arrays = [np.asarray(a) for a in arrays]
+        if "c" in [a.dtype.kind for a in arrays]:
+            raise TypeError("complex values")
+        arrays = [a.astype(np.float64, copy=False) for a in arrays]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"expected an array of real numbers: {exc}") from exc
+    if len({a.shape for a in arrays}) > 1:
+        raise ShapeError(f"shape mismatch: {' vs '.join(str(a.shape) for a in arrays)}")
+    return arrays

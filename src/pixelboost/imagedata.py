@@ -5,8 +5,6 @@ nominally in [0, 1].  Values may leave [0, 1] mid-diffusion; only the
 codec clamps, and only on write.
 """
 
-import math
-import numbers
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -14,12 +12,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (CodecError, ParameterError, ShapeError, UnsupportedFormatError,
-                     _require_int)
+                     _require_arrays, _require_int, _require_positive)
+
+# bicubic_resize's most output pixels: 8192^2, sr of a 2048^2 LR image, about 0.9 GiB
+# at the resize's peak in grey.  sr_512's 512^2 is 1/256 of it.
+_MAX_RESIZE_PIXELS = 1 << 26
 
 
 def as_image(arr):
     """Coerce to a float64 (H, W, C) image array, validating the contract."""
-    a = np.asarray(arr, dtype=np.float64)
+    (a,) = _require_arrays(arr)
     if a.ndim == 2:
         a = a[:, :, None]
     if a.ndim != 3 or a.shape[2] not in (1, 3):
@@ -31,9 +33,9 @@ def as_image(arr):
     return a
 
 
-def check_same_shape(a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
+def _image_pair(a, b):
+    """Two images of one shape, each converted and checked once, as by as_image."""
+    return _require_arrays(as_image(a), as_image(b))
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,8 @@ def resize_weights(n_in, n_out):
     with scale = n_out/n_in; out-of-range taps are clipped to the border
     (replicate handling), so every row still sums to 1.
     """
-    if n_out < 1:
-        raise ParameterError(f"target size must be >= 1, got {n_out}")
+    n_in = _require_int("n_in", n_in, 1)
+    n_out = _require_int("n_out", n_out, 1)
     scale = n_out / n_in
     src = (np.arange(n_out, dtype=np.float64) + 0.5) / scale - 0.5
     base = np.floor(src).astype(np.int64)
@@ -101,10 +103,10 @@ def bicubic_resize(img, scale):
     input values unchanged.
     """
     img = as_image(img)
-    if (not isinstance(scale, numbers.Real) or isinstance(scale, bool)
-            or not math.isfinite(scale)):
-        raise ParameterError(f"scale must be a finite number, got {scale!r}")
+    _require_positive("scale", scale)
     h, w, _ = img.shape
+    if h * scale * w * scale > _MAX_RESIZE_PIXELS:
+        raise ParameterError(f"scale {scale} takes {h}x{w} past {_MAX_RESIZE_PIXELS} pixels")
     h_out = int(round(h * scale))
     w_out = int(round(w * scale))
     if h_out < 1 or w_out < 1:
@@ -182,7 +184,7 @@ def _synth_mixed(size, rng):
 
 def synth_dataset(kind, count, size, rng):
     """Deterministic-per-seed synthetic HR images in [0, 1], shape (size, size, 1)."""
-    if kind not in SYNTH_KINDS:
+    if not isinstance(kind, str) or kind not in SYNTH_KINDS:
         raise ParameterError(f"kind must be one of {SYNTH_KINDS}, got {kind!r}")
     count = _require_int("count", count, 1)
     size = _require_int("size", size)

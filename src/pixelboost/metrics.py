@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _require_int
-from .imagedata import as_image, check_same_shape
+from .errors import ParameterError, ShapeError, _require_arrays, _require_int
+from .imagedata import _image_pair, as_image
 
 # the peak value of the [0, 1] image contract, which PSNR and SSIM assume
 _DATA_RANGE = 1.0
@@ -29,12 +29,6 @@ SOBEL_X = np.array([[-1.0, 0.0, 1.0],
 SOBEL_Y = SOBEL_X.T
 
 
-def _pair(a, b):
-    a = as_image(a)
-    b = as_image(b)
-    check_same_shape(a, b)
-    return a, b
-
 
 def lightness(img):
     """Per-pixel lightness: the max over channels."""
@@ -43,7 +37,10 @@ def lightness(img):
 
 def psnr(a, b):
     """10*log10(R^2 / MSE) with R = _DATA_RANGE; +inf for identical images."""
-    a, b = _pair(a, b)
+    return _psnr(*_image_pair(a, b))
+
+
+def _psnr(a, b):
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")
@@ -162,7 +159,10 @@ def _ssim_plane(x, y):
 
 def ssim(a, b):
     """Mean local structural similarity, per channel then averaged."""
-    a, b = _pair(a, b)
+    return _ssim(*_image_pair(a, b))
+
+
+def _ssim(a, b):
     if min(a.shape[0], a.shape[1]) < SSIM_WINDOW:
         raise ParameterError(
             f"image {a.shape[:2]} is smaller than the {SSIM_WINDOW}x"
@@ -248,10 +248,12 @@ def loe(enhanced, original, grid=LOE_GRID_DEFAULT):
     a call takes 1.5-1.8 ms on a 2-vCPU Xeon; the n x n order matrices
     take about 28 ms.
     """
-    enhanced, original = _pair(enhanced, original)
-    grid = _loe_grid(grid)
-    u = _loe_sites(lightness(enhanced), grid)
-    v = _loe_sites(lightness(original), grid)
+    return _loe(*_image_pair(enhanced, original), _loe_grid(grid))
+
+
+def _loe(enhanced, original, grid):
+    u = _loe_sites(enhanced.max(axis=2), grid)
+    v = _loe_sites(original.max(axis=2), grid)
     n = u.size
     # -0.0 == +0.0, so signed zeros share a rank
     _, rank_u, counts_u = np.unique(u, return_inverse=True, return_counts=True)
@@ -282,7 +284,10 @@ def _correlate3(p, weights):
 
 def sobel_magnitude(img):
     """Gradient magnitude sqrt(Gx^2 + Gy^2) of the lightness plane."""
-    plane = lightness(img)
+    return _sobel(lightness(img))
+
+
+def _sobel(plane):
     h, w = plane.shape
     p = np.empty((h + 2, w + 2))  # the plane, edge-padded by one
     p[1:-1, 1:-1] = plane
@@ -323,13 +328,13 @@ def edge_report(a, b, patch=EDGE_PATCH_DEFAULT):
     Patches are non-overlapping patch x patch cells; partial cells at
     the right/bottom edges are dropped.
     """
-    a, b = _pair(a, b)
+    a, b = _image_pair(a, b)
     patch = _require_int("patch", patch, 2)
     if a.shape[0] < patch or a.shape[1] < patch:
         raise ParameterError(
             f"image {a.shape[:2]} is smaller than one {patch}x{patch} patch")
-    mag_a = sobel_magnitude(a)
-    mag_b = sobel_magnitude(b)
+    mag_a = _sobel(a.max(axis=2))
+    mag_b = _sobel(b.max(axis=2))
     pm_a = _patch_means(mag_a, patch)
     pm_b = _patch_means(mag_b, patch)
     return EdgeReport(magnitude_a=mag_a, magnitude_b=mag_b,
@@ -355,16 +360,19 @@ class MetricReport:
 
 def grid_csv(grid):
     """A 2-D array as CSV rows with full-precision floats."""
-    lines = [",".join(repr(float(v)) for v in row) for row in np.asarray(grid)]
+    (grid,) = _require_arrays(grid)
+    if grid.ndim != 2:
+        raise ShapeError(f"expected a 2-D array, got shape {grid.shape}")
+    lines = [",".join(repr(float(v)) for v in row) for row in grid]
     return "\n".join(lines) + "\n"
 
 
 def metric_report(gt, test, gt_id="gt", test_id="test", grid=LOE_GRID_DEFAULT):
     """One-stop comparison used by the command-line front end."""
-    gt, test = _pair(gt, test)
+    gt, test = _image_pair(gt, test)
     grid = _loe_grid(grid)  # refused before PSNR and SSIM are computed
     return MetricReport(gt_id=gt_id, test_id=test_id,
-                        psnr_db=psnr(gt, test),
-                        ssim=ssim(gt, test),
-                        loe=loe(test, gt, grid=grid),
+                        psnr_db=_psnr(gt, test),
+                        ssim=_ssim(gt, test),
+                        loe=_loe(test, gt, grid),
                         loe_grid=grid)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _require_int
+from .errors import ParameterError, _require_int, _require_positive
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,8 +56,8 @@ class RngStream:
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seed = int(self.seed) & _MASK64
-        sid = int(self.stream_id) & _MASK64
+        seed = _require_int("seed", self.seed) & _MASK64
+        sid = _require_int("stream_id", self.stream_id) & _MASK64
         self.seed = seed
         self.stream_id = sid
         self._gen = np.random.Generator(np.random.Philox(key=[seed, sid]))
@@ -68,7 +68,7 @@ class RngStream:
 
     def substream(self, k):
         """Derive an independent stream; same (seed, stream_id, k) -> same stream."""
-        return RngStream(self.seed, _mix(self.stream_id, int(k)))
+        return RngStream(self.seed, _mix(self.stream_id, _require_int("k", k)))
 
     # Thin draws used throughout the package; all consume this stream's state.
     def standard_normal(self, shape=None):
@@ -102,10 +102,10 @@ class NoiseKind:
     sigma: float = 1.0   # brownian only
 
     def __post_init__(self):
-        if self.tag not in FAMILIES:
+        if not isinstance(self.tag, str) or self.tag not in FAMILIES:
             raise ParameterError(f"unknown noise family {self.tag!r}")
-        if self.tag == "brownian" and not self.sigma > 0:
-            raise ParameterError(f"brownian strength must be positive, got {self.sigma}")
+        if self.tag == "brownian":
+            _require_positive("brownian strength sigma", self.sigma)
 
 
 def sample_noise(kind, shape, rng):

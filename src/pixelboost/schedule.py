@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _require_int
+from .errors import ParameterError, _require_arrays, _require_int, _require_positive
 
 MODES = ("raw", "normalized")
 
@@ -33,7 +33,7 @@ class Schedule:
     mode: str
 
     def __post_init__(self):
-        etas = np.asarray(self.etas, dtype=np.float64)
+        (etas,) = _require_arrays(self.etas)
         etas.setflags(write=False)
         object.__setattr__(self, "etas", etas)
         if etas.ndim != 1 or etas.size < 2:
@@ -43,6 +43,8 @@ class Schedule:
             raise ParameterError("eta sequence must be strictly increasing")
         if etas[0] < 0 or etas[-1] > 1:
             raise ParameterError("eta values must lie in [0, 1]")
+        if not isinstance(self.mode, str) or self.mode not in MODES:
+            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "normalized" and (etas[0] != 0.0 or etas[-1] != 1.0):
             raise ParameterError("normalized schedule must have eta_0 = 0, eta_T = 1")
 
@@ -59,7 +61,7 @@ class Schedule:
 
 def default_t_mid(steps):
     """Curve midpoint placed halfway through the step range."""
-    return steps / 2.0 + 0.5
+    return _require_int("steps", steps) / 2.0 + 0.5
 
 
 def build_schedule(steps, t_mid=None, mode="normalized"):
@@ -76,10 +78,8 @@ def build_schedule(steps, t_mid=None, mode="normalized"):
         raise ParameterError(f"steps must lie in 2..{MAX_STEPS}, got {steps}")
     if t_mid is None:
         t_mid = default_t_mid(steps)
-    t_mid = float(t_mid)
-    if not 0.0 < t_mid < steps:
-        raise ParameterError(f"t_mid must lie in (0, {steps}), got {t_mid}")
-    if mode not in MODES:
+    t_mid = _require_positive("t_mid", t_mid, below=steps)
+    if not isinstance(mode, str) or mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
 
     t = np.arange(steps + 1, dtype=np.float64)

@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import pixelboost as pb
 from pixelboost import (CheckpointError, CheckpointVersionError,
                         ParameterError, ShapeError, TrainingError)
-from pixelboost import denoiser
+from pixelboost import denoiser, diffusion
 from pixelboost.denoiser import (_BAND_VALUES, CHECKPOINT_MAGIC,
                                  INIT_WEIGHT_HALF_RANGE, _band_rows,
                                  _conv3x3_input_grad, _forward,
@@ -131,7 +131,7 @@ class TestPredict:
             pb.predict(ckpt, x_t[:3], y, 1)
         with pytest.raises(ShapeError):
             pb.predict(ckpt, np.zeros((4, 4, 3)), np.zeros((4, 4, 3)), 1)
-        with pytest.raises(IndexError):
+        with pytest.raises(ParameterError):
             pb.predict(ckpt, x_t, y, 0)
 
     @pytest.mark.parametrize("t", [0, 16, -1])
@@ -139,7 +139,7 @@ class TestPredict:
         # both ends of the range name the timesteps the checkpoint takes
         ckpt = _ckpt()
         _, y, x_t = _item()
-        with pytest.raises(IndexError, match=rf"^t={t} outside 1\.\.15$"):
+        with pytest.raises(ParameterError, match=rf"^t={t} outside 1\.\.15$"):
             pb.predict(ckpt, x_t, y, t)
 
     @pytest.mark.parametrize("t", [2.7, 2.0, np.float64(3.0), True])
@@ -679,6 +679,17 @@ class TestTrain:
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         assert float(run.stdout) <= 20
+
+    def test_steps_do_not_call_forward_marginal(self, monkeypatch):
+        # train() draws x_t through the unchecked marginal core; the per-item
+        # reference, which calls forward_marginal, pins its bits
+        def refuse(*args, **kwargs):
+            raise AssertionError("train called forward_marginal")
+        for module in (diffusion, denoiser):
+            monkeypatch.setattr(module, "forward_marginal", refuse, raising=False)
+        _, history = pb.train(_dataset(seed=4), pb.make_config(seed=4),
+                              pb.TrainOptions(steps=2))
+        assert len(history) == 2
 
     def test_loss_decreases_on_smoke_run(self):
         cfg = pb.make_config(steps=15, sigma=1.5, seed=1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pixelboost as pb
-from pixelboost import ParameterError, ShapeError
+from pixelboost import ParameterError, ShapeError, diffusion
 from pixelboost.diffusion import CONVENTIONS
 from pixelboost.noise import STREAM_FORWARD, STREAM_SAMPLER
 
@@ -126,7 +126,7 @@ class TestForwardStep:
         cfg = pb.make_config(steps=5)
         z = np.zeros((1, 1, 1))
         for t in (0, 6):
-            with pytest.raises(IndexError):
+            with pytest.raises(ParameterError):
                 pb.forward_step(z, z, t, cfg, _rng())
         with pytest.raises(ParameterError, match="t must be an integer"):
             pb.forward_step(z, z, 2.5, cfg, _rng())
@@ -299,6 +299,24 @@ class TestReverseSample:
         bad = lambda x_t, y0_up, t: np.zeros((2, 2, 1))
         with pytest.raises(ShapeError):
             pb.reverse_sample(y, bad, cfg, _rng(6, STREAM_SAMPLER))
+
+    def test_steps_match_posterior_params_without_calling_it(self, monkeypatch):
+        # the chain takes each step's coefficients from the core that
+        # posterior_params wraps, bit for bit, and skips its checks
+        cfg = pb.make_config(steps=6, sigma=1.5)
+        y = pb.make_lr_pair(pb.synth_dataset("mixed", 1, 16, _rng(8))[0]).lr_up
+        denoise = lambda x_t, y0_up, t: 0.75 * x_t + 0.25 * y0_up
+        rng = _rng(9, STREAM_SAMPLER)
+        x = y + cfg.sigma * rng.standard_normal(y.shape)
+        for t in range(cfg.steps, 0, -1):
+            mean, var = pb.posterior_params(x, denoise(x, y, t), t, cfg)
+            x = mean + np.sqrt(var) * rng.standard_normal(x.shape) if var > 0.0 else mean
+
+        def refuse(*args):
+            raise AssertionError("reverse_sample called posterior_params")
+        monkeypatch.setattr(diffusion, "posterior_params", refuse)
+        out, _ = pb.reverse_sample(y, denoise, cfg, _rng(9, STREAM_SAMPLER))
+        np.testing.assert_array_equal(out, np.clip(x, 0.0, 1.0))
 
     def test_reproducible(self):
         cfg = pb.make_config(steps=15, sigma=1.5)

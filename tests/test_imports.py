@@ -1,9 +1,13 @@
-"""No module, test or demo imports a name it never uses.
+"""No module, test or demo imports a name it never uses, and the package
+converts its array arguments in one place.
 
-No linter ships with the project, so this AST scan stands in for one.
+No linter ships with the project, so these AST scans stand in for one.
 A name counts as used when it appears as a ``Name`` anywhere in the
 file, which covers the base of an attribute access.  The package's
-``__init__.py`` is skipped: its imports are its re-exports.
+``__init__.py`` is skipped: its imports are its re-exports.  Every array
+argument goes through ``errors._require_arrays``, the one module that
+calls ``np.asarray``, so that a bad argument is refused the same way
+everywhere.
 """
 
 import ast
@@ -12,8 +16,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "pixelboost"
 SOURCES = sorted(
-    [p for p in (ROOT / "src" / "pixelboost").glob("*.py") if p.name != "__init__.py"]
+    [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
     + list((ROOT / "demos").glob("*.py")))
 
@@ -41,3 +46,25 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def asarray_calls(source):
+    """Line numbers of the source's asarray and asanyarray calls, however imported."""
+    names = ("asarray", "asanyarray")
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Attribute) and node.func.attr in names
+                 or isinstance(node.func, ast.Name) and node.func.id in names)]
+
+
+def test_scan_finds_asarray_calls():
+    source = ("import numpy as np\nfrom numpy import asarray\nnp.asarray(1)\n"
+              "x = asarray\nasarray(2)\nnp.array(3)\nnumpy.asanyarray(4)\n")
+    assert asarray_calls(source) == [3, 5, 7]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "errors.py"),
+                         ids=lambda p: p.name)
+def test_arrays_are_converted_only_in_errors(path):
+    assert asarray_calls(path.read_text(encoding="utf-8")) == []

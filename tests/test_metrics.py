@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import correlate, uniform_filter
 
-from pixelboost import ParameterError, ShapeError, metrics
+from pixelboost import ParameterError, ShapeError, imagedata, metrics
 from pixelboost.metrics import (EDGE_PATCH_DEFAULT, LOE_GRID_DEFAULT,
                                 SOBEL_X, SOBEL_Y, SSIM_K1, SSIM_K2,
                                 SSIM_WINDOW, MetricReport, _correlate3,
@@ -327,6 +327,26 @@ class TestMetricReport:
         assert rep.ssim == ssim(gt, test)
         assert rep.loe == loe(test, gt)
         assert rep.loe_grid == LOE_GRID_DEFAULT
+
+    def test_each_image_is_converted_and_scanned_once(self, monkeypatch):
+        # the pair is checked once, then PSNR, SSIM and LOE run unchecked
+        converted, scanned = [], []
+        as_image, isfinite = imagedata.as_image, np.isfinite
+
+        def counting_as_image(arr):
+            converted.append(arr)
+            return as_image(arr)
+
+        def counting_isfinite(arr):
+            scanned.append(arr)
+            return isfinite(arr)
+        for module in (imagedata, metrics):
+            monkeypatch.setattr(module, "as_image", counting_as_image)
+        monkeypatch.setattr(np, "isfinite", counting_isfinite)
+        gt = _random_image((16, 16, 3), seed=29)
+        metric_report(gt, gt[::-1])
+        assert len(converted) == 2
+        assert sum(np.shape(a) == gt.shape for a in scanned) == 2
 
     def test_csv_layout(self):
         rep = MetricReport(gt_id="a.ppm", test_id="b.ppm", psnr_db=20.0,

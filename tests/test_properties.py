@@ -1,15 +1,20 @@
-"""Property tests: the CLI's exit codes, and the decoders on damaged files.
+"""Property tests: the CLI's exit codes, the decoders on damaged files, and
+the library's public calls on bad arguments.
 
 Argument vectors are drawn from each subcommand's flags, with values from
 small edge sets: numbers that are negative, zero, NaN, infinite or not
 numbers at all, and paths to good, odd and broken files.  Every size stays
 small, so one example runs in milliseconds.  The decoders get truncations
 and single-byte header mutations of valid PGM, PPM and checkpoint files.
+The library's public calls get one argument at a time from an edge set
+(see the docstring of test_public_call_returns_or_refuses).
 """
 
 import json
+import os
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pixelboost as pb
-from pixelboost import CheckpointError, CodecError
+from pixelboost import CheckpointError, CodecError, PixelBoostError
 from pixelboost.cli import main
+from pixelboost.denoiser import item_loss_value
 from pixelboost.noise import STREAM_DATASET
 
 BENCH_CHECKPOINT = (Path(__file__).resolve().parents[1]
@@ -240,3 +246,181 @@ def test_damaged_checkpoint_is_refused_or_well_shaped(scratch, raw):
     assert 2 <= ckpt.config().steps <= pb.MAX_STEPS
     x = np.zeros((4, 4, ckpt.spec.image_channels))
     assert pb.predict(ckpt, x, x, 1).shape == x.shape
+
+
+# --- the library's public calls ---------------------------------------------
+
+# ROADMAP item 18's edge set: None, a string, a bool, NaN, +-inf, negative,
+# zero, fractional and huge numbers, and 0-sized, 1-D, 2-D, 4-D, object and
+# complex arrays
+EDGES = [None, "x", True, float("nan"), float("inf"), float("-inf"), -1, -1.5,
+         0, 0.5, 1e300, 10**18, np.zeros((0, 4, 1)), np.zeros(3), np.zeros((4, 4)),
+         np.zeros((2, 2, 2, 2)), np.array([0.5, None], dtype=object),
+         np.array(["x"], dtype=object), np.array([0.5 + 1j])]
+# a work-sizing integer asks for as much memory or time as its value, so it
+# draws no huge integer (see the docstring below)
+SMALL = [v for v in EDGES if not (isinstance(v, int) and v > 10**6)]
+# RngStream keys Philox through a float64 cast: a negative key, or one that
+# rounds to 2**64, warns (ROADMAP item 10); test_philox_key_edges keeps them
+KEYS = [v for v in EDGES if not (isinstance(v, int) and v < 0)]
+
+IMG = pb.RngStream(0, STREAM_DATASET).uniform(0.0, 1.0, (8, 8, 1))
+CFG = pb.make_config(steps=4)
+SPEC = pb.DenoiserSpec(image_channels=1, hidden_width=2)
+CKPT = pb.init_checkpoint(SPEC, CFG)
+SAMPLE = pb.RngStream(1, STREAM_DATASET).standard_normal(64)
+OPT = pb.TrainOptions(steps=1, batch_size=1)
+
+
+def _rng():
+    return pb.RngStream(0, 4)
+
+
+def _row(fn, base, edges=None, **own):
+    """A table row: ``fn``, ``base`` making a valid call's keyword arguments,
+    and the edge values of each argument replaced: ``EDGES`` for the names in
+    ``edges`` (every argument by default), and ``own`` names its own lists."""
+    args = {name: EDGES for name in (base() if edges is None else edges)}
+    args.update(own)
+    return fn, base, args
+
+
+# each public callable: the arguments the test replaces, and their edge sets
+CALLS = {
+    "build_schedule": _row(pb.build_schedule,
+                           lambda: dict(steps=4, t_mid=2.5, mode="normalized")),
+    "default_t_mid": _row(pb.default_t_mid, lambda: dict(steps=4)),
+    "Schedule": _row(pb.Schedule, lambda: dict(t_mid=2.5, etas=[0.0, 0.2, 0.7, 1.0],
+                                               mode="normalized")),
+    "RngStream": _row(pb.RngStream, lambda: dict(seed=0, stream_id=0), [],
+                      seed=KEYS, stream_id=KEYS),
+    "RngStream.substream": _row(lambda k: pb.RngStream(0, 3).substream(k),
+                                lambda: dict(k=1)),
+    "NoiseKind": _row(pb.NoiseKind, lambda: dict(tag="brownian", sigma=1.5)),
+    "sample_noise": _row(pb.sample_noise, lambda: dict(
+        kind=pb.NoiseKind("gaussian"), shape=(3,), rng=_rng()), [], shape=SMALL),
+    "as_image": _row(pb.as_image, lambda: dict(arr=IMG)),
+    "bicubic_resize": _row(pb.bicubic_resize, lambda: dict(img=IMG, scale=0.5)),
+    "resize_weights": _row(pb.resize_weights, lambda: dict(n_in=4, n_out=2), [],
+                           n_in=SMALL, n_out=SMALL),
+    "make_lr_pair": _row(pb.make_lr_pair, lambda: dict(hr=IMG)),
+    "synth_dataset": _row(pb.synth_dataset, lambda: dict(
+        kind="mixed", count=1, size=8, rng=_rng()), ["kind"], count=SMALL, size=SMALL),
+    "quantize": _row(pb.quantize, lambda: dict(img=IMG)),
+    "write_image_bytes": _row(pb.write_image_bytes, lambda: dict(img=IMG)),
+    "write_image": _row(pb.write_image, lambda: dict(img=IMG, path=os.devnull),
+                        ["img"]),
+    "chi_square": _row(pb.chi_square, lambda: dict(
+        observed=SAMPLE, expected=SAMPLE[::-1], bins=4), ["observed", "expected"],
+                       bins=SMALL),
+    "noise_fit_report": _row(pb.noise_fit_report, lambda: dict(
+        observed=SAMPLE, sigma=1.5, rng=_rng(), bins=4), ["observed", "sigma"],
+                             bins=SMALL),
+    "psnr": _row(pb.psnr, lambda: dict(a=IMG, b=IMG[::-1])),
+    "ssim": _row(pb.ssim, lambda: dict(a=IMG, b=IMG[::-1])),
+    "loe": _row(pb.loe, lambda: dict(enhanced=IMG, original=IMG[::-1], grid=4)),
+    "lightness": _row(pb.lightness, lambda: dict(img=IMG)),
+    "sobel_magnitude": _row(pb.sobel_magnitude, lambda: dict(img=IMG)),
+    "edge_report": _row(pb.edge_report, lambda: dict(a=IMG, b=IMG[::-1], patch=2)),
+    "grid_csv": _row(pb.grid_csv, lambda: dict(grid=IMG[:2, :3, 0])),
+    "metric_report": _row(pb.metric_report, lambda: dict(
+        gt=IMG, test=IMG[::-1], gt_id="gt", test_id="test", grid=4)),
+    "DiffusionConfig": _row(pb.DiffusionConfig, lambda: dict(
+        sigma=1.5, schedule=CFG.schedule, seed=0), ["sigma", "seed"]),
+    "make_config": _row(pb.make_config, lambda: dict(
+        steps=4, sigma=1.5, t_mid=None, mode="normalized",
+        convention="eq5_variance", seed=0)),
+    "step_increment": _row(pb.step_increment, lambda: dict(
+        delta0=IMG, alpha_t=0.2, sigma=0.5, noise=IMG, convention="eq5_variance")),
+    "forward_step": _row(pb.forward_step, lambda: dict(
+        x_prev=IMG, delta0=IMG, t=2, cfg=CFG, rng=_rng(), noise=None,
+        convention="eq4_literal"), ["x_prev", "delta0", "t", "rng", "noise",
+                                    "convention"]),
+    "forward_marginal": _row(pb.forward_marginal, lambda: dict(
+        x0=IMG, delta0=IMG, t=2, cfg=CFG, rng=_rng(), noise=None),
+                             ["x0", "delta0", "t", "rng", "noise"]),
+    "forward_chain": _row(pb.forward_chain, lambda: dict(
+        x0=IMG, delta0=IMG, cfg=CFG, rng=_rng(), convention="eq5_variance"),
+                          ["x0", "delta0", "rng", "convention"]),
+    "posterior_params": _row(pb.posterior_params, lambda: dict(
+        x_t=IMG, x0_hat=IMG, t=2, cfg=CFG), ["x_t", "x0_hat", "t"]),
+    "reverse_sample": _row(pb.reverse_sample, lambda: dict(
+        y0_up=IMG, denoiser=pb.OracleDenoiser(IMG), cfg=CFG, rng=_rng()),
+                           ["y0_up", "denoiser", "rng"]),
+    "item_loss": _row(pb.item_loss, lambda: dict(x0=IMG, x0_hat=IMG)),
+    "DenoiserSpec": _row(pb.DenoiserSpec, lambda: dict(image_channels=1,
+                                                       hidden_width=2)),
+    "spec_for_images": _row(pb.spec_for_images, lambda: dict(
+        kind="conv2", image_channels=1, hidden_width=2)),
+    "DenoiserCheckpoint": _row(pb.DenoiserCheckpoint, lambda: dict(
+        spec=SPEC, params=CKPT.params, step_count=0, train_config={}),
+                               ["params", "step_count", "train_config"]),
+    "DenoiserCheckpoint.config": _row(CKPT.config, lambda: dict(seed=0)),
+    "OracleDenoiser": _row(pb.OracleDenoiser, lambda: dict(x0=IMG)),
+    "TrainOptions": _row(pb.TrainOptions, lambda: dict(
+        step_size=0.1, steps=1, batch_size=1), ["step_size"], steps=SMALL,
+                         batch_size=SMALL),
+    "predict": _row(pb.predict, lambda: dict(ckpt=CKPT, x_t=IMG, y0_up=IMG, t=2),
+                    ["x_t", "y0_up", "t"]),
+    "loss_gradient": _row(pb.loss_gradient, lambda: dict(
+        ckpt=CKPT, item=(IMG, IMG), t=2, x_t=IMG), ["item", "t", "x_t"]),
+    "item_loss_value": _row(item_loss_value, lambda: dict(
+        ckpt=CKPT, item=(IMG, IMG), t=2, x_t=IMG), ["item", "t", "x_t"]),
+    "train": _row(pb.train, lambda: dict(dataset=[(IMG, IMG)], cfg=CFG, opt=OPT),
+                  ["dataset"]),
+    "train (an image of the first pair)": _row(
+        lambda x0, y0_up: pb.train([(x0, y0_up)], CFG, OPT),
+        lambda: dict(x0=IMG, y0_up=IMG)),
+}
+
+
+def _returns_or_refuses(fn, kwargs):
+    """Call ``fn(**kwargs)`` with warnings as errors; a PixelBoostError is a refusal."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fn(**kwargs)
+        except PixelBoostError:
+            pass
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_table_calls_are_valid(name):
+    # the unreplaced call returns, so each refusal below is the edge value's
+    fn, base, _ = CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fn(**base())
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+@settings(max_examples=250)
+@given(data=st.data())
+def test_public_call_returns_or_refuses(name, data):
+    """Each public call, with one argument replaced by an edge value, returns
+    or raises a PixelBoostError, with warnings as errors.
+
+    Left out of the table: the library's own objects that checked
+    constructors build (cfg, ckpt, spec, opt, a NoiseKind, and the rng of
+    sample_noise, synth_dataset and noise_fit_report), whose wrong type is an
+    AttributeError; file paths, whose errors are OSError; boolean flags; the
+    draw methods of RngStream, which pass their arguments to numpy.
+
+    Work-sizing integers (counts, sizes, steps, shapes, bins, batch sizes and
+    resize_weights' sizes) draw no huge integer: each asks for that much
+    memory or time, unbounded, so sample_noise(kind, 10**18, rng) raises
+    MemoryError and synth_dataset with a huge count runs without end.
+    """
+    fn, base, args = CALLS[name]
+    arg, value = data.draw(st.sampled_from([(a, v) for a in args for v in args[a]]))
+    kwargs = base()
+    # a copy, as a call may keep its argument or make it read-only
+    kwargs[arg] = value.copy() if isinstance(value, np.ndarray) else value
+    _returns_or_refuses(fn, kwargs)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the Philox key's float64 cast")
+@pytest.mark.parametrize("kwargs", [dict(seed=-1), dict(seed=2**64 - 1),
+                                    dict(seed=0, stream_id=-1)])
+def test_philox_key_edges(kwargs):
+    _returns_or_refuses(pb.RngStream, kwargs)
