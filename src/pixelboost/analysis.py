@@ -5,12 +5,14 @@ sample against candidate samples drawn from standardized noise families.
 Smaller is a better fit; a report ranks the families.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, ParameterError, _require_arrays, _require_int
-from .noise import FAMILIES as FIT_FAMILIES, NoiseKind, sample_noise
+from .errors import (DegenerateFitError, ParameterError, _require_arrays, _require_int,
+                     _require_size, _require_type)
+from .noise import FAMILIES as FIT_FAMILIES, NoiseKind, RngStream, sample_noise
 
 DEFAULT_BIN_COUNT = 64
 MIN_SAMPLES_PER_BIN = 10
@@ -44,10 +46,17 @@ def chi_square(observed, expected, bins=DEFAULT_BIN_COUNT):
     DegenerateFitError.
     """
     bins = _require_int("bins", bins, 2)
-    obs = _clean_sample(observed, "observed")
-    exp = _clean_sample(expected, "expected")
+    _require_size("bins", bins)
+    return _chi_square(_clean_sample(observed, "observed"),
+                       _clean_sample(expected, "expected"), bins)
+
+
+def _chi_square(obs, exp, bins):
+    """chi_square of two nonempty, finite 1-D float64 samples and 2 <= bins <= _MAX_VALUES."""
     lo = float(min(obs.min(), exp.min()))
     hi = float(max(obs.max(), exp.max()))
+    if not math.isfinite(hi - lo):
+        raise ParameterError(f"pooled samples span [{lo!r}, {hi!r}], too wide to bin")
     if not hi > lo:
         raise DegenerateFitError("pooled samples span a single value; no usable bins")
     edges = np.linspace(lo, hi, bins + 1)
@@ -103,6 +112,7 @@ def noise_fit_report(observed, sigma, rng, bins=DEFAULT_BIN_COUNT):
     what separates brownian from gaussian.
     """
     bins = _require_int("bins", bins, 2)
+    _require_type("rng", rng, RngStream)
     obs = _clean_sample(observed, "observed")
     if obs.size < MIN_SAMPLES_PER_BIN * bins:
         raise ParameterError(
@@ -111,7 +121,9 @@ def noise_fit_report(observed, sigma, rng, bins=DEFAULT_BIN_COUNT):
     statistics = {}
     for k, family in enumerate(FIT_FAMILIES):
         kind = NoiseKind(family, sigma=sigma)
-        candidate = sample_noise(kind, (obs.size,), rng.substream(k))
-        statistics[family] = chi_square(obs, candidate, bins)
+        # scored as drawn, so no two candidates are alive at once; each is
+        # finite, and obs was checked above
+        statistics[family] = _chi_square(
+            obs, sample_noise(kind, (obs.size,), rng.substream(k)), bins)
     return FitReport(sigma=float(sigma), sample_count=int(obs.size),
                      bin_count=bins, statistics=statistics)

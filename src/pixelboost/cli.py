@@ -348,6 +348,27 @@ def cmd_edge_report(cfg):
     return 0
 
 
+def _run_pairs(cfg):
+    """``cfg.count`` training pairs, then ``cfg.eval_count`` held-out SrPairs."""
+    pairs = [make_lr_pair(hr) for hr in synth_dataset(
+        cfg.kind, cfg.count + cfg.eval_count, cfg.size, RngStream(cfg.seed, STREAM_DATASET))]
+    return [(p.hr, p.lr_up) for p in pairs[:cfg.count]], pairs[cfg.count:]
+
+
+def _run_model(cfg, dcfg, train_set, held_out):
+    """Train under ``dcfg``, then sample and score each held-out pair: the
+    checkpoint, its loss history and one MetricReport per held-out image."""
+    spec = DenoiserSpec(train_set[0][0].shape[2], cfg.hidden_width)
+    ckpt, history = train(train_set, dcfg, _train_options(cfg), spec)
+    reports = []
+    for j, pair in enumerate(held_out):
+        # keyed by image alone, so no result depends on the order of --sigmas
+        rng = RngStream(dcfg.seed, STREAM_SAMPLER).substream(j)
+        sr, _ = reverse_sample(pair.lr_up, as_denoiser(ckpt), dcfg, rng)
+        reports.append(metric_report(pair.hr, sr, grid=cfg.grid))
+    return ckpt, history, reports
+
+
 def cmd_sweep(cfg):
     if not cfg.sigmas:
         raise _UsageError("sweep requires --sigmas")
@@ -357,27 +378,12 @@ def cmd_sweep(cfg):
                               f"got {getattr(cfg, name)}")
     _check_grid(cfg)
     dcfgs = [_diffusion_config(replace(cfg, sigma=sigma)) for sigma in cfg.sigmas]
-    data_rng = RngStream(cfg.seed, STREAM_DATASET)
-    images = synth_dataset(cfg.kind, cfg.count + cfg.eval_count, cfg.size,
-                           data_rng)
-    pairs = [make_lr_pair(hr) for hr in images]
-    train_set = [(p.hr, p.lr_up) for p in pairs[: cfg.count]]
-    eval_pairs = pairs[cfg.count:]
-    spec = DenoiserSpec(image_channels=images[0].shape[2],
-                        hidden_width=cfg.hidden_width)
-    opt = _train_options(cfg)
+    pairs = _run_pairs(cfg)
     rows = ["sigma,psnr_db,ssim,loe"]
     for dcfg in dcfgs:
-        ckpt, _ = train(train_set, dcfg, opt, spec)
-        scores = []
-        for j, pair in enumerate(eval_pairs):
-            # keyed by image alone, so no row depends on the order of --sigmas
-            rng = RngStream(cfg.seed, STREAM_SAMPLER).substream(j)
-            sr, _ = reverse_sample(pair.lr_up, as_denoiser(ckpt), dcfg, rng)
-            rep = metric_report(pair.hr, sr, grid=cfg.grid)
-            scores.append((rep.psnr_db, rep.ssim, rep.loe))
-        means = [float(v) for v in np.mean(np.array(scores, dtype=np.float64), axis=0)]
-        rows.append(f"{dcfg.sigma!r},{means[0]!r},{means[1]!r},{means[2]!r}")
+        _, _, reports = _run_model(cfg, dcfg, *pairs)
+        means = np.mean([(r.psnr_db, r.ssim, r.loe) for r in reports], axis=0)
+        rows.append(",".join(repr(float(v)) for v in (dcfg.sigma, *means)))
     _write_text(cfg.out, "\n".join(rows) + "\n")
     return 0
 

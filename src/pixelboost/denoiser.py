@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import DiffusionConfig, _check_t, _item_loss, _marginal
+from .diffusion import DiffusionConfig, _check_cfg, _check_t, _item_loss, _marginal
 from .errors import (CheckpointError, CheckpointVersionError, ParameterError,
                      ShapeError, TrainingError, _require_arrays, _require_int,
-                     _require_positive)
+                     _require_positive, _require_type)
 from .noise import STREAM_INIT, STREAM_TRAIN, RngStream
 from .schedule import build_schedule
 
@@ -93,6 +93,12 @@ class DenoiserCheckpoint:
     train_config: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _require_type("spec", self.spec, DenoiserSpec)
+        _require_type("train_config", self.train_config, dict)
+        # the file stores the count as a u64
+        self.step_count = _require_int("step_count", self.step_count, 0)
+        if self.step_count >= 1 << 64:
+            raise ParameterError(f"step_count must be below 2**64, got {self.step_count}")
         self.params = _require_arrays(self.params)[0].reshape(-1)
         if self.params.size != self.spec.param_count():
             raise CheckpointError(
@@ -148,8 +154,13 @@ class OracleDenoiser:
         return self.x0.copy()
 
 
+def _check_ckpt(ckpt):
+    return _require_type("ckpt", ckpt, DenoiserCheckpoint)
+
+
 def as_denoiser(ckpt):
     """Wrap a checkpoint as the (x_t, y0_up, t) -> x0_hat callable samplers expect."""
+    _check_ckpt(ckpt)
     return lambda x_t, y0_up, t: predict(ckpt, x_t, y0_up, t)
 
 
@@ -571,14 +582,15 @@ def _losses_and_gradients(ckpt, items):
 
 def predict(ckpt, x_t, y0_up, t):
     """x0 prediction; the timestep enters as a constant eta_t channel."""
-    x_t, y0_up = _check_images(ckpt.spec, x_t, y0_up)
+    x_t, y0_up = _check_images(_check_ckpt(ckpt).spec, x_t, y0_up)
     t = _check_t(t, ckpt.schedule().steps)
     return _forward(ckpt, x_t[None], y0_up[None], [t])[0][0]
 
 
 def loss_gradient(ckpt, item, t, x_t):
     """Analytic gradient of the single-item loss w.r.t. every parameter."""
-    x0, y0_up, x_t = _check_images(ckpt.spec, *_as_pairs([item])[0], x_t)
+    x0, y0_up, x_t = _check_images(_check_ckpt(ckpt).spec, *_as_pairs([item])[0],
+                                   x_t)
     t = _check_t(t, ckpt.schedule().steps)
     _, grads = _losses_and_gradients(ckpt, [(x0, y0_up, t, x_t)])
     return grads[0]
@@ -586,7 +598,8 @@ def loss_gradient(ckpt, item, t, x_t):
 
 def item_loss_value(ckpt, item, t, x_t):
     """The loss whose gradient loss_gradient returns, as a Python float."""
-    x0, y0_up, x_t = _check_images(ckpt.spec, *_as_pairs([item])[0], x_t)
+    x0, y0_up, x_t = _check_images(_check_ckpt(ckpt).spec, *_as_pairs([item])[0],
+                                   x_t)
     t = _check_t(t, ckpt.schedule().steps)
     out, _ = _forward(ckpt, x_t[None], y0_up[None], [t])
     return float(_item_loss(x0, out[0]))
@@ -610,7 +623,8 @@ class TrainOptions:
 
 def init_checkpoint(spec, cfg):
     """Fresh checkpoint: weights i.i.d. uniform +-0.05, biases zero."""
-    rng = RngStream(cfg.seed, STREAM_INIT)
+    _require_type("spec", spec, DenoiserSpec)
+    rng = RngStream(_check_cfg(cfg).seed, STREAM_INIT)
     params = np.zeros(spec.param_count())
     for name, view in spec._unpack(params).items():
         if name.startswith("w"):
@@ -637,11 +651,11 @@ def train(dataset, cfg, opt=None, spec=None):
     the trained checkpoint and the per-step batch losses.
     """
     dataset = _as_pairs(dataset)
-    if opt is None:
-        opt = TrainOptions()
+    opt = TrainOptions() if opt is None else _require_type("opt", opt, TrainOptions)
     if spec is None:
         (x0,) = _require_arrays(dataset[0][0])
         spec = DenoiserSpec(image_channels=x0.shape[2] if x0.ndim == 3 else 1)
+    _require_type("spec", spec, DenoiserSpec)
     dataset = [_check_images(spec, x0, y0_up) for x0, y0_up in dataset]
 
     ckpt = init_checkpoint(spec, cfg)
@@ -681,6 +695,7 @@ def train(dataset, cfg, opt=None, spec=None):
 # (conv2) and kernel size 3 load.
 
 def save_checkpoint(ckpt, path):
+    _check_ckpt(ckpt)
     meta = json.dumps(ckpt.train_config, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     spec = ckpt.spec

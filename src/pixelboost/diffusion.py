@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (NumericError, ParameterError, ShapeError, _require_arrays,
-                     _require_int, _require_positive)
+                     _require_int, _require_positive, _require_type)
 from .imagedata import as_image
 from .schedule import Schedule, build_schedule
 
@@ -35,6 +35,7 @@ class DiffusionConfig:
         # plain float and int, as checkpoints record them; sigma**2 stays finite
         object.__setattr__(self, "sigma", _require_positive("sigma", self.sigma, 1e154))
         object.__setattr__(self, "seed", _require_int("seed", self.seed))
+        _require_type("schedule", self.schedule, Schedule)
 
     @property
     def steps(self):
@@ -52,6 +53,10 @@ def make_config(steps=15, sigma=1.5, t_mid=None, mode="normalized",
             f"the config's closed forms are eq5_variance, got {convention!r}")
     sched = build_schedule(steps, t_mid=t_mid, mode=mode)
     return DiffusionConfig(sigma=sigma, schedule=sched, seed=seed)
+
+
+def _check_cfg(cfg):
+    return _require_type("cfg", cfg, DiffusionConfig)
 
 
 def _check_t(t, steps):
@@ -102,7 +107,7 @@ def forward_step(x_prev, delta0, t, cfg, rng=None, noise=None,
     here is the eq5_variance closed form.
     """
     x_prev, delta0 = _require_arrays(x_prev, delta0)
-    t = _check_t(t, cfg.steps)
+    t = _check_t(t, _check_cfg(cfg).steps)
     etas = cfg.schedule.etas
     a_t = etas[t] - etas[t - 1]
     noise = _noise_for(x_prev.shape, rng, noise)
@@ -117,7 +122,7 @@ def forward_marginal(x0, delta0, t, cfg, rng=None, noise=None):
     composed per-step chain in raw mode too.
     """
     x0, delta0 = _require_arrays(x0, delta0)
-    t = _check_t(t, cfg.steps)
+    t = _check_t(t, _check_cfg(cfg).steps)
     return _marginal(x0, delta0, t, cfg, _noise_for(x0.shape, rng, noise))
 
 
@@ -136,7 +141,7 @@ def forward_chain(x0, delta0, cfg, rng, keep_trajectory=False,
     """
     x, delta0 = _require_arrays(x0, delta0)
     frames = [x] if keep_trajectory else None
-    for t in range(1, cfg.steps + 1):
+    for t in range(1, _check_cfg(cfg).steps + 1):
         x = forward_step(x, delta0, t, cfg, rng, convention=convention)
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite values at forward step {t}")
@@ -155,7 +160,7 @@ def posterior_params(x_t, x0_hat, t, cfg):
     collapses to the prediction with zero variance.
     """
     x_t, x0_hat = _require_arrays(x_t, x0_hat)
-    c_t, c_0, variance = _posterior_step(_check_t(t, cfg.steps), cfg)
+    c_t, c_0, variance = _posterior_step(_check_t(t, _check_cfg(cfg).steps), cfg)
     return c_t * x_t + c_0 * x0_hat, variance
 
 
@@ -173,7 +178,7 @@ def reverse_sample(y0_up, denoiser, cfg, rng, keep_trajectory=False):
     normalized schedule so the final step is deterministic.  The returned
     image is clamped to [0, 1]; intermediate states are not.
     """
-    sched = cfg.schedule
+    sched = _check_cfg(cfg).schedule
     if sched.etas[0] != 0.0 or sched.etas[-1] != 1.0:
         raise ParameterError("reverse sampling requires a normalized schedule")
     if not callable(denoiser):

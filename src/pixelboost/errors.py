@@ -46,6 +46,25 @@ class DegenerateFitError(PixelBoostError, ValueError):
     """A goodness-of-fit comparison has no usable bins."""
 
 
+# the most values one call may be asked to allocate for an array, 2**26 (512
+# MiB of float64): a work-sizing argument past it is refused before anything
+# is allocated.  bicubic_resize's largest output, 8192^2 pixels, is this size.
+_MAX_VALUES = 1 << 26
+
+
+def _require_size(name, values):
+    """Refuse ``values``, the array values an argument asks for, past _MAX_VALUES."""
+    if values > _MAX_VALUES:
+        raise ParameterError(f"{name} asks for {values} values, more than {_MAX_VALUES}")
+
+
+def _require_type(name, value, kind):
+    """``value``; refused unless an instance of ``kind``, one of the library's classes."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r:.60}")
+    return value
+
+
 def _require_int(name, value, low=None):
     """``value`` as an int; refused, not truncated, unless an integer >= ``low``.
 

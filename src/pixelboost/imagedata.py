@@ -11,12 +11,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (CodecError, ParameterError, ShapeError, UnsupportedFormatError,
-                     _require_arrays, _require_int, _require_positive)
-
-# bicubic_resize's most output pixels: 8192^2, sr of a 2048^2 LR image, about 0.9 GiB
-# at the resize's peak in grey.  sr_512's 512^2 is 1/256 of it.
-_MAX_RESIZE_PIXELS = 1 << 26
+from .errors import (_MAX_VALUES, CodecError, ParameterError, ShapeError,
+                     UnsupportedFormatError, _require_arrays, _require_int,
+                     _require_positive, _require_size, _require_type)
+from .noise import RngStream
 
 
 def as_image(arr):
@@ -74,6 +72,7 @@ def resize_weights(n_in, n_out):
     """
     n_in = _require_int("n_in", n_in, 1)
     n_out = _require_int("n_out", n_out, 1)
+    _require_size("n_out * n_in", n_out * n_in)
     scale = n_out / n_in
     src = (np.arange(n_out, dtype=np.float64) + 0.5) / scale - 0.5
     base = np.floor(src).astype(np.int64)
@@ -105,8 +104,10 @@ def bicubic_resize(img, scale):
     img = as_image(img)
     _require_positive("scale", scale)
     h, w, _ = img.shape
-    if h * scale * w * scale > _MAX_RESIZE_PIXELS:
-        raise ParameterError(f"scale {scale} takes {h}x{w} past {_MAX_RESIZE_PIXELS} pixels")
+    # the most output pixels: 8192^2, sr of a 2048^2 LR image, about 0.9 GiB at
+    # the resize's peak in grey.  sr_512's 512^2 is 1/256 of it.
+    if h * scale * w * scale > _MAX_VALUES:
+        raise ParameterError(f"scale {scale} takes {h}x{w} past {_MAX_VALUES} pixels")
     h_out = int(round(h * scale))
     w_out = int(round(w * scale))
     if h_out < 1 or w_out < 1:
@@ -192,6 +193,8 @@ def synth_dataset(kind, count, size, rng):
         raise ParameterError(f"size must be divisible by 4, got {size}")
     if size < 8:
         raise ParameterError(f"size must be at least 8, got {size}")
+    _require_size("count * size**2", count * size * size)
+    _require_type("rng", rng, RngStream)
     makers = {"gradients": _synth_gradient, "checkers": _synth_checker,
               "blobs": _synth_blobs, "mixed": _synth_mixed}
     return [makers[kind](size, rng) for _ in range(count)]

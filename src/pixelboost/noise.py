@@ -8,11 +8,13 @@ stream per purpose (dataset synthesis, weight init, training, sampling)
 and stay bit-reproducible end to end.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _require_int, _require_positive
+from .errors import (ParameterError, _require_int, _require_positive, _require_size,
+                     _require_type)
 
 _MASK64 = (1 << 64) - 1
 
@@ -105,7 +107,8 @@ class NoiseKind:
         if not isinstance(self.tag, str) or self.tag not in FAMILIES:
             raise ParameterError(f"unknown noise family {self.tag!r}")
         if self.tag == "brownian":
-            _require_positive("brownian strength sigma", self.sigma)
+            # sigma times a standard normal draw stays finite
+            _require_positive("brownian strength sigma", self.sigma, 1e300)
 
 
 def sample_noise(kind, shape, rng):
@@ -114,11 +117,14 @@ def sample_noise(kind, shape, rng):
     ``shape`` may be an int or a tuple of ints with at least one element.
     Returns a float64 array of that shape.
     """
+    _require_type("kind", kind, NoiseKind)
+    _require_type("rng", rng, RngStream)
     if np.ndim(shape) == 0:
         shape = (shape,)
     shape = tuple(_require_int("each shape entry", n, 1) for n in shape)
     if len(shape) == 0:
         raise ParameterError("shape must have at least one entry")
+    _require_size("shape", math.prod(shape))
 
     tag = kind.tag
     if tag == "gaussian":
@@ -128,7 +134,5 @@ def sample_noise(kind, shape, rng):
     if tag == "laplacian":
         # variance of Laplace(b) is 2 b^2; b = 1/sqrt(2) standardizes it
         return rng.laplace(1.0 / np.sqrt(2.0), shape)
-    if tag == "poisson":
-        lam = _POISSON_RATE
-        return (rng.poisson(lam, shape).astype(np.float64) - lam) / np.sqrt(lam)
-    raise ParameterError(f"unknown noise family {tag!r}")
+    lam = _POISSON_RATE  # poisson, the last of NoiseKind's families
+    return (rng.poisson(lam, shape).astype(np.float64) - lam) / np.sqrt(lam)

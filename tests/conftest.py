@@ -7,8 +7,10 @@ the training-property tests and the acceptance suite.  Ten full runs are
 expensive, so results are computed lazily and cached for the session.
 """
 
+import functools
 import shutil
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +18,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import pixelboost as pb
-from pixelboost.denoiser import TrainOptions, as_denoiser, train
-from pixelboost.noise import STREAM_DATASET, STREAM_SAMPLER
+from pixelboost.cli import RunConfig, _diffusion_config, _run_model, _run_pairs
 
 TOY_SIZE = 16
 TOY_TRAIN_COUNT = 200
@@ -28,6 +29,10 @@ TOY_SGD_STEPS = 2000
 TOY_STEP_SIZE = 0.2
 TOY_SEEDS = (0, 1, 2, 3, 4)
 TOY_SIGMAS = (1.5, 0.01)
+# a toy run is the sweep row of this config at one seed and one of its sigmas
+TOY_RUN = RunConfig(command="sweep", sigmas=TOY_SIGMAS, kind="mixed",
+                    count=TOY_TRAIN_COUNT, eval_count=TOY_TEST_COUNT, size=TOY_SIZE,
+                    train_steps=TOY_SGD_STEPS, step_size=TOY_STEP_SIZE, batch_size=8)
 
 # property tests: the same examples on every run, no example database on
 # disk, no per-example deadline on a shared host, and a bounded count
@@ -44,41 +49,28 @@ def pytest_configure(config):
     set_hypothesis_home_dir(home)
 
 
-def toy_protocol(seed, sigma):
-    """One full train-and-evaluate run at the given seed and sigma."""
-    cfg = pb.make_config(steps=15, sigma=sigma, seed=seed)
-    images = pb.synth_dataset("mixed", TOY_TRAIN_COUNT + TOY_TEST_COUNT,
-                              TOY_SIZE, pb.RngStream(seed, STREAM_DATASET))
-    pairs = [pb.make_lr_pair(hr) for hr in images]
-    train_set = [(p.hr, p.lr_up) for p in pairs[:TOY_TRAIN_COUNT]]
-    held_out = pairs[TOY_TRAIN_COUNT:]
-    opt = TrainOptions(step_size=TOY_STEP_SIZE, steps=TOY_SGD_STEPS,
-                       batch_size=8)
-    ckpt, history = train(train_set, cfg, opt)
-
-    model_scores = []
-    baseline_scores = []
-    for j, pair in enumerate(held_out):
-        rng = pb.RngStream(seed, STREAM_SAMPLER).substream(j)
-        sr, _ = pb.reverse_sample(pair.lr_up, as_denoiser(ckpt), cfg, rng)
-        model_scores.append(pb.psnr(pair.hr, sr))
-        baseline_scores.append(pb.psnr(pair.hr, np.clip(pair.lr_up, 0.0, 1.0)))
-    return {
-        "params": ckpt.params,
-        "history": np.asarray(history),
-        "model_psnr": float(np.mean(model_scores)),
-        "baseline_psnr": float(np.mean(baseline_scores)),
-    }
+@functools.lru_cache(maxsize=len(TOY_SEEDS))
+def _toy_pairs(seed):  # drawn once for both of a seed's sigmas
+    return _run_pairs(replace(TOY_RUN, seed=seed))
 
 
 class _ToyRunCache(dict):
     def __missing__(self, key):
         seed, sigma = key
-        self[key] = toy_protocol(seed, sigma)
+        cfg = replace(TOY_RUN, seed=seed, sigma=sigma)
+        train_set, held_out = _toy_pairs(seed)
+        ckpt, history, reports = _run_model(cfg, _diffusion_config(cfg), train_set, held_out)
+        self[key] = {
+            "params": ckpt.params,
+            "history": np.asarray(history),
+            "model_psnr": float(np.mean([r.psnr_db for r in reports])),
+            "baseline_psnr": float(np.mean(
+                [pb.psnr(p.hr, np.clip(p.lr_up, 0.0, 1.0)) for p in held_out])),
+        }
         return self[key]
 
 
 @pytest.fixture(scope="session")
 def toy_runs():
-    """Lazily evaluated map (seed, sigma) -> toy_protocol result."""
+    """Lazily evaluated map (seed, sigma) -> toy protocol result."""
     return _ToyRunCache()

@@ -766,6 +766,10 @@ class TestEdgeReportCommand:
         assert not out.exists()
 
 
+# computed before sweep and the toy_runs fixture shared _run_model
+SWEEP_CSV_SHA256 = "9dae6c108c0d66c2390c456d862b750af2e09ce85344519b79ba0992fe6ce3fa"
+
+
 class TestSweep:
     def test_csv_shape_and_reproducibility(self, tmp_path):
         argv = ["sweep", "--sigmas", "0.5,1.5", "--count", "2",
@@ -782,6 +786,17 @@ class TestSweep:
         assert len(lines) == 3
         assert lines[1].startswith("0.5,")
         assert lines[2].startswith("1.5,")
+
+    def test_csv_bytes_are_pinned(self, tmp_path):
+        # sigma 1.5's psnr_db, 14.6606469963321, is what the toy_runs
+        # fixture's model_psnr gives on these settings: both run _run_pairs
+        # and _run_model
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--sigmas", "1.5,0.01", "--count", "24",
+                "--eval-count", "6", "--size", "16", "--train-steps", "30",
+                "--step-size", "0.2", "--seed", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert _sha256(out) == SWEEP_CSV_SHA256
 
     def test_row_does_not_depend_on_sigma_order(self, tmp_path):
         # each held-out image draws from its own substream for every sigma

@@ -1,5 +1,5 @@
-"""No module, test or demo imports a name it never uses, and the package
-converts its array arguments in one place.
+"""No module, test, demo or tool script imports a name it never uses, and
+the package converts its array arguments in one place.
 
 No linter ships with the project, so these AST scans stand in for one.
 A name counts as used when it appears as a ``Name`` anywhere in the
@@ -20,7 +20,8 @@ PACKAGE = ROOT / "src" / "pixelboost"
 SOURCES = sorted(
     [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py"))
-    + list((ROOT / "demos").glob("*.py")))
+    + list((ROOT / "demos").glob("*.py"))
+    + list((ROOT / "tools").glob("*.py")))
 
 
 def unused_imports(source):

@@ -12,6 +12,7 @@ The library's public calls get one argument at a time from an edge set
 
 import json
 import os
+import re
 import shutil
 import tempfile
 import warnings
@@ -257,9 +258,6 @@ EDGES = [None, "x", True, float("nan"), float("inf"), float("-inf"), -1, -1.5,
          0, 0.5, 1e300, 10**18, np.zeros((0, 4, 1)), np.zeros(3), np.zeros((4, 4)),
          np.zeros((2, 2, 2, 2)), np.array([0.5, None], dtype=object),
          np.array(["x"], dtype=object), np.array([0.5 + 1j])]
-# a work-sizing integer asks for as much memory or time as its value, so it
-# draws no huge integer (see the docstring below)
-SMALL = [v for v in EDGES if not (isinstance(v, int) and v > 10**6)]
 # RngStream keys Philox through a float64 cast: a negative key, or one that
 # rounds to 2**64, warns (ROADMAP item 10); test_philox_key_edges keeps them
 KEYS = [v for v in EDGES if not (isinstance(v, int) and v < 0)]
@@ -298,24 +296,21 @@ CALLS = {
                                 lambda: dict(k=1)),
     "NoiseKind": _row(pb.NoiseKind, lambda: dict(tag="brownian", sigma=1.5)),
     "sample_noise": _row(pb.sample_noise, lambda: dict(
-        kind=pb.NoiseKind("gaussian"), shape=(3,), rng=_rng()), [], shape=SMALL),
+        kind=pb.NoiseKind("gaussian"), shape=(3,), rng=_rng())),
     "as_image": _row(pb.as_image, lambda: dict(arr=IMG)),
     "bicubic_resize": _row(pb.bicubic_resize, lambda: dict(img=IMG, scale=0.5)),
-    "resize_weights": _row(pb.resize_weights, lambda: dict(n_in=4, n_out=2), [],
-                           n_in=SMALL, n_out=SMALL),
+    "resize_weights": _row(pb.resize_weights, lambda: dict(n_in=4, n_out=2)),
     "make_lr_pair": _row(pb.make_lr_pair, lambda: dict(hr=IMG)),
     "synth_dataset": _row(pb.synth_dataset, lambda: dict(
-        kind="mixed", count=1, size=8, rng=_rng()), ["kind"], count=SMALL, size=SMALL),
+        kind="mixed", count=1, size=8, rng=_rng())),
     "quantize": _row(pb.quantize, lambda: dict(img=IMG)),
     "write_image_bytes": _row(pb.write_image_bytes, lambda: dict(img=IMG)),
     "write_image": _row(pb.write_image, lambda: dict(img=IMG, path=os.devnull),
                         ["img"]),
     "chi_square": _row(pb.chi_square, lambda: dict(
-        observed=SAMPLE, expected=SAMPLE[::-1], bins=4), ["observed", "expected"],
-                       bins=SMALL),
+        observed=SAMPLE, expected=SAMPLE[::-1], bins=4)),
     "noise_fit_report": _row(pb.noise_fit_report, lambda: dict(
-        observed=SAMPLE, sigma=1.5, rng=_rng(), bins=4), ["observed", "sigma"],
-                             bins=SMALL),
+        observed=SAMPLE, sigma=1.5, rng=_rng(), bins=4)),
     "psnr": _row(pb.psnr, lambda: dict(a=IMG, b=IMG[::-1])),
     "ssim": _row(pb.ssim, lambda: dict(a=IMG, b=IMG[::-1])),
     "loe": _row(pb.loe, lambda: dict(enhanced=IMG, original=IMG[::-1], grid=4)),
@@ -326,7 +321,7 @@ CALLS = {
     "metric_report": _row(pb.metric_report, lambda: dict(
         gt=IMG, test=IMG[::-1], gt_id="gt", test_id="test", grid=4)),
     "DiffusionConfig": _row(pb.DiffusionConfig, lambda: dict(
-        sigma=1.5, schedule=CFG.schedule, seed=0), ["sigma", "seed"]),
+        sigma=1.5, schedule=CFG.schedule, seed=0)),
     "make_config": _row(pb.make_config, lambda: dict(
         steps=4, sigma=1.5, t_mid=None, mode="normalized",
         convention="eq5_variance", seed=0)),
@@ -334,40 +329,37 @@ CALLS = {
         delta0=IMG, alpha_t=0.2, sigma=0.5, noise=IMG, convention="eq5_variance")),
     "forward_step": _row(pb.forward_step, lambda: dict(
         x_prev=IMG, delta0=IMG, t=2, cfg=CFG, rng=_rng(), noise=None,
-        convention="eq4_literal"), ["x_prev", "delta0", "t", "rng", "noise",
-                                    "convention"]),
+        convention="eq4_literal")),
     "forward_marginal": _row(pb.forward_marginal, lambda: dict(
-        x0=IMG, delta0=IMG, t=2, cfg=CFG, rng=_rng(), noise=None),
-                             ["x0", "delta0", "t", "rng", "noise"]),
+        x0=IMG, delta0=IMG, t=2, cfg=CFG, rng=_rng(), noise=None)),
     "forward_chain": _row(pb.forward_chain, lambda: dict(
-        x0=IMG, delta0=IMG, cfg=CFG, rng=_rng(), convention="eq5_variance"),
-                          ["x0", "delta0", "rng", "convention"]),
+        x0=IMG, delta0=IMG, cfg=CFG, rng=_rng(), convention="eq5_variance")),
     "posterior_params": _row(pb.posterior_params, lambda: dict(
-        x_t=IMG, x0_hat=IMG, t=2, cfg=CFG), ["x_t", "x0_hat", "t"]),
+        x_t=IMG, x0_hat=IMG, t=2, cfg=CFG)),
     "reverse_sample": _row(pb.reverse_sample, lambda: dict(
-        y0_up=IMG, denoiser=pb.OracleDenoiser(IMG), cfg=CFG, rng=_rng()),
-                           ["y0_up", "denoiser", "rng"]),
+        y0_up=IMG, denoiser=pb.OracleDenoiser(IMG), cfg=CFG, rng=_rng())),
     "item_loss": _row(pb.item_loss, lambda: dict(x0=IMG, x0_hat=IMG)),
     "DenoiserSpec": _row(pb.DenoiserSpec, lambda: dict(image_channels=1,
                                                        hidden_width=2)),
     "spec_for_images": _row(pb.spec_for_images, lambda: dict(
         kind="conv2", image_channels=1, hidden_width=2)),
     "DenoiserCheckpoint": _row(pb.DenoiserCheckpoint, lambda: dict(
-        spec=SPEC, params=CKPT.params, step_count=0, train_config={}),
-                               ["params", "step_count", "train_config"]),
+        spec=SPEC, params=CKPT.params, step_count=0, train_config={})),
     "DenoiserCheckpoint.config": _row(CKPT.config, lambda: dict(seed=0)),
     "OracleDenoiser": _row(pb.OracleDenoiser, lambda: dict(x0=IMG)),
+    "init_checkpoint": _row(pb.init_checkpoint, lambda: dict(spec=SPEC, cfg=CFG)),
+    "as_denoiser": _row(pb.as_denoiser, lambda: dict(ckpt=CKPT)),
+    "save_checkpoint": _row(pb.save_checkpoint, lambda: dict(ckpt=CKPT, path=os.devnull),
+                            ["ckpt"]),
     "TrainOptions": _row(pb.TrainOptions, lambda: dict(
-        step_size=0.1, steps=1, batch_size=1), ["step_size"], steps=SMALL,
-                         batch_size=SMALL),
-    "predict": _row(pb.predict, lambda: dict(ckpt=CKPT, x_t=IMG, y0_up=IMG, t=2),
-                    ["x_t", "y0_up", "t"]),
+        step_size=0.1, steps=1, batch_size=1)),
+    "predict": _row(pb.predict, lambda: dict(ckpt=CKPT, x_t=IMG, y0_up=IMG, t=2)),
     "loss_gradient": _row(pb.loss_gradient, lambda: dict(
-        ckpt=CKPT, item=(IMG, IMG), t=2, x_t=IMG), ["item", "t", "x_t"]),
+        ckpt=CKPT, item=(IMG, IMG), t=2, x_t=IMG)),
     "item_loss_value": _row(item_loss_value, lambda: dict(
-        ckpt=CKPT, item=(IMG, IMG), t=2, x_t=IMG), ["item", "t", "x_t"]),
-    "train": _row(pb.train, lambda: dict(dataset=[(IMG, IMG)], cfg=CFG, opt=OPT),
-                  ["dataset"]),
+        ckpt=CKPT, item=(IMG, IMG), t=2, x_t=IMG)),
+    "train": _row(pb.train, lambda: dict(dataset=[(IMG, IMG)], cfg=CFG, opt=OPT,
+                                         spec=SPEC)),
     "train (an image of the first pair)": _row(
         lambda x0, y0_up: pb.train([(x0, y0_up)], CFG, OPT),
         lambda: dict(x0=IMG, y0_up=IMG)),
@@ -400,16 +392,14 @@ def test_public_call_returns_or_refuses(name, data):
     """Each public call, with one argument replaced by an edge value, returns
     or raises a PixelBoostError, with warnings as errors.
 
-    Left out of the table: the library's own objects that checked
-    constructors build (cfg, ckpt, spec, opt, a NoiseKind, and the rng of
-    sample_noise, synth_dataset and noise_fit_report), whose wrong type is an
-    AttributeError; file paths, whose errors are OSError; boolean flags; the
-    draw methods of RngStream, which pass their arguments to numpy.
-
-    Work-sizing integers (counts, sizes, steps, shapes, bins, batch sizes and
-    resize_weights' sizes) draw no huge integer: each asks for that much
-    memory or time, unbounded, so sample_noise(kind, 10**18, rng) raises
-    MemoryError and synth_dataset with a huge count runs without end.
+    The library's own objects (cfg, ckpt, spec, opt, a NoiseKind, and the
+    rng of sample_noise, synth_dataset and noise_fit_report) draw the edge
+    set too, as do the work-sizing integers (counts, sizes, shapes, bins and
+    resize_weights' sizes), which one shared bound refuses before anything
+    is allocated.  Left out of the table: file paths, whose errors are
+    OSError; boolean flags; the draw methods of RngStream, which pass their
+    arguments to numpy.  TrainOptions(steps=10**18) is valid and allocates
+    nothing, so no row trains with a huge step count.
     """
     fn, base, args = CALLS[name]
     arg, value = data.draw(st.sampled_from([(a, v) for a in args for v in args[a]]))
@@ -417,6 +407,46 @@ def test_public_call_returns_or_refuses(name, data):
     # a copy, as a call may keep its argument or make it read-only
     kwargs[arg] = value.copy() if isinstance(value, np.ndarray) else value
     _returns_or_refuses(fn, kwargs)
+
+
+GAUSSIAN = pb.NoiseKind("gaussian")
+# calls that once ended in AttributeError, struct.error, MemoryError or no
+# end at all, or made a checkpoint that could not be loaded, and the argument
+# each refusal names; every size is refused before anything is allocated
+NAMED_REFUSALS = [
+    (pb.reverse_sample, (IMG, pb.OracleDenoiser(IMG), None, _rng()), "cfg"),
+    (pb.forward_marginal, (IMG, IMG, 2, None, _rng()), "cfg"),
+    (pb.predict, (None, IMG, IMG, 1), "ckpt"),
+    (pb.loss_gradient, (None, (IMG, IMG), 2, IMG), "ckpt"),
+    (pb.save_checkpoint, (None, os.devnull), "ckpt"),
+    (pb.init_checkpoint, (None, CFG), "spec"),
+    (pb.init_checkpoint, (SPEC, None), "cfg"),
+    (pb.train, ([(IMG, IMG)], None, OPT), "cfg"),
+    (pb.train, ([(IMG, IMG)], CFG, "x"), "opt"),
+    (pb.train, ([(IMG, IMG)], CFG, OPT, 1), "spec"),
+    (pb.DenoiserCheckpoint, (None, CKPT.params), "spec"),
+    (pb.DenoiserCheckpoint, (SPEC, CKPT.params, "x"), "step_count"),
+    (pb.DenoiserCheckpoint, (SPEC, CKPT.params, 2**64), "step_count"),
+    (pb.DenoiserCheckpoint, (SPEC, CKPT.params, 0, None), "train_config"),
+    (pb.DiffusionConfig, (1.5, None), "schedule"),
+    (pb.sample_noise, (None, 3, _rng()), "kind"),
+    (pb.sample_noise, (GAUSSIAN, 3, None), "rng"),
+    (pb.synth_dataset, ("mixed", 1, 8, None), "rng"),
+    (pb.noise_fit_report, (SAMPLE, 1.5, None, 4), "rng"),
+    (pb.sample_noise, (GAUSSIAN, 10**18, _rng()), "shape"),
+    (pb.sample_noise, (GAUSSIAN, (2**20, 2**20), _rng()), "shape"),
+    (pb.resize_weights, (4, 10**10), "n_out * n_in"),
+    (pb.chi_square, (SAMPLE, SAMPLE, 10**10), "bins"),
+    (pb.synth_dataset, ("mixed", 10**18, 8, _rng()), "count * size**2"),
+    (pb.synth_dataset, ("mixed", 1, 4 * 10**9, _rng()), "count * size**2"),
+]
+
+
+@pytest.mark.parametrize("fn,args,name", NAMED_REFUSALS,
+                         ids=[f"{fn.__name__}-{name}" for fn, _, name in NAMED_REFUSALS])
+def test_refusal_names_the_argument(fn, args, name):
+    with pytest.raises(pb.ParameterError, match=re.escape(name)):
+        fn(*args)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 10: the Philox key's float64 cast")
