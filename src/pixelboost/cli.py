@@ -26,14 +26,15 @@ from typing import Optional, get_args
 
 import numpy as np
 
-from .analysis import noise_fit_report
+from .analysis import DEFAULT_BIN_COUNT, noise_fit_report
 from .denoiser import (DenoiserSpec, TrainOptions, as_denoiser,
                        load_checkpoint, save_checkpoint, train)
 from .diffusion import CONVENTIONS, forward_chain, make_config, reverse_sample
 from .errors import CodecError, PixelBoostError, ShapeError, _require_arrays
 from .imagedata import (bicubic_resize, make_lr_pair, read_image, synth_dataset,
                         write_image, SYNTH_KINDS)
-from .metrics import LOE_GRID_MAX, edge_report, grid_csv, metric_report
+from .metrics import (EDGE_PATCH_DEFAULT, LOE_GRID_DEFAULT, LOE_GRID_MAX, edge_report,
+                      grid_csv, metric_report)
 from .noise import (STREAM_ANALYSIS, STREAM_DATASET, STREAM_FORWARD,
                     STREAM_SAMPLER, RngStream)
 from .schedule import MODES, build_schedule
@@ -66,13 +67,13 @@ class RunConfig:
     mode: str = "normalized"
     convention: str = "eq5_variance"
     seed: int = 0
-    bins: int = 64
-    grid: int = 64
-    patch: int = 7
-    train_steps: int = 500
-    step_size: float = 0.01
-    batch_size: int = 8
-    hidden_width: int = 8
+    bins: int = DEFAULT_BIN_COUNT
+    grid: int = LOE_GRID_DEFAULT
+    patch: int = EDGE_PATCH_DEFAULT
+    train_steps: int = TrainOptions.steps
+    step_size: float = TrainOptions.step_size
+    batch_size: int = TrainOptions.batch_size
+    hidden_width: int = DenoiserSpec.hidden_width
     kind: str = "mixed"
     count: int = 16
     size: int = 16
@@ -357,16 +358,18 @@ def _run_pairs(cfg):
 
 def _run_model(cfg, dcfg, train_set, held_out):
     """Train under ``dcfg``, then sample and score each held-out pair: the
-    checkpoint, its loss history and one MetricReport per held-out image."""
+    checkpoint, its loss history and the held-out mean (PSNR, SSIM, LOE)."""
     spec = DenoiserSpec(train_set[0][0].shape[2], cfg.hidden_width)
     ckpt, history = train(train_set, dcfg, _train_options(cfg), spec)
-    reports = []
+    scores = []
     for j, pair in enumerate(held_out):
         # keyed by image alone, so no result depends on the order of --sigmas
         rng = RngStream(dcfg.seed, STREAM_SAMPLER).substream(j)
         sr, _ = reverse_sample(pair.lr_up, as_denoiser(ckpt), dcfg, rng)
-        reports.append(metric_report(pair.hr, sr, grid=cfg.grid))
-    return ckpt, history, reports
+        r = metric_report(pair.hr, sr, grid=cfg.grid)
+        scores.append((r.psnr_db, r.ssim, r.loe))
+    # along axis 0 numpy adds the images in order; a 1-D mean sums pairwise
+    return ckpt, history, np.mean(scores, axis=0)
 
 
 def cmd_sweep(cfg):
@@ -381,8 +384,7 @@ def cmd_sweep(cfg):
     pairs = _run_pairs(cfg)
     rows = ["sigma,psnr_db,ssim,loe"]
     for dcfg in dcfgs:
-        _, _, reports = _run_model(cfg, dcfg, *pairs)
-        means = np.mean([(r.psnr_db, r.ssim, r.loe) for r in reports], axis=0)
+        _, _, means = _run_model(cfg, dcfg, *pairs)
         rows.append(",".join(repr(float(v)) for v in (dcfg.sigma, *means)))
     _write_text(cfg.out, "\n".join(rows) + "\n")
     return 0

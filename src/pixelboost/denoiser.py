@@ -445,22 +445,14 @@ def _stack_rows(zp, x_t, y0_up, r0, r1):
     _fill_border(zp[:, :, :r1 - r0 + 2], top=r0 == 0, bottom=r1 == h)
 
 
-def _forward(ckpt, x_t, y0_up, ts, keep_cache=False):
-    """Network output (B, H, W, Co) of checked (B, H, W, C) inputs, and _backward's cache.
+def _forward_whole(ckpt, x_t, y0_up, ts):
+    """The whole-image forward of training on checked (B, H, W, C) inputs.
 
-    With ``keep_cache`` the cache holds both convs' whole patch matrices and
-    the padded activation, as _backward needs; otherwise it is None and the
-    image runs in tiles (see the comment above _fill_border).
+    Returns the network output (B, H, W, Co) and _backward's cache: both
+    convs' whole patch matrices and the padded activation.
     """
     etas = ckpt.schedule().etas[ts]
     p = ckpt.spec._unpack(ckpt.params)
-    if keep_cache:
-        return _forward_whole(p, x_t, y0_up, etas)
-    return _forward_tiled(p, x_t, y0_up, etas), None
-
-
-def _forward_whole(p, x_t, y0_up, etas):
-    """The whole-image forward of training: its output and _backward's cache."""
     b, h, wd, c = x_t.shape
     ci, wh, co = 2 * c + 1, p["b1"].size, p["b2"].size
     # what may outlive the call first, in one buffer: the temporaries then
@@ -485,8 +477,9 @@ def _forward_whole(p, x_t, y0_up, etas):
     return out, (cols1, cols2, ap)
 
 
-def _forward_tiled(p, x_t, y0_up, etas):
-    """The forward of predict, one tile of output rows at a time.
+def _forward_tiled(ckpt, x_t, y0_up, ts):
+    """The forward of predict on checked (B, H, W, C) inputs, one tile of
+    output rows at a time (see the comment above _fill_border).
 
     ``zp`` and ``ap`` hold the tile's padded input and hidden activation,
     and ``op`` the tile's second-conv output, as flat planes of pitch W + 2
@@ -495,6 +488,8 @@ def _forward_tiled(p, x_t, y0_up, etas):
     starts at row r0.  Every buffer is allocated once and reused by each
     tile and band.
     """
+    etas = ckpt.schedule().etas[ts]
+    p = ckpt.spec._unpack(ckpt.params)
     b, h, wd, c = x_t.shape
     ci, wh, co = 2 * c + 1, p["b1"].size, p["b2"].size
     pitch = wd + 2
@@ -571,7 +566,7 @@ def _losses_and_gradients(ckpt, items):
     for ks in groups.values():
         x0, y0_up, x_t = (np.stack([items[k][j] for k in ks]) for j in (0, 1, 3))
         ts = [items[k][2] for k in ks]
-        out, cache = _forward(ckpt, x_t, y0_up, ts, keep_cache=True)
+        out, cache = _forward_whole(ckpt, x_t, y0_up, ts)
         diff = out - x0
         # d mean((prediction - x0)^2) / d prediction = 2 / size * (prediction - x0)
         gout = (2.0 / diff[0].size) * diff
@@ -584,7 +579,7 @@ def predict(ckpt, x_t, y0_up, t):
     """x0 prediction; the timestep enters as a constant eta_t channel."""
     x_t, y0_up = _check_images(_check_ckpt(ckpt).spec, x_t, y0_up)
     t = _check_t(t, ckpt.schedule().steps)
-    return _forward(ckpt, x_t[None], y0_up[None], [t])[0][0]
+    return _forward_tiled(ckpt, x_t[None], y0_up[None], [t])[0]
 
 
 def loss_gradient(ckpt, item, t, x_t):
@@ -601,7 +596,7 @@ def item_loss_value(ckpt, item, t, x_t):
     x0, y0_up, x_t = _check_images(_check_ckpt(ckpt).spec, *_as_pairs([item])[0],
                                    x_t)
     t = _check_t(t, ckpt.schedule().steps)
-    out, _ = _forward(ckpt, x_t[None], y0_up[None], [t])
+    out = _forward_tiled(ckpt, x_t[None], y0_up[None], [t])
     return float(_item_loss(x0, out[0]))
 
 

@@ -1,15 +1,16 @@
 """Seedable random streams and the standardized noise families.
 
 Every sampling routine in the package draws from an :class:`RngStream`,
-a counter-based generator keyed by ``(seed, stream_id)``.  The same key
-always reproduces the same sample sequence, and distinct stream ids give
-statistically independent substreams, so pipelines can hand out one
-stream per purpose (dataset synthesis, weight init, training, sampling)
-and stay bit-reproducible end to end.
+a numpy ``Generator`` on a counter-based bit generator keyed by
+``(seed, stream_id)``.  The same key always reproduces the same sample
+sequence, and distinct stream ids give statistically independent
+substreams, so pipelines can hand out one stream per purpose (dataset
+synthesis, weight init, training, sampling) and stay bit-reproducible
+end to end.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,50 +44,37 @@ def _mix(a, b):
     return x
 
 
-@dataclass
-class RngStream:
-    """Deterministic random stream keyed by (seed, stream_id).
+class RngStream(np.random.Generator):
+    """A numpy Generator on a Philox counter-based bit generator keyed by
+    (seed, stream_id), each masked to 64 bits.
 
-    Wraps a Philox counter-based bit generator; the key is exactly the
-    (seed, stream_id) pair, so construction is cheap and reproducible.
+    The same key always gives the same draws.  numpy casts a key value of
+    2**63 or more through float64, so until the key is passed as one
+    unsigned integer such seeds and ids alias others (ROADMAP item 10).
     A stream is single-owner mutable state: never share one instance
     across concurrent tasks, spawn substreams instead.
     """
 
-    seed: int
-    stream_id: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
+    def __init__(self, seed, stream_id=0):
+        self.seed = _require_int("seed", seed) & _MASK64
+        self.stream_id = _require_int("stream_id", stream_id) & _MASK64
+        super().__init__(np.random.Philox(key=[self.seed, self.stream_id]))
 
-    def __post_init__(self):
-        seed = _require_int("seed", self.seed) & _MASK64
-        sid = _require_int("stream_id", self.stream_id) & _MASK64
-        self.seed = seed
-        self.stream_id = sid
-        self._gen = np.random.Generator(np.random.Philox(key=[seed, sid]))
+    def __reduce__(self):
+        # numpy's own reduce would rebuild a plain Generator
+        return RngStream, (self.seed, self.stream_id), self.bit_generator.state
 
-    @property
-    def generator(self):
-        return self._gen
+    def __setstate__(self, state):
+        self.bit_generator.state = state
+
+    def __repr__(self):
+        return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+    __str__ = __repr__
 
     def substream(self, k):
         """Derive an independent stream; same (seed, stream_id, k) -> same stream."""
         return RngStream(self.seed, _mix(self.stream_id, _require_int("k", k)))
-
-    # Thin draws used throughout the package; all consume this stream's state.
-    def standard_normal(self, shape=None):
-        return self._gen.standard_normal(shape)
-
-    def uniform(self, low, high, shape=None):
-        return self._gen.uniform(low, high, shape)
-
-    def integers(self, low, high, shape=None):
-        return self._gen.integers(low, high, shape)
-
-    def poisson(self, lam, shape=None):
-        return self._gen.poisson(lam, shape)
-
-    def laplace(self, scale, shape=None):
-        return self._gen.laplace(0.0, scale, shape)
 
 
 @dataclass(frozen=True)
@@ -133,6 +121,6 @@ def sample_noise(kind, shape, rng):
         return kind.sigma * rng.standard_normal(shape)
     if tag == "laplacian":
         # variance of Laplace(b) is 2 b^2; b = 1/sqrt(2) standardizes it
-        return rng.laplace(1.0 / np.sqrt(2.0), shape)
+        return rng.laplace(0.0, 1.0 / np.sqrt(2.0), shape)
     lam = _POISSON_RATE  # poisson, the last of NoiseKind's families
     return (rng.poisson(lam, shape).astype(np.float64) - lam) / np.sqrt(lam)

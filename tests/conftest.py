@@ -59,11 +59,11 @@ class _ToyRunCache(dict):
         seed, sigma = key
         cfg = replace(TOY_RUN, seed=seed, sigma=sigma)
         train_set, held_out = _toy_pairs(seed)
-        ckpt, history, reports = _run_model(cfg, _diffusion_config(cfg), train_set, held_out)
+        ckpt, history, means = _run_model(cfg, _diffusion_config(cfg), train_set, held_out)
         self[key] = {
             "params": ckpt.params,
             "history": np.asarray(history),
-            "model_psnr": float(np.mean([r.psnr_db for r in reports])),
+            "model_psnr": float(means[0]),  # the psnr_db of sweep's row
             "baseline_psnr": float(np.mean(
                 [pb.psnr(p.hr, np.clip(p.lr_up, 0.0, 1.0)) for p in held_out])),
         }

@@ -83,7 +83,7 @@ class TestChiSquare:
         # Binning forgets sample order entirely.
         x = RngStream(4, 5).standard_normal(3000)
         y = RngStream(5, 5).standard_normal(3000)
-        shuffled = RngStream(6, 5).generator.permutation(x)
+        shuffled = RngStream(6, 5).permutation(x)
         assert chi_square(shuffled, y) == chi_square(x, y)
 
     def test_matched_samples_score_small(self):

@@ -22,7 +22,7 @@ from pixelboost import (CheckpointError, CheckpointVersionError,
 from pixelboost import denoiser, diffusion
 from pixelboost.denoiser import (_BAND_VALUES, CHECKPOINT_MAGIC,
                                  INIT_WEIGHT_HALF_RANGE, _band_rows,
-                                 _conv3x3_input_grad, _forward,
+                                 _conv3x3_input_grad, _forward_tiled,
                                  _losses_and_gradients, _tile_rows,
                                  item_loss_value)
 from pixelboost.noise import STREAM_DATASET, STREAM_SAMPLER, STREAM_TRAIN
@@ -416,7 +416,7 @@ class TestBatchedCore:
     @pytest.mark.parametrize("hidden", [1, 8])
     @pytest.mark.parametrize("outputs", [1, 3])
     def test_input_grad_matches_reference(self, outputs, hidden, size):
-        rng = pb.RngStream(13, STREAM_DATASET).generator
+        rng = pb.RngStream(13, STREAM_DATASET)
         w = rng.uniform(-1.0, 1.0, (3, 3, hidden, outputs))
         shape = (3,) + size + (outputs,)
         # magnitudes 1e-6 to 10, about a quarter exact zeros, some of them -0.0
@@ -445,7 +445,7 @@ class TestBatchedCore:
         shape = (5, 12, 9, ckpt.spec.image_channels)
         x_t, y0_up = (rng.uniform(0.0, 1.0, shape) for _ in range(2))
         ts = [1, 4, 4, 9, 15]
-        out, _ = _forward(ckpt, x_t, y0_up, ts)
+        out = _forward_tiled(ckpt, x_t, y0_up, ts)
         for i, t in enumerate(ts):
             np.testing.assert_array_equal(out[i], pb.predict(ckpt, x_t[i], y0_up[i], t))
 
@@ -506,7 +506,7 @@ def _band_mismatches(channels, shapes=BAND_SHAPES + TILE_SHAPES + LEFTOVER_SHAPE
     for h, w in shapes:
         rng = pb.RngStream(12, STREAM_DATASET)
         x_t, y0_up = (rng.uniform(0.0, 1.0, (2, h, w, channels)) for _ in range(2))
-        out, _ = _forward(ckpt, x_t, y0_up, [3, 15])
+        out = _forward_tiled(ckpt, x_t, y0_up, [3, 15])
         if not all(np.array_equal(out[i], _ref_forward(ckpt, x_t[i], y0_up[i], t)[0])
                    for i, t in enumerate([3, 15])):
             bad.append((h, w))

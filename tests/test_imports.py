@@ -7,7 +7,9 @@ file, which covers the base of an attribute access.  The package's
 ``__init__.py`` is skipped: its imports are its re-exports.  Every array
 argument goes through ``errors._require_arrays``, the one module that
 calls ``np.asarray``, so that a bad argument is refused the same way
-everywhere.
+everywhere.  Likewise every draw comes from a ``noise.RngStream``, and
+``noise.py`` is the one module that touches ``numpy.random``, so that a
+draw's key is set in one place.
 """
 
 import ast
@@ -69,3 +71,32 @@ def test_scan_finds_asarray_calls():
                          ids=lambda p: p.name)
 def test_arrays_are_converted_only_in_errors(path):
     assert asarray_calls(path.read_text(encoding="utf-8")) == []
+
+
+def numpy_random_uses(source):
+    """Line numbers of the source's uses of numpy.random, however imported."""
+    def uses(node):
+        if isinstance(node, ast.Attribute):  # np.random.x, numpy.random.x
+            return (node.attr == "random" and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy"))
+        if isinstance(node, ast.Import):
+            return any(a.name.startswith("numpy.random") for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").startswith("numpy.random") or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names))
+        return False
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if uses(node))
+
+
+def test_scan_finds_numpy_random_uses():
+    source = ("import numpy as np\nfrom numpy.random import Philox\n"
+              "from numpy import random\nnp.random.default_rng(0)\n"
+              "rng.random(3)\nimport numpy.random\nnp.asarray(1)\n")
+    assert numpy_random_uses(source) == [2, 3, 4, 6]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "noise.py"),
+                         ids=lambda p: p.name)
+def test_numpy_random_is_used_only_in_noise(path):
+    assert numpy_random_uses(path.read_text(encoding="utf-8")) == []

@@ -1,5 +1,8 @@
 """Seeded random streams and the standardized noise families."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -51,6 +54,40 @@ class TestRngStream:
         assert rng.standard_normal((3, 4)).shape == (3, 4)
         assert rng.uniform(0.0, 1.0, (2, 2)).shape == (2, 2)
         assert rng.integers(0, 10, 5).shape == (5,)
+
+    def test_is_a_numpy_generator(self):
+        assert isinstance(RngStream(7, 3), np.random.Generator)
+
+    # each draw the package makes, with the arguments it passes
+    DRAWS = {
+        "standard_normal": lambda g: g.standard_normal((3, 5)),
+        "uniform": lambda g: g.uniform(-0.5, 1.5, (4, 2)),
+        "integers": lambda g: g.integers(1, 16, 9),
+        "poisson": lambda g: g.poisson(10.0, (2, 7)),
+        "laplace": lambda g: g.laplace(0.0, 1.0 / np.sqrt(2.0), 11),
+    }
+
+    @pytest.mark.parametrize("draw", DRAWS)
+    @pytest.mark.parametrize("seed,stream_id", [(0, 0), (7, 3), (2**64 + 5, -2**64 + 9)])
+    def test_draws_match_a_plain_philox_generator(self, draw, seed, stream_id):
+        # the key is masked to 64 bits; (2**64 + 5, -2**64 + 9) is (5, 9)
+        key = [seed % 2**64, stream_id % 2**64]
+        plain = np.random.Generator(np.random.Philox(key=key))
+        stream = RngStream(seed, stream_id)
+        assert [stream.seed, stream.stream_id] == key
+        for _ in range(2):  # the second draw continues from the consumed state
+            np.testing.assert_array_equal(self.DRAWS[draw](stream), self.DRAWS[draw](plain))
+
+    @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)),
+                                       copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_copies_keep_type_key_and_state(self, clone):
+        rng = RngStream(7, 3)
+        rng.standard_normal(10)
+        twin = clone(rng)
+        assert type(twin) is RngStream
+        assert (twin.seed, twin.stream_id) == (7, 3)
+        assert repr(twin) == "RngStream(seed=7, stream_id=3)"
+        np.testing.assert_array_equal(twin.standard_normal(5), rng.standard_normal(5))
 
 
 class TestNoiseKind:
