@@ -14,7 +14,7 @@ from .denoiser import (DenoiserCheckpoint, DenoiserSpec, OracleDenoiser,
                        load_checkpoint, loss_gradient, predict,
                        save_checkpoint, spec_for_images, train)
 from .diffusion import (CONVENTIONS, DiffusionConfig, forward_chain,
-                        forward_marginal, forward_step, item_loss, make_config,
+                        forward_marginal, forward_step, make_config,
                         posterior_params, reverse_sample, step_increment)
 from .errors import (CheckpointError, CheckpointVersionError, CodecError,
                      DegenerateFitError, NumericError, ParameterError,

@@ -37,6 +37,10 @@ def _clean_sample(sample, name):
     return arr
 
 
+def _bin_count(bins):
+    return _require_size("bins", _require_int("bins", bins, 2))
+
+
 def chi_square(observed, expected, bins=DEFAULT_BIN_COUNT):
     """sum (O_i - E_i)^2 / E_i over bins with expected mass.
 
@@ -45,8 +49,7 @@ def chi_square(observed, expected, bins=DEFAULT_BIN_COUNT):
     are skipped; pooled samples of a single value leave no bins and raise
     DegenerateFitError.
     """
-    bins = _require_int("bins", bins, 2)
-    _require_size("bins", bins)
+    bins = _bin_count(bins)
     return _chi_square(_clean_sample(observed, "observed"),
                        _clean_sample(expected, "expected"), bins)
 
@@ -111,7 +114,7 @@ def noise_fit_report(observed, sigma, rng, bins=DEFAULT_BIN_COUNT):
     N(0, sigma^2); the others are variance-one references, so sigma is
     what separates brownian from gaussian.
     """
-    bins = _require_int("bins", bins, 2)
+    bins = _bin_count(bins)
     _require_type("rng", rng, RngStream)
     obs = _clean_sample(observed, "observed")
     if obs.size < MIN_SAMPLES_PER_BIN * bins:

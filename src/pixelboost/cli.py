@@ -13,12 +13,13 @@ config values must also meet.
 
 Configuration precedence: command-line flags > ``--config`` JSON file >
 ``PIXELBOOST_SEED`` environment variable (seed only) > built-in
-defaults.  A config key the command does not take is a usage error.
+defaults.  A config key the command does not take is a usage error, and
+so is a value that the library setting it configures refuses: each
+command builds those settings before it reads input or trains.
 """
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -26,17 +27,17 @@ from typing import Optional, get_args
 
 import numpy as np
 
-from .analysis import DEFAULT_BIN_COUNT, noise_fit_report
+from .analysis import DEFAULT_BIN_COUNT, _bin_count, noise_fit_report
 from .denoiser import (DenoiserSpec, TrainOptions, as_denoiser,
                        load_checkpoint, save_checkpoint, train)
 from .diffusion import CONVENTIONS, forward_chain, make_config, reverse_sample
-from .errors import CodecError, PixelBoostError, ShapeError, _require_arrays
+from .errors import CodecError, ParameterError, PixelBoostError, ShapeError, _require_arrays
 from .imagedata import (bicubic_resize, make_lr_pair, read_image, synth_dataset,
                         write_image, SYNTH_KINDS)
-from .metrics import (EDGE_PATCH_DEFAULT, LOE_GRID_DEFAULT, LOE_GRID_MAX, edge_report,
-                      grid_csv, metric_report)
+from .metrics import (EDGE_PATCH_DEFAULT, LOE_GRID_DEFAULT, _edge_patch, _loe_grid,
+                      edge_report, grid_csv, metric_report)
 from .noise import (STREAM_ANALYSIS, STREAM_DATASET, STREAM_FORWARD,
-                    STREAM_SAMPLER, RngStream)
+                    STREAM_SAMPLER, NoiseKind, RngStream)
 from .schedule import MODES, build_schedule
 
 SEED_ENV = "PIXELBOOST_SEED"
@@ -60,7 +61,7 @@ class RunConfig:
     test: Optional[str] = None
     manifest: Optional[str] = None
     checkpoint: Optional[str] = None
-    sigmas: tuple = ()
+    sigmas: Optional[tuple] = None
     steps: int = 15
     t_mid: Optional[float] = None
     sigma: float = 1.5
@@ -177,9 +178,12 @@ def _require(cfg, *names):
             raise _UsageError(f"{cfg.command} requires {flag}")
 
 
-def _check_grid(cfg):
-    if not 1 <= cfg.grid <= LOE_GRID_MAX:
-        raise _UsageError(f"--grid must lie in 1..{LOE_GRID_MAX}, got {cfg.grid}")
+def _setting(build, *args, **kwargs):
+    """A library setting built from flags; a value it refuses is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ParameterError as exc:
+        raise _UsageError(exc) from exc
 
 
 def _write_text(path, text):
@@ -199,15 +203,16 @@ def _diffusion_config(cfg):
                        mode=cfg.mode, seed=cfg.seed)
 
 
-def _train_options(cfg):
-    return TrainOptions(step_size=cfg.step_size, steps=cfg.train_steps,
-                        batch_size=cfg.batch_size)
+def _training(cfg):
+    return (TrainOptions(step_size=cfg.step_size, steps=cfg.train_steps,
+                         batch_size=cfg.batch_size),
+            DenoiserSpec(hidden_width=cfg.hidden_width))
 
 
 # --- subcommands ---------------------------------------------------------
 
 def cmd_schedule(cfg):
-    sched = build_schedule(cfg.steps, t_mid=cfg.t_mid, mode=cfg.mode)
+    sched = _setting(build_schedule, cfg.steps, t_mid=cfg.t_mid, mode=cfg.mode)
     lines = ["t,eta,alpha"]
     for t in range(1, sched.steps + 1):
         lines.append(f"{t},{float(sched.etas[t])!r},{float(sched.alphas[t - 1])!r}")
@@ -217,8 +222,7 @@ def cmd_schedule(cfg):
 
 def cmd_degrade(cfg):
     _require(cfg, "input", "out")
-    hr = read_image(cfg.input)
-    pair = make_lr_pair(hr)
+    pair = make_lr_pair(read_image(cfg.input))
     os.makedirs(cfg.out, exist_ok=True)
     write_image(pair.lr, os.path.join(cfg.out, _img_name("lr", pair.lr)))
     write_image(pair.lr_up, os.path.join(cfg.out, _img_name("lr_up", pair.lr_up)))
@@ -229,9 +233,8 @@ def cmd_degrade(cfg):
 
 def cmd_forward(cfg):
     _require(cfg, "input", "out")
-    hr = read_image(cfg.input)
-    pair = make_lr_pair(hr)
-    dcfg = _diffusion_config(cfg)
+    dcfg = _setting(_diffusion_config, cfg)
+    pair = make_lr_pair(read_image(cfg.input))
     rng = RngStream(cfg.seed, STREAM_FORWARD)
     _, frames = forward_chain(pair.hr, pair.delta0, dcfg, rng, keep_trajectory=True,
                               convention=cfg.convention)
@@ -270,13 +273,13 @@ def _load_manifest(path):
 
 def cmd_train(cfg):
     _require(cfg, "manifest", "checkpoint")
+    dcfg = _setting(_diffusion_config, cfg)
+    opt, spec = _setting(_training, cfg)
     images = _load_manifest(cfg.manifest)
-    pairs = [make_lr_pair(hr) for hr in images]
-    dataset = [(p.hr, p.lr_up) for p in pairs]
-    dcfg = _diffusion_config(cfg)
-    spec = DenoiserSpec(image_channels=dataset[0][0].shape[2],
-                        hidden_width=cfg.hidden_width)
-    ckpt, history = train(dataset, dcfg, _train_options(cfg), spec)
+    dataset = [(p.hr, p.lr_up) for p in map(make_lr_pair, images)]
+    # a width that fits grey images may not fit colour ones: exit 1
+    spec = replace(spec, image_channels=dataset[0][0].shape[2])
+    ckpt, history = train(dataset, dcfg, opt, spec)
     save_checkpoint(ckpt, cfg.checkpoint)
     if cfg.out is not None:
         rows = ["step,loss"]
@@ -301,10 +304,8 @@ def cmd_sr(cfg):
 
 
 def cmd_analyze_noise(cfg):
-    if not 0 < cfg.sigma < math.inf:
-        raise _UsageError(f"--sigma must be positive and finite, got {cfg.sigma}")
-    if cfg.bins < 2:
-        raise _UsageError(f"--bins must be >= 2, got {cfg.bins}")
+    _setting(NoiseKind, "brownian", cfg.sigma)  # the one candidate sigma scales
+    bins = _setting(_bin_count, cfg.bins)
     if cfg.input is not None:
         size = os.path.getsize(cfg.input)
         if size % 8:
@@ -317,29 +318,25 @@ def cmd_analyze_noise(cfg):
     else:
         raise _UsageError("analyze-noise needs --input or both --gt and --test")
     rng = RngStream(cfg.seed, STREAM_ANALYSIS)
-    report = noise_fit_report(sample, cfg.sigma, rng, cfg.bins)
+    report = noise_fit_report(sample, cfg.sigma, rng, bins)
     _write_text(cfg.out, report.csv())
     return 0
 
 
 def cmd_metrics(cfg):
     _require(cfg, "gt", "test")
-    _check_grid(cfg)
-    gt = read_image(cfg.gt)
-    test = read_image(cfg.test)
-    report = metric_report(gt, test, gt_id=cfg.gt, test_id=cfg.test,
-                           grid=cfg.grid)
+    grid = _setting(_loe_grid, cfg.grid)
+    gt, test = read_image(cfg.gt), read_image(cfg.test)
+    report = metric_report(gt, test, gt_id=cfg.gt, test_id=cfg.test, grid=grid)
     _write_text(cfg.out, report.csv())
     return 0
 
 
 def cmd_edge_report(cfg):
     _require(cfg, "gt", "test", "out")
-    if cfg.patch < 2:
-        raise _UsageError(f"--patch must be >= 2, got {cfg.patch}")
-    gt = read_image(cfg.gt)
-    test = read_image(cfg.test)
-    report = edge_report(test, gt, patch=cfg.patch)
+    patch = _setting(_edge_patch, cfg.patch)
+    gt, test = read_image(cfg.gt), read_image(cfg.test)
+    report = edge_report(test, gt, patch=patch)
     os.makedirs(cfg.out, exist_ok=True)
     _write_text(os.path.join(cfg.out, "patch_means_test.csv"),
                 grid_csv(report.patch_means_a))
@@ -357,10 +354,9 @@ def _run_pairs(cfg):
 
 
 def _run_model(cfg, dcfg, train_set, held_out):
-    """Train under ``dcfg``, then sample and score each held-out pair: the
-    checkpoint, its loss history and the held-out mean (PSNR, SSIM, LOE)."""
-    spec = DenoiserSpec(train_set[0][0].shape[2], cfg.hidden_width)
-    ckpt, history = train(train_set, dcfg, _train_options(cfg), spec)
+    """Train under ``dcfg`` on grey images, then sample and score each held-out
+    pair: the checkpoint, its loss history and the held-out (PSNR, SSIM, LOE)."""
+    ckpt, history = train(train_set, dcfg, *_training(cfg))
     scores = []
     for j, pair in enumerate(held_out):
         # keyed by image alone, so no result depends on the order of --sigmas
@@ -373,15 +369,15 @@ def _run_model(cfg, dcfg, train_set, held_out):
 
 
 def cmd_sweep(cfg):
-    if not cfg.sigmas:
-        raise _UsageError("sweep requires --sigmas")
+    _require(cfg, "sigmas")
     for name in ("count", "eval_count"):
         if getattr(cfg, name) < 1:
             raise _UsageError(f"--{name.replace('_', '-')} must be >= 1, "
                               f"got {getattr(cfg, name)}")
-    _check_grid(cfg)
-    dcfgs = [_diffusion_config(replace(cfg, sigma=sigma)) for sigma in cfg.sigmas]
-    pairs = _run_pairs(cfg)
+    dcfgs = [_setting(_diffusion_config, replace(cfg, sigma=s)) for s in cfg.sigmas]
+    _setting(_training, cfg)
+    _setting(_loe_grid, cfg.grid)
+    pairs = _setting(_run_pairs, cfg)  # synthesis reads no input
     rows = ["sigma,psnr_db,ssim,loe"]
     for dcfg in dcfgs:
         _, _, means = _run_model(cfg, dcfg, *pairs)

@@ -66,6 +66,12 @@ def _check_t(t, steps):
     return t
 
 
+def _check_convention(convention):
+    if not isinstance(convention, str) or convention not in CONVENTIONS:
+        raise ParameterError(
+            f"convention must be one of {CONVENTIONS}, got {convention!r}")
+
+
 def step_increment(delta0, alpha_t, sigma, noise, convention="eq5_variance"):
     """The x_{t-1} -> x_t increment for an explicitly given alpha_t.
 
@@ -76,45 +82,42 @@ def step_increment(delta0, alpha_t, sigma, noise, convention="eq5_variance"):
     delta0, noise = _require_arrays(delta0, noise)
     alpha_t = _require_positive("alpha_t", alpha_t)
     sigma = _require_positive("sigma", sigma)
-    if not isinstance(convention, str) or convention not in CONVENTIONS:
-        raise ParameterError(
-            f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    _check_convention(convention)
+    return _increment(delta0, alpha_t, sigma, noise, convention)
+
+
+def _increment(delta0, alpha_t, sigma, noise, convention):
+    """step_increment without its checks, which the caller has made."""
     if convention == "eq4_literal":
         return alpha_t * (delta0 + sigma * noise)
     return alpha_t * delta0 + sigma * np.sqrt(alpha_t) * noise
 
 
-def _noise_for(shape, rng, noise):
-    """The given standard-normal field, else a fresh draw from ``rng``."""
-    if noise is None:
-        if not callable(getattr(rng, "standard_normal", None)):
-            raise ParameterError(f"need an rng when noise is not supplied, got {rng!r}")
-        return rng.standard_normal(shape)
-    (noise,) = _require_arrays(noise)
-    if noise.shape != shape:
-        raise ShapeError(f"noise shape {noise.shape} != state shape {shape}")
-    return noise
+def _noise_for(rng):
+    """``rng``'s standard-normal draw; refused unless it has one."""
+    draw = getattr(rng, "standard_normal", None)
+    if not callable(draw):
+        raise ParameterError(f"need an rng with a standard_normal draw, got {rng!r}")
+    return draw
 
 
-def forward_step(x_prev, delta0, t, cfg, rng=None, noise=None,
-                 convention="eq5_variance"):
-    """One forward transition x_{t-1} -> x_t.
+def forward_step(x_prev, delta0, t, cfg, rng=None, convention="eq5_variance"):
+    """One forward transition x_{t-1} -> x_t, its field w drawn from ``rng``.
 
-    ``noise`` optionally fixes the standard-normal field w; otherwise it
-    is drawn from ``rng``.  Under the normative eq5_variance convention
-    the increment is alpha_t*delta_0 + sigma*sqrt(alpha_t)*w; under
-    eq4_literal it is alpha_t*(delta_0 + sigma*w).  Every other function
-    here is the eq5_variance closed form.
+    Under the normative eq5_variance convention the increment is
+    alpha_t*delta_0 + sigma*sqrt(alpha_t)*w; under eq4_literal it is
+    alpha_t*(delta_0 + sigma*w).  Every other function here is the
+    eq5_variance closed form.
     """
     x_prev, delta0 = _require_arrays(x_prev, delta0)
     t = _check_t(t, _check_cfg(cfg).steps)
-    etas = cfg.schedule.etas
-    a_t = etas[t] - etas[t - 1]
-    noise = _noise_for(x_prev.shape, rng, noise)
-    return x_prev + step_increment(delta0, a_t, cfg.sigma, noise, convention)
+    _check_convention(convention)
+    a_t = cfg.schedule.alphas[t - 1]
+    noise = _noise_for(rng)(x_prev.shape)
+    return x_prev + _increment(delta0, a_t, cfg.sigma, noise, convention)
 
 
-def forward_marginal(x0, delta0, t, cfg, rng=None, noise=None):
+def forward_marginal(x0, delta0, t, cfg, rng=None):
     """Single draw of x_t directly from the closed-form marginal.
 
     The injected-residual fraction is eta_t - eta_0, which equals eta_t
@@ -123,7 +126,7 @@ def forward_marginal(x0, delta0, t, cfg, rng=None, noise=None):
     """
     x0, delta0 = _require_arrays(x0, delta0)
     t = _check_t(t, _check_cfg(cfg).steps)
-    return _marginal(x0, delta0, t, cfg, _noise_for(x0.shape, rng, noise))
+    return _marginal(x0, delta0, t, cfg, _noise_for(rng)(x0.shape))
 
 
 def _marginal(x0, delta0, t, cfg, noise):
@@ -140,9 +143,12 @@ def forward_chain(x0, delta0, cfg, rng, keep_trajectory=False,
     ``keep_trajectory`` is set and is None otherwise.
     """
     x, delta0 = _require_arrays(x0, delta0)
+    alphas = _check_cfg(cfg).schedule.alphas
+    _check_convention(convention)
+    draw = _noise_for(rng)
     frames = [x] if keep_trajectory else None
-    for t in range(1, _check_cfg(cfg).steps + 1):
-        x = forward_step(x, delta0, t, cfg, rng, convention=convention)
+    for t, a_t in enumerate(alphas, start=1):
+        x = x + _increment(delta0, a_t, cfg.sigma, draw(x.shape), convention)
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite values at forward step {t}")
         if keep_trajectory:
@@ -184,7 +190,7 @@ def reverse_sample(y0_up, denoiser, cfg, rng, keep_trajectory=False):
     if not callable(denoiser):
         raise ParameterError(f"denoiser must be callable, got {denoiser!r}")
     y0_up = as_image(y0_up)
-    x = y0_up + cfg.sigma * np.sqrt(sched.etas[-1]) * _noise_for(y0_up.shape, rng, None)
+    x = y0_up + cfg.sigma * np.sqrt(sched.etas[-1]) * _noise_for(rng)(y0_up.shape)
     frames = [x] if keep_trajectory else None
     for t in range(cfg.steps, 0, -1):
         (x0_hat,) = _require_arrays(denoiser(x, y0_up, t))
@@ -200,14 +206,6 @@ def reverse_sample(y0_up, denoiser, cfg, rng, keep_trajectory=False):
         if keep_trajectory:
             frames.append(x)
     return np.clip(x, 0.0, 1.0), frames
-
-
-def item_loss(x0, x0_hat):
-    """Training loss: each item's mean squared error over its (H, W, C) axes."""
-    x0, x0_hat = _require_arrays(x0, x0_hat)
-    if x0.ndim < 3:
-        raise ShapeError(f"expected (..., H, W, C) arrays, got shape {x0.shape}")
-    return _item_loss(x0, x0_hat)
 
 
 def _item_loss(x0, x0_hat):

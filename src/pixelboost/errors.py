@@ -53,9 +53,10 @@ _MAX_VALUES = 1 << 26
 
 
 def _require_size(name, values):
-    """Refuse ``values``, the array values an argument asks for, past _MAX_VALUES."""
+    """``values``, the array values an argument asks for; refused past _MAX_VALUES."""
     if values > _MAX_VALUES:
         raise ParameterError(f"{name} asks for {values} values, more than {_MAX_VALUES}")
+    return values
 
 
 def _require_type(name, value, kind):

@@ -29,7 +29,6 @@ SOBEL_X = np.array([[-1.0, 0.0, 1.0],
 SOBEL_Y = SOBEL_X.T
 
 
-
 def lightness(img):
     """Per-pixel lightness: the max over channels."""
     return as_image(img).max(axis=2)
@@ -306,6 +305,10 @@ def _sobel(plane):
     return mag
 
 
+def _edge_patch(patch):
+    return _require_int("patch", patch, 2)
+
+
 def _patch_means(mag, patch):
     nh, nw = mag.shape[0] // patch, mag.shape[1] // patch
     trimmed = mag[: nh * patch, : nw * patch]
@@ -329,7 +332,7 @@ def edge_report(a, b, patch=EDGE_PATCH_DEFAULT):
     the right/bottom edges are dropped.
     """
     a, b = _image_pair(a, b)
-    patch = _require_int("patch", patch, 2)
+    patch = _edge_patch(patch)
     if a.shape[0] < patch or a.shape[1] < patch:
         raise ParameterError(
             f"image {a.shape[:2]} is smaller than one {patch}x{patch} patch")

@@ -33,6 +33,8 @@ class Schedule:
     mode: str
 
     def __post_init__(self):
+        if not isinstance(self.mode, str) or self.mode not in MODES:
+            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         (etas,) = _require_arrays(self.etas)
         etas.setflags(write=False)
         object.__setattr__(self, "etas", etas)
@@ -43,8 +45,6 @@ class Schedule:
             raise ParameterError("eta sequence must be strictly increasing")
         if etas[0] < 0 or etas[-1] > 1:
             raise ParameterError("eta values must lie in [0, 1]")
-        if not isinstance(self.mode, str) or self.mode not in MODES:
-            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "normalized" and (etas[0] != 0.0 or etas[-1] != 1.0):
             raise ParameterError("normalized schedule must have eta_0 = 0, eta_T = 1")
 
@@ -79,12 +79,11 @@ def build_schedule(steps, t_mid=None, mode="normalized"):
     if t_mid is None:
         t_mid = default_t_mid(steps)
     t_mid = _require_positive("t_mid", t_mid, below=steps)
-    if not isinstance(mode, str) or mode not in MODES:
-        raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
 
     t = np.arange(steps + 1, dtype=np.float64)
     s = 1.0 / (1.0 + np.exp(-(t - t_mid)))
-    if mode == "normalized":
+    # Schedule refuses any mode but these two, first of its checks
+    if isinstance(mode, str) and mode == "normalized":
         etas = (s - s[0]) / (s[-1] - s[0])
         etas[0] = 0.0   # exact boundaries (the formula already gives 0 and 1,
         etas[-1] = 1.0  # pinned here against any rounding in the subtraction)

@@ -11,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pixelboost import (STREAM_DATASET, RngStream, build_schedule,
-                        init_checkpoint, load_checkpoint, make_config,
-                        make_lr_pair, read_image, save_checkpoint,
-                        spec_for_images, synth_dataset, write_image)
+from pixelboost import (STREAM_DATASET, DenoiserSpec, NoiseKind, ParameterError,
+                        RngStream, TrainOptions, build_schedule, chi_square,
+                        edge_report, init_checkpoint, load_checkpoint, make_config,
+                        make_lr_pair, metric_report, noise_fit_report, read_image,
+                        save_checkpoint, spec_for_images, synth_dataset,
+                        write_image)
 from pixelboost import cli
 from pixelboost.cli import SEED_ENV, RunConfig, main
 
@@ -262,7 +264,7 @@ class TestSchedule:
         out = tmp_path / "s.csv"
         tracemalloc.start()
         try:
-            assert main(["schedule", "--steps", "5000000", "--out", str(out)]) == 1
+            assert main(["schedule", "--steps", "5000000", "--out", str(out)]) == 2
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -685,7 +687,8 @@ class TestAnalyzeNoise:
         out = tmp_path / "x.csv"
         assert main(["analyze-noise", "--gt", "gt.pgm", "--test", "t.pgm",
                      "--sigma", sigma, "--out", str(out)]) == 2
-        assert "--sigma must be positive and finite" in capsys.readouterr().err
+        assert ("brownian strength sigma must be positive and finite"
+                in capsys.readouterr().err)
         # the flat-file route is checked before its file is opened too
         assert main(["analyze-noise", "--input", str(tmp_path / "absent.f64"),
                      "--sigma", sigma, "--out", str(out)]) == 2
@@ -698,7 +701,7 @@ class TestAnalyzeNoise:
         out = tmp_path / "x.csv"
         assert main(["analyze-noise", "--gt", "gt.pgm", "--test", "t.pgm",
                      "--bins", bins, "--out", str(out)]) == 2
-        assert "--bins must be >= 2" in capsys.readouterr().err
+        assert "bins must be an integer >= 2" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -734,7 +737,7 @@ class TestMetricsCommand:
         monkeypatch.setattr(cli, "read_image", _no_reading)
         assert main(["metrics", "--gt", "gt.pgm", "--test", "t.pgm",
                      "--grid", grid]) == 2
-        assert "--grid must lie in 1..64" in capsys.readouterr().err
+        assert "grid must be in 1..64" in capsys.readouterr().err
 
 
 class TestEdgeReportCommand:
@@ -762,7 +765,7 @@ class TestEdgeReportCommand:
         out = tmp_path / "edges"
         assert main(["edge-report", "--gt", "gt.pgm", "--test", "t.pgm",
                      "--out", str(out), "--patch", patch]) == 2
-        assert "--patch must be >= 2" in capsys.readouterr().err
+        assert "patch must be an integer >= 2" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -827,7 +830,7 @@ class TestSweep:
         argv = ["sweep", "--sigmas", "1.5", "--count", "2", "--eval-count", "1",
                 "--train-steps", "2", "--grid", grid, "--out", str(out)]
         assert main(argv) == 2
-        assert "--grid must lie in 1..64" in capsys.readouterr().err
+        assert "grid must be in 1..64" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("sigmas", ["1.5,inf", "1.5,-1"])
@@ -837,7 +840,7 @@ class TestSweep:
         out = tmp_path / "x.csv"
         argv = ["sweep", "--sigmas", sigmas, "--count", "2", "--eval-count", "1",
                 "--train-steps", "2", "--out", str(out)]
-        assert main(argv) == 1
+        assert main(argv) == 2
         assert "sigma must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
@@ -856,6 +859,148 @@ class TestSweep:
                 "--out", str(out)]
         assert main(argv) == 2
         assert "--convention" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _refusal(call):
+    """The message of the ParameterError that ``call`` raises."""
+    with pytest.raises(ParameterError) as info:
+        call()
+    return str(info.value)
+
+
+_SAMPLE = np.linspace(-1.0, 1.0, 1000)
+_IMG = np.full((16, 16, 1), 0.5)
+
+# each command and flag value the library refuses, whatever the input holds,
+# and the library call that refuses it; OUT is the path written on success
+FLAG_REFUSALS = [
+    ("schedule --steps 1 --out OUT", lambda: build_schedule(1)),
+    ("schedule --steps 5000000 --out OUT", lambda: build_schedule(5000000)),
+    ("schedule --t-mid -1 --out OUT", lambda: build_schedule(15, t_mid=-1.0)),
+    ("schedule --t-mid 15 --out OUT", lambda: build_schedule(15, t_mid=15.0)),
+    ("forward --input hr.pgm --out OUT --sigma 0", lambda: make_config(sigma=0.0)),
+    ("forward --input hr.pgm --out OUT --steps 1", lambda: build_schedule(1)),
+    ("forward --input hr.pgm --out OUT --sigma 1e200",
+     lambda: make_config(sigma=1e200)),
+    ("train --manifest m.txt --checkpoint OUT --sigma nan",
+     lambda: make_config(sigma=float("nan"))),
+    ("train --manifest m.txt --checkpoint OUT --t-mid 0",
+     lambda: build_schedule(15, t_mid=0.0)),
+    ("train --manifest m.txt --checkpoint OUT --step-size 0",
+     lambda: TrainOptions(step_size=0.0)),
+    ("train --manifest m.txt --checkpoint OUT --batch-size 0",
+     lambda: TrainOptions(batch_size=0)),
+    ("train --manifest m.txt --checkpoint OUT --train-steps -1",
+     lambda: TrainOptions(steps=-1)),
+    ("train --manifest m.txt --checkpoint OUT --hidden-width 0",
+     lambda: DenoiserSpec(hidden_width=0)),
+    # 37 * 300 + 1 parameters: too many for grey images, and so for any
+    ("train --manifest m.txt --checkpoint OUT --hidden-width 300",
+     lambda: DenoiserSpec(hidden_width=300)),
+    ("analyze-noise --input r.f64 --out OUT --sigma 1e301",
+     lambda: NoiseKind("brownian", 1e301)),
+    ("analyze-noise --gt gt.pgm --test t.pgm --out OUT --sigma -1",
+     lambda: NoiseKind("brownian", -1.0)),
+    ("analyze-noise --input r.f64 --out OUT --bins 1",
+     lambda: chi_square(_SAMPLE, _SAMPLE, 1)),
+    ("analyze-noise --gt gt.pgm --test t.pgm --out OUT --bins 100000000",
+     lambda: chi_square(_SAMPLE, _SAMPLE, 100000000)),
+    ("metrics --gt gt.pgm --test t.pgm --out OUT --grid 0",
+     lambda: metric_report(_IMG, _IMG, grid=0)),
+    ("metrics --gt gt.pgm --test t.pgm --out OUT --grid 65",
+     lambda: metric_report(_IMG, _IMG, grid=65)),
+    ("edge-report --gt gt.pgm --test t.pgm --out OUT --patch 1",
+     lambda: edge_report(_IMG, _IMG, patch=1)),
+    ("sweep --out OUT --sigmas -1", lambda: make_config(sigma=-1.0)),
+    ("sweep --out OUT --sigmas 1.5,inf", lambda: make_config(sigma=float("inf"))),
+    ("sweep --out OUT --sigmas 1.5 --steps 1", lambda: build_schedule(1)),
+    # sweep synthesizes its default --count 16 and --eval-count 4 images at once
+    ("sweep --out OUT --sigmas 1.5 --size 10",
+     lambda: synth_dataset("mixed", 20, 10, RngStream(0))),
+    ("sweep --out OUT --sigmas 1.5 --size 100000",
+     lambda: synth_dataset("mixed", 20, 100000, RngStream(0))),
+    ("sweep --out OUT --sigmas 1.5 --step-size 0", lambda: TrainOptions(step_size=0.0)),
+    ("sweep --out OUT --sigmas 1.5 --hidden-width 0",
+     lambda: DenoiserSpec(hidden_width=0)),
+    ("sweep --out OUT --sigmas 1.5 --batch-size 0", lambda: TrainOptions(batch_size=0)),
+    ("sweep --out OUT --sigmas 1.5 --grid 65",
+     lambda: metric_report(_IMG, _IMG, grid=65)),
+]
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name}() was called")
+    return refuse
+
+
+class TestFlagValues:
+    """A flag value the library refuses is a usage error, found before any
+    input is read or any model trained; a refusal that depends on what the
+    input holds is a runtime failure."""
+
+    @pytest.mark.parametrize("argv,call", FLAG_REFUSALS,
+                             ids=[argv for argv, _ in FLAG_REFUSALS])
+    def test_refused_value_exits_2_before_reading(self, tmp_path, capsys,
+                                                  monkeypatch, argv, call):
+        message = _refusal(call)
+        for module, name in ((cli, "read_image"), (np, "fromfile"),
+                             (cli, "load_checkpoint"), (cli, "train")):
+            monkeypatch.setattr(module, name, _refuse(name))
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert main(argv.replace("OUT", str(out)).split()) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_refused_config_value_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"steps": 1}))
+        assert main(["schedule", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: {_refusal(lambda: build_schedule(1))}\n"
+
+    @staticmethod
+    def _patch_larger_than_image(tmp_path):
+        for name in ("gt.pgm", "t.pgm"):
+            _make_image(tmp_path / name, size=16)
+        return ("edge-report --gt gt.pgm --test t.pgm --out OUT --patch 100",
+                lambda: edge_report(_IMG, _IMG, patch=100))
+
+    @staticmethod
+    def _sample_too_small_for_bins(tmp_path):
+        _residual_file(tmp_path / "r.f64", n=100)
+        return ("analyze-noise --input r.f64 --out OUT",
+                lambda: noise_fit_report(_SAMPLE[:100], 1.5, RngStream(0)))
+
+    @staticmethod
+    def _width_too_wide_for_colour(tmp_path):
+        # 37 * 200 + 1 parameters fit grey images; 91 * 200 + 3 do not fit colour
+        write_image(np.full((16, 16, 3), 0.5), tmp_path / "c.ppm")
+        (tmp_path / "m.txt").write_text("c.ppm\n")
+        return ("train --manifest m.txt --checkpoint OUT --hidden-width 200",
+                lambda: DenoiserSpec(image_channels=3, hidden_width=200))
+
+    @staticmethod
+    def _mismatched_images(tmp_path):
+        _make_image(tmp_path / "gt.pgm", size=16)
+        _make_image(tmp_path / "t.pgm", size=20)
+        return ("metrics --gt gt.pgm --test t.pgm --out OUT",
+                lambda: metric_report(_IMG, np.zeros((20, 20, 1))))
+
+    @pytest.mark.parametrize("case", ["_patch_larger_than_image",
+                                      "_sample_too_small_for_bins",
+                                      "_width_too_wide_for_colour",
+                                      "_mismatched_images"])
+    def test_refusal_of_the_input_exits_1(self, tmp_path, capsys, monkeypatch,
+                                          case):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "train", _no_training)
+        argv, call = getattr(self, case)(tmp_path)
+        message = _refusal(call)
+        out = tmp_path / "out"
+        assert main(argv.replace("OUT", str(out)).split()) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

@@ -9,7 +9,9 @@ argument goes through ``errors._require_arrays``, the one module that
 calls ``np.asarray``, so that a bad argument is refused the same way
 everywhere.  Likewise every draw comes from a ``noise.RngStream``, and
 ``noise.py`` is the one module that touches ``numpy.random``, so that a
-draw's key is set in one place.
+draw's key is set in one place.  And ``cli.py`` orders no ``cfg`` field
+but the seed and sweep's counts, the bounds the CLI owns: every other
+bound belongs to the library call that the field configures.
 """
 
 import ast
@@ -100,3 +102,29 @@ def test_scan_finds_numpy_random_uses():
                          ids=lambda p: p.name)
 def test_numpy_random_is_used_only_in_noise(path):
     assert numpy_random_uses(path.read_text(encoding="utf-8")) == []
+
+
+# the RunConfig fields whose bounds the CLI owns
+CLI_BOUNDS = ("seed", "count", "eval_count")
+
+
+def cfg_field_orderings(source):
+    """The ``cfg.<field>`` operands of the source's <, <=, > and >= comparisons."""
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    return [operand.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(isinstance(op, ordering) for op in node.ops)
+            for operand in [node.left, *node.comparators]
+            if isinstance(operand, ast.Attribute) and isinstance(operand.value, ast.Name)
+            and operand.value.id == "cfg"]
+
+
+def test_scan_finds_cfg_field_orderings():
+    source = ("if cfg.grid < 1:\n    pass\nok = 0 <= cfg.seed < 2 ** 63\n"
+              "same = cfg.patch == 2\nother.bins >= 2\n")
+    assert cfg_field_orderings(source) == ["grid", "seed"]
+
+
+def test_cli_orders_only_the_fields_it_owns():
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert set(cfg_field_orderings(source)) <= set(CLI_BOUNDS)

@@ -328,17 +328,15 @@ CALLS = {
     "step_increment": _row(pb.step_increment, lambda: dict(
         delta0=IMG, alpha_t=0.2, sigma=0.5, noise=IMG, convention="eq5_variance")),
     "forward_step": _row(pb.forward_step, lambda: dict(
-        x_prev=IMG, delta0=IMG, t=2, cfg=CFG, rng=_rng(), noise=None,
-        convention="eq4_literal")),
+        x_prev=IMG, delta0=IMG, t=2, cfg=CFG, rng=_rng(), convention="eq4_literal")),
     "forward_marginal": _row(pb.forward_marginal, lambda: dict(
-        x0=IMG, delta0=IMG, t=2, cfg=CFG, rng=_rng(), noise=None)),
+        x0=IMG, delta0=IMG, t=2, cfg=CFG, rng=_rng())),
     "forward_chain": _row(pb.forward_chain, lambda: dict(
         x0=IMG, delta0=IMG, cfg=CFG, rng=_rng(), convention="eq5_variance")),
     "posterior_params": _row(pb.posterior_params, lambda: dict(
         x_t=IMG, x0_hat=IMG, t=2, cfg=CFG)),
     "reverse_sample": _row(pb.reverse_sample, lambda: dict(
         y0_up=IMG, denoiser=pb.OracleDenoiser(IMG), cfg=CFG, rng=_rng())),
-    "item_loss": _row(pb.item_loss, lambda: dict(x0=IMG, x0_hat=IMG)),
     "DenoiserSpec": _row(pb.DenoiserSpec, lambda: dict(image_channels=1,
                                                        hidden_width=2)),
     "spec_for_images": _row(pb.spec_for_images, lambda: dict(
