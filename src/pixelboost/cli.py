@@ -28,7 +28,7 @@ from typing import Optional, get_args
 import numpy as np
 
 from .analysis import DEFAULT_BIN_COUNT, _bin_count, noise_fit_report
-from .denoiser import (DenoiserSpec, TrainOptions, as_denoiser,
+from .denoiser import (DenoiserSpec, TrainOptions, _batch_size, as_denoiser,
                        load_checkpoint, save_checkpoint, train)
 from .diffusion import CONVENTIONS, forward_chain, make_config, reverse_sample
 from .errors import CodecError, ParameterError, PixelBoostError, ShapeError, _require_arrays
@@ -375,9 +375,10 @@ def cmd_sweep(cfg):
             raise _UsageError(f"--{name.replace('_', '-')} must be >= 1, "
                               f"got {getattr(cfg, name)}")
     dcfgs = [_setting(_diffusion_config, replace(cfg, sigma=s)) for s in cfg.sigmas]
-    _setting(_training, cfg)
+    opt, spec = _setting(_training, cfg)
     _setting(_loe_grid, cfg.grid)
     pairs = _setting(_run_pairs, cfg)  # synthesis reads no input
+    _setting(_batch_size, spec, opt.batch_size, cfg.size ** 2)
     rows = ["sigma,psnr_db,ssim,loe"]
     for dcfg in dcfgs:
         _, _, means = _run_model(cfg, dcfg, *pairs)

@@ -18,7 +18,7 @@ import numpy as np
 from .diffusion import DiffusionConfig, _check_cfg, _check_t, _item_loss, _marginal
 from .errors import (CheckpointError, CheckpointVersionError, ParameterError,
                      ShapeError, TrainingError, _require_arrays, _require_int,
-                     _require_positive, _require_type)
+                     _require_positive, _require_size, _require_type)
 from .noise import STREAM_INIT, STREAM_TRAIN, RngStream
 from .schedule import build_schedule
 
@@ -639,6 +639,12 @@ def init_checkpoint(spec, cfg):
                               train_config=train_config)
 
 
+def _batch_size(spec, batch_size, pixels):
+    """Refuse a batch whose step's patch matrices pass errors._MAX_VALUES."""
+    _require_size(f"batch_size {batch_size} at {pixels} pixels an image",
+                  batch_size * 9 * (spec.channels + spec.hidden_width) * pixels)
+
+
 def train(dataset, cfg, opt=None, spec=None):
     """Plain SGD on the diffusion loss; deterministic given cfg.seed.
 
@@ -652,6 +658,7 @@ def train(dataset, cfg, opt=None, spec=None):
         spec = DenoiserSpec(image_channels=x0.shape[2] if x0.ndim == 3 else 1)
     _require_type("spec", spec, DenoiserSpec)
     dataset = [_check_images(spec, x0, y0_up) for x0, y0_up in dataset]
+    _batch_size(spec, opt.batch_size, max(x0.shape[0] * x0.shape[1] for x0, _ in dataset))
 
     ckpt = init_checkpoint(spec, cfg)
     # every checkpoint is trained on the one loss; the key stays in the metadata

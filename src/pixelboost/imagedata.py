@@ -55,44 +55,80 @@ class SrPair:
 def _cubic_kernel(x):
     """Cubic convolution kernel, a = -0.5 (Catmull-Rom family)."""
     x = np.abs(x)
-    out = np.zeros_like(x)
-    near = x <= 1.0
-    far = (x > 1.0) & (x < 2.0)
-    out[near] = (1.5 * x[near] - 2.5) * x[near] * x[near] + 1.0
-    out[far] = ((-0.5 * x[far] + 2.5) * x[far] - 4.0) * x[far] + 2.0
-    return out
+    return np.where(x <= 1.0, (1.5 * x - 2.5) * x * x + 1.0,
+                    np.where(x < 2.0, ((-0.5 * x + 2.5) * x - 4.0) * x + 2.0, 0.0))
+
+
+def _taps(n_in, n_out):
+    """Each output's four taps, positions and weights (4, n_out), centred on
+    src = (dst + 0.5) * n_in/n_out - 0.5.  Border-clipped taps add to the
+    border's weight in kernel order; a tap past the image's end weighs 0."""
+    src = (np.arange(n_out, dtype=np.float64) + 0.5) / (n_out / n_in) - 0.5
+    base = np.floor(src).astype(np.int64)
+    frac = src - base
+    first = np.clip(base - 1, 0, n_in - 1)
+    weights = np.zeros((4, n_out))
+    for k in range(-1, 3):
+        tap = np.clip(base + k, 0, n_in - 1) - first
+        weights[tap, np.arange(n_out)] += _cubic_kernel(frac - k)
+    return np.minimum(first + np.arange(4)[:, None], n_in - 1), weights
 
 
 def resize_weights(n_in, n_out):
-    """Dense (n_out, n_in) bicubic weight matrix.
-
-    Sampling uses the align-centers convention src = (dst + 0.5)/scale - 0.5
-    with scale = n_out/n_in; out-of-range taps are clipped to the border
-    (replicate handling), so every row still sums to 1.
-    """
+    """Dense (n_out, n_in) bicubic weight matrix of _taps; each row sums to 1."""
     n_in = _require_int("n_in", n_in, 1)
     n_out = _require_int("n_out", n_out, 1)
     _require_size("n_out * n_in", n_out * n_in)
-    scale = n_out / n_in
-    src = (np.arange(n_out, dtype=np.float64) + 0.5) / scale - 0.5
-    base = np.floor(src).astype(np.int64)
-    frac = src - base
+    positions, taps = _taps(n_in, n_out)
     weights = np.zeros((n_out, n_in), dtype=np.float64)
-    rows = np.arange(n_out)
-    for k in range(-1, 3):
-        w = _cubic_kernel(frac - k)
-        idx = np.clip(base + k, 0, n_in - 1)
-        np.add.at(weights, (rows, idx), w)
+    np.add.at(weights, (np.arange(n_out), positions), taps)
     return weights
 
 
-@lru_cache(maxsize=8)
-def _shared_weights(n_in, n_out):
-    # images of one size repeat (datasets, batch evaluation), so each matrix
-    # is built once and shared read-only; resize_weights stays a fresh copy
-    weights = resize_weights(n_in, n_out)
-    weights.flags.writeable = False
-    return weights
+# A resize sums each output's taps, columns then rows, as numpy 2.4's einsum
+# over resize_weights sums a C-contiguous image: from +0.0, a contiguous axis
+# (grey columns, one-value-wide rows) in two SIMD lanes, (even taps) + (odd
+# taps), any other in position order.  A lane's two taps commute, zero weights
+# change no sum, and the +0.0 start turns -0.0 into +0.0.  A band's taps: 256 KiB.
+_BAND_VALUES = 1 << 13
+
+
+@lru_cache(maxsize=16)
+def _pass_taps(axis, h, w, c, n_out):
+    """_resample's read-only plan for axis ``axis`` of an (h, w, c) array: its
+    output shape, whether it sums by parity, and per band of output rows its
+    first row r0 and its taps' index and weights (4, rows, ...); a column pass
+    indexes its input's values from row r0 on, a row pass the input's rows."""
+    index, weights = _taps(w if axis else h, n_out)
+    if axis:  # offsets within a band's own rows, the same for every band
+        rows = min(h, max(1, _BAND_VALUES // (n_out * c)))
+        index = (np.arange(rows)[:, None, None] * w + index[:, None, :, None]) * c
+        index = (index + np.arange(c)).reshape(4, rows, -1)
+        weights = np.broadcast_to(weights[:, None, :, None], (4, rows, n_out, c))
+    else:  # one band's weights span its rows, sparing a small pass a broadcast
+        rows = max(1, _BAND_VALUES // (w * c))
+        weights = np.repeat(weights[..., None], w * c if rows >= n_out else 1, axis=2)
+    weights = np.ascontiguousarray(weights).reshape(index.shape[:2] + (-1,))
+    index.flags.writeable = weights.flags.writeable = False
+    parts = [(r0, slice(0, min(rows, h - r0)) if axis else slice(r0, r0 + rows))
+             for r0 in range(0, h if axis else n_out, rows)]
+    bands = [(r0, index[:, part], weights[:, part]) for r0, part in parts]
+    return ((h, n_out, c) if axis else (n_out, w, c)), (c if axis else w * c) == 1, bands
+
+
+def _resample(x, axis, n_out):
+    """Axis 0 or 1 of an (H, W, C) array resampled to ``n_out`` (see above)."""
+    shape, by_parity, bands = _pass_taps(axis, *x.shape, n_out)
+    out = np.empty((shape[0], shape[1] * shape[2]))
+    flat = x.reshape(len(x), -1)
+    for r0, index, weights in bands:
+        taps = flat[r0:].take(index) if axis else flat.take(index, axis=0)
+        taps *= weights
+        if by_parity:
+            taps = taps[:2] + taps[2:]
+        # each output's terms in order, from +0.0
+        np.add.reduce(taps, axis=0, out=out[r0:r0 + taps.shape[1]], initial=0.0)
+    return out.reshape(shape)
 
 
 def bicubic_resize(img, scale):
@@ -104,18 +140,14 @@ def bicubic_resize(img, scale):
     img = as_image(img)
     _require_positive("scale", scale)
     h, w, _ = img.shape
-    # the most output pixels: 8192^2, sr of a 2048^2 LR image, about 0.9 GiB at
-    # the resize's peak in grey.  sr_512's 512^2 is 1/256 of it.
+    # the most output pixels: 8192^2, sr of a 2048^2 LR image, about 0.63 GiB
+    # at the resize's peak in grey.  sr_512's 512^2 is 1/256 of it.
     if h * scale * w * scale > _MAX_VALUES:
         raise ParameterError(f"scale {scale} takes {h}x{w} past {_MAX_VALUES} pixels")
-    h_out = int(round(h * scale))
-    w_out = int(round(w * scale))
+    h_out, w_out = int(round(h * scale)), int(round(w * scale))
     if h_out < 1 or w_out < 1:
         raise ParameterError(f"scale {scale} collapses {h}x{w} to {h_out}x{w_out}")
-    wr = _shared_weights(h, h_out)
-    wc = _shared_weights(w, w_out)
-    # rows then columns; separability makes the order irrelevant
-    return np.einsum("oh,hwc->owc", wr, np.einsum("ow,hwc->hoc", wc, img))
+    return _resample(_resample(img, 1, w_out), 0, h_out)
 
 
 def make_lr_pair(hr):
@@ -123,8 +155,8 @@ def make_lr_pair(hr):
     hr = as_image(hr)
     if hr.shape[0] % 4 or hr.shape[1] % 4:
         raise ParameterError(f"HR dims must be divisible by 4, got {hr.shape[:2]}")
-    lr = bicubic_resize(hr, 0.25)
-    lr_up = bicubic_resize(lr, 4)
+    lr = _resample(_resample(hr, 1, hr.shape[1] // 4), 0, hr.shape[0] // 4)
+    lr_up = _resample(_resample(lr, 1, hr.shape[1]), 0, hr.shape[0])
     return SrPair(hr=hr, lr=lr, lr_up=lr_up)
 
 

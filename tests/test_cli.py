@@ -15,9 +15,9 @@ from pixelboost import (STREAM_DATASET, DenoiserSpec, NoiseKind, ParameterError,
                         RngStream, TrainOptions, build_schedule, chi_square,
                         edge_report, init_checkpoint, load_checkpoint, make_config,
                         make_lr_pair, metric_report, noise_fit_report, read_image,
-                        save_checkpoint, spec_for_images, synth_dataset,
+                        save_checkpoint, spec_for_images, synth_dataset, train,
                         write_image)
-from pixelboost import cli
+from pixelboost import cli, denoiser
 from pixelboost.cli import SEED_ENV, RunConfig, main
 
 
@@ -924,6 +924,9 @@ FLAG_REFUSALS = [
     ("sweep --out OUT --sigmas 1.5 --hidden-width 0",
      lambda: DenoiserSpec(hidden_width=0)),
     ("sweep --out OUT --sigmas 1.5 --batch-size 0", lambda: TrainOptions(batch_size=0)),
+    # sweep trains on its default --size 16 images
+    ("sweep --out OUT --sigmas 1.5 --batch-size 300000",
+     lambda: train([(_IMG, _IMG)], make_config(), TrainOptions(batch_size=300000))),
     ("sweep --out OUT --sigmas 1.5 --grid 65",
      lambda: metric_report(_IMG, _IMG, grid=65)),
 ]
@@ -1000,6 +1003,21 @@ class TestFlagValues:
         message = _refusal(call)
         out = tmp_path / "out"
         assert main(argv.replace("OUT", str(out)).split()) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_batch_too_large_for_the_images_exits_1(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # train's bound on the batch depends on the manifest's image sizes
+        _make_image(tmp_path / "a.pgm", size=16)
+        (tmp_path / "m.txt").write_text("a.pgm\n")
+        message = _refusal(lambda: train([(_IMG, _IMG)], make_config(),
+                                         TrainOptions(batch_size=300000)))
+        monkeypatch.setattr(denoiser, "_losses_and_gradients", _no_training)
+        out = tmp_path / "out.pxbk"
+        argv = ["train", "--manifest", str(tmp_path / "m.txt"), "--checkpoint",
+                str(out), "--batch-size", "300000"]
+        assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 

@@ -25,6 +25,7 @@ from pixelboost.denoiser import (_BAND_VALUES, CHECKPOINT_MAGIC,
                                  _conv3x3_input_grad, _forward_tiled,
                                  _losses_and_gradients, _tile_rows,
                                  item_loss_value)
+from pixelboost.errors import _MAX_VALUES
 from pixelboost.noise import STREAM_DATASET, STREAM_SAMPLER, STREAM_TRAIN
 
 BENCH_CHECKPOINT = (Path(__file__).resolve().parents[1]
@@ -792,6 +793,20 @@ class TestTrain:
     def test_empty_dataset(self):
         with pytest.raises(ParameterError):
             pb.train([], pb.make_config())
+
+    def test_batch_past_the_size_bound_refused_before_a_step(self, monkeypatch):
+        # a step's patch matrices hold 9 * (3 + 8) values per pixel and item
+        # on grey images: the largest image, 20^2, bounds the batch
+        data = _dataset(count=2) + [(np.zeros((20, 20, 1)), np.zeros((20, 20, 1)))]
+        largest = _MAX_VALUES // (9 * 11 * 400)
+        pb.train(data, pb.make_config(), pb.TrainOptions(steps=0, batch_size=largest))
+
+        def refuse(*args):
+            raise AssertionError("a step was taken")
+        monkeypatch.setattr(denoiser, "_losses_and_gradients", refuse)
+        for batch in (largest + 1, 10**12):
+            with pytest.raises(ParameterError, match=f"^batch_size {batch} at 400 pixels"):
+                pb.train(data, pb.make_config(), pb.TrainOptions(steps=1, batch_size=batch))
 
     def test_options_validation(self):
         with pytest.raises(ParameterError):

@@ -1,6 +1,7 @@
 """Image tensors, bicubic resampling, synthetic data, and netpbm I/O."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,54 @@ def _pair_input(key):
     if key == "colour":
         return _rng(13).uniform(0.0, 1.0, (20, 28, 3))
     return pb.synth_dataset("mixed", 1, key, _rng(12))[0]
+
+
+# SHA-256 of bicubic_resize's outputs as einsum over dense weight matrices
+# made them: for each (channels, scale), every input of side 1-9 the scale
+# does not collapse, and a grey input 8200 columns wide
+RESIZE_SCALES = (0.25, 4, 1, 2, 0.5, 0.3, 2.5)
+RESIZE_DIGESTS = {
+    (1, 0.25): "e945de754dd6315426e0dde920765d6b41365f2ffeb0e55b243674d646138bbb",
+    (1, 4): "2c7417f8f40559096762900d25aa1a0e286c4499dce442ba06395d7f1401b1b4",
+    (1, 1): "f5f39b2cd6f49b023e0ad37f0ec1a4933e4fc204f9f522dfcb9713ba55f75f67",
+    (1, 2): "d1cd349b85afccf4ce8b8d7085a132a63df790332161311ae8c537a507a8c889",
+    (1, 0.5): "618aa6fe87aa0567e5b1ea85bd6cc6b5c287947e53a6b573ff49d2207bb137be",
+    (1, 0.3): "15c75f97b1a2faf64a1940559cccbff96f6ce07bf826ec467955f4ab841139b6",
+    (1, 2.5): "5e57c9e11871f857551293fd872afbbf43d4a86dfb6ca3c08bb4ded21b702ac2",
+    (3, 0.25): "f9713fec3226ed0552c0e77a76e7cd45ab4454067e3beed5ce75dc002fd0da36",
+    (3, 4): "b4fa68eb90ea40a1c102411dfb2f2e1891b75ba41be84a88ff9225a13d7342ea",
+    (3, 1): "0e333ee64d6ca3615234398ebc442a721f6ed8468e86aab59f420711a9cb1e38",
+    (3, 2): "d8941393646f8e78f8f9f87fc226d65b4ff8645e96ec3376e9f3ead7e73b13a2",
+    (3, 0.5): "d1e1e194fa8fdb428676b650c7843feb0f1442181244a8155533cc24e4ab7714",
+    (3, 0.3): "094acb97034074760a8b234d9cd47af4695010fdb54c80176c9e4d2aa10e3f68",
+    (3, 2.5): "3418d9a98a9adb6126795383abba083162e58333ccee17aa5c7f9ec3712ca4e0",
+    "wide": "a77877b46f31d0ba72c4e9d04dd86adf48ba8243729d5c3e2eee15382459302a",
+}
+
+
+def _resize_input(shape, seed):
+    """Values in [-1, 1), about a third of them +0.0 or -0.0."""
+    rng = _rng(seed)
+    img = rng.uniform(-1.0, 1.0, shape)
+    zeros = rng.integers(0, 6, shape)
+    img[zeros == 0] = 0.0
+    img[zeros == 1] = -0.0
+    return img
+
+
+def _ref_resize(img, scale):
+    """The reference resize: einsum over the dense weights, C-contiguous."""
+    img = np.ascontiguousarray(pb.as_image(img))
+    h, w, _ = img.shape
+    wr = pb.resize_weights(h, int(round(h * scale)))
+    wc = pb.resize_weights(w, int(round(w * scale)))
+    return np.einsum("oh,hwc->owc", wr, np.einsum("ow,hwc->hoc", wc, img))
+
+
+def _assert_same_bits(out, ref):
+    assert out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
 
 
 class TestAsImage:
@@ -121,9 +170,72 @@ class TestBicubicResize:
         w[:] = 0.0
         np.testing.assert_array_equal(pb.bicubic_resize(img, 0.25), before)
 
-    def test_shared_weights_are_read_only(self):
-        with pytest.raises(ValueError):
-            imagedata._shared_weights(16, 4)[0, 0] = 1.0
+    def test_cached_tap_tables_are_read_only(self):
+        pb.bicubic_resize(np.zeros((16, 16, 1)), 0.25)
+        for axis, h, w in ((1, 16, 16), (0, 16, 4)):
+            *_, bands = imagedata._pass_taps(axis, h, w, 1, 4)
+            for *_, index, weights in bands:
+                for table in (index, weights):
+                    with pytest.raises(ValueError):
+                        table[0, 0] = 1
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("scale", RESIZE_SCALES)
+    def test_pinned_bits(self, channels, scale):
+        outs = [pb.bicubic_resize(_resize_input((h, w, channels), 100 * h + w), scale)
+                for h in range(1, 10) for w in range(1, 10)
+                if round(h * scale) >= 1 and round(w * scale) >= 1]
+        assert _digest(*outs) == RESIZE_DIGESTS[channels, scale]
+
+    def test_pinned_bits_wider_than_8192(self):
+        out = pb.bicubic_resize(_resize_input((4, 8200, 1), 7), 0.25)
+        assert _digest(out) == RESIZE_DIGESTS["wide"]
+
+    def test_matches_einsum_reference(self):
+        # random shapes and scales; inputs with signed zeros, and all -0.0
+        rng = np.random.default_rng(20)
+        for case in range(300):
+            h, w = (int(v) for v in rng.integers(1, 40, 2))
+            c = int(rng.choice([1, 3]))
+            scale = float(rng.choice([0.25, 0.5, 0.3, 0.7, 1.0, 1.3, 2.0, 2.5, 4.0]))
+            if round(h * scale) < 1 or round(w * scale) < 1:
+                continue
+            img = _resize_input((h, w, c), 1000 + case)
+            if case % 10 == 0:
+                img = np.full((h, w, c), -0.0)
+            _assert_same_bits(pb.bicubic_resize(img, scale), _ref_resize(img, scale))
+
+    def test_matches_einsum_reference_across_bands(self):
+        # several bands per pass, a short last band, and one-pixel-wide sides
+        for shape, scale in [((300, 70, 1), 4), ((70, 300, 3), 2.5), ((600, 2, 1), 0.5),
+                             ((1, 600, 1), 2), ((257, 129, 3), 0.3)]:
+            img = _resize_input(shape, sum(shape))
+            _assert_same_bits(pb.bicubic_resize(img, scale), _ref_resize(img, scale))
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_output_ignores_memory_layout(self, channels):
+        # einsum summed a strided or Fortran-ordered grey image's rows in
+        # position order, so its last bits followed the input's layout
+        wide = _resize_input((12, 26, channels), 3)
+        for img in (wide[:, ::2], wide[::-1, 1:-1:3], np.asfortranarray(wide)):
+            for scale in (4, 0.25, 2.5):
+                _assert_same_bits(pb.bicubic_resize(img, scale),
+                                  _ref_resize(np.ascontiguousarray(img), scale))
+
+    @pytest.mark.parametrize("side,scale,mib", [(128, 4, 2.5), (512, 4, 40.0)])
+    def test_peak_memory(self, side, scale, mib):
+        # the output and the column pass, as einsum held them, plus at most
+        # 2 MiB of band temporaries: an unbanded four-tap gather held 168
+        # MiB at 512^2 -> 2048^2
+        img = _rng(4).uniform(0.0, 1.0, (side, side, 1))
+        pb.bicubic_resize(img, scale)  # builds the cached tap tables
+        tracemalloc.start()
+        try:
+            pb.bicubic_resize(img, scale)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (mib + 2.0) * 2**20
 
 
 class TestMakeLrPair:
