@@ -8,8 +8,7 @@ over shared bins: 0 means identical, larger means a worse fit.
 """
 
 import pixelboost as pb
-from pixelboost.analysis import FIT_FAMILIES
-from pixelboost.noise import STREAM_ANALYSIS, NoiseKind, RngStream, sample_noise
+from pixelboost.noise import FAMILIES, STREAM_ANALYSIS, NoiseKind, RngStream, sample_noise
 
 SIGMA = 1.5
 rng = RngStream(0, STREAM_ANALYSIS)
@@ -25,7 +24,7 @@ print(f"\nself-fit statistic: {pb.chi_square(observed, observed)!r}")
 
 # Every family is recovered from its own draws.
 print("\ngenerating family -> best fit")
-for k, family in enumerate(FIT_FAMILIES):
+for k, family in enumerate(FAMILIES):
     sample = sample_noise(NoiseKind(family, sigma=SIGMA), (50_000,),
                           rng.substream(10 + k))
     rep = pb.noise_fit_report(sample, SIGMA, rng.substream(20 + k))

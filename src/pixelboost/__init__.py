@@ -7,8 +7,7 @@ it.  Includes noise-distribution analysis, image-quality metrics, and a
 batch CLI.
 """
 
-from .analysis import (FIT_FAMILIES, REFERENCE_STATISTICS, FitReport,
-                       chi_square, noise_fit_report)
+from .analysis import FitReport, chi_square, noise_fit_report
 from .denoiser import (DenoiserCheckpoint, DenoiserSpec, OracleDenoiser,
                        TrainOptions, as_denoiser, init_checkpoint,
                        load_checkpoint, loss_gradient, predict,
@@ -22,8 +21,7 @@ from .errors import (CheckpointError, CheckpointVersionError, CodecError,
                      UnsupportedFormatError)
 from .imagedata import (SYNTH_KINDS, SrPair, as_image, bicubic_resize,
                         image_roundtrip, make_lr_pair, quantize, read_image,
-                        resize_weights, synth_dataset, write_image,
-                        write_image_bytes)
+                        synth_dataset, write_image, write_image_bytes)
 from .metrics import (EdgeReport, MetricReport, edge_report, grid_csv,
                       lightness, loe, metric_report, psnr, sobel_magnitude,
                       ssim)

@@ -12,20 +12,10 @@ import numpy as np
 
 from .errors import (DegenerateFitError, ParameterError, _require_arrays, _require_int,
                      _require_size, _require_type)
-from .noise import FAMILIES as FIT_FAMILIES, NoiseKind, RngStream, sample_noise
+from .noise import FAMILIES, NoiseKind, RngStream, sample_noise
 
 DEFAULT_BIN_COUNT = 64
 MIN_SAMPLES_PER_BIN = 10
-
-# Statistics from one fixed reference run at default settings (64 bins,
-# matched sample counts).  Documented output only -- a live report
-# recomputes its own statistics and may differ with seed and sigma.
-REFERENCE_STATISTICS = {
-    "brownian": 0.1541,
-    "gaussian": 0.1763,
-    "laplacian": 0.5372,
-    "poisson": 0.8688,
-}
 
 
 def _clean_sample(sample, name):
@@ -91,9 +81,6 @@ class FitReport:
         for rank, family in enumerate(self.ranking, start=1):
             out.append(f"  {rank}. {family:<10} chi2={self.statistics[family]!r}")
         out.append(f"best fit: {self.best}")
-        ref = ", ".join(f"{k} {v}" for k, v in REFERENCE_STATISTICS.items())
-        out.append(f"expected ordering for genuine residuals: "
-                   f"{' < '.join(REFERENCE_STATISTICS)} (reference run: {ref})")
         return out
 
     def __str__(self):
@@ -122,7 +109,7 @@ def noise_fit_report(observed, sigma, rng, bins=DEFAULT_BIN_COUNT):
             f"need at least {MIN_SAMPLES_PER_BIN * bins} observations "
             f"for {bins} bins, got {obs.size}")
     statistics = {}
-    for k, family in enumerate(FIT_FAMILIES):
+    for k, family in enumerate(FAMILIES):
         kind = NoiseKind(family, sigma=sigma)
         # scored as drawn, so no two candidates are alive at once; each is
         # finite, and obs was checked above

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import DiffusionConfig, _check_cfg, _check_t, _item_loss, _marginal
+from .diffusion import DiffusionConfig, _check_cfg, _check_t, _marginal
 from .errors import (CheckpointError, CheckpointVersionError, ParameterError,
                      ShapeError, TrainingError, _require_arrays, _require_int,
                      _require_positive, _require_size, _require_type)
@@ -26,7 +26,7 @@ CHECKPOINT_MAGIC = b"PXBK"
 CHECKPOINT_VERSION = 1
 _CONV2_CODE = 2
 _KERNEL_SIZE = 3
-# patch-matrix values per item in one band of a forward conv: 1 MiB of float64
+# patch-matrix values per item in one band of predict's convs: 1 MiB of float64
 _BAND_VALUES = 1 << 17
 # hidden activation values per item in one tile of the forward: 1.5 MiB
 _TILE_VALUES = 3 * _BAND_VALUES // 2
@@ -169,11 +169,11 @@ def as_denoiser(ckpt):
 # rows; the backward holds gradients channel-last, (B, H, W, C).
 # Every BLAS call is one matmul per item on the operands that the
 # single-image einsums (np.einsum(..., optimize=True), kept as the reference
-# in the tests) pass, or on a band of their columns (in predict's, with
-# throw-away columns between rows; see below): the conv is
-# W(o, u*v*c) @ cols(u*v*c, n) for a band of n = rows*W output columns, the
-# weight gradient gout(o, H*W) @ cols(H*W, u*v*c) on the whole patch matrix
-# that the forward built, and with o > 1 the input gradient's products
+# in the tests) pass, or, in predict, on a band of their columns with
+# throw-away columns between rows (see below): the conv is
+# W(o, u*v*c) @ cols(u*v*c, H*W), the weight gradient
+# gout(o, H*W) @ cols(H*W, u*v*c) on the whole patch matrix that the
+# forward built, and with o > 1 the input gradient's products
 # gout(H*W, o) @ W(o, u*v*c).  Transposed operands are views.  With o = 1 the
 # weight gradient is a gemv, whose columns must come in the reference's
 # order: its operand is patches(H*W, c*u*v), a C-contiguous copy of one
@@ -196,21 +196,21 @@ def as_denoiser(ckpt):
 #
 # Training keeps each conv's whole patch matrix (B, 9C, H*W), columns in
 # the reference's pixel order, because the backward's gemv and gemm take it
-# as the reference's operands.  _conv3x3 fills it in bands of _BAND_VALUES
-# patch values (1 MiB) per item; training images fit in one band, and on
-# taller ones a matmul on a band's columns equals one on a contiguous band.
+# as the reference's operands; _conv3x3 fills it and multiplies it at once.
 #
 # predict never holds a whole patch matrix (151 MB for the second conv at
-# 512x512).  Its forward keeps the padded input and hidden activation as
-# flat channel-first planes of pitch P = W + 2, and the band whose first
-# output row is q has one patch-matrix column per plane position from
-# (q, 0) on: tap (u, v) of the band is then, over all channels, the one
-# contiguous slice planes[..., (q+u)*P + v : ... + L], where the unpadded
-# layout copies n rows of W values.  The matmul thus also computes the 2
-# columns between rows, which are thrown away: the first conv writes its
-# band straight into the hidden planes at flat offset P + 1, where they
-# land on border cells that _fill_border then overwrites, and the second
-# conv's tile is de-padded, with its bias, into the channel-last output.
+# 512x512): it runs each conv in bands of about _BAND_VALUES patch values
+# (1 MiB) per item.  Its forward keeps the padded input and hidden
+# activation as flat channel-first planes of pitch P = W + 2, and the band
+# whose first output row is q has one patch-matrix column per plane
+# position from (q, 0) on: tap (u, v) of the band is then, over all
+# channels, the one contiguous slice planes[..., (q+u)*P + v : ... + L],
+# where the unpadded layout copies n rows of W values.  The matmul thus
+# also computes the 2 columns between rows, which are thrown away: the
+# first conv writes its band straight into the hidden planes at flat
+# offset P + 1, where they land on border cells that _fill_border then
+# overwrites, and the second conv's tile is de-padded, with its bias,
+# into the channel-last output.
 #
 # BLAS gives a column the same bits wherever it sits in a call, except in
 # the left-over block at a call's end: with o = 1 the matmul is a gemv,
@@ -258,7 +258,7 @@ def _fill_border(xp, top, bottom):
 
 
 def _band_rows(c, h, wd):
-    """Output rows per band of a conv on C input channels and an H x W image.
+    """Output rows per band of predict's conv on C input channels, H x W image.
 
     A band's patch matrix holds about _BAND_VALUES values per item, and the
     row count is a multiple of 8 // gcd(W, 8), so that every band starts on
@@ -278,24 +278,19 @@ def _tile_rows(wh, h, wd):
     return min(h, rows * max(1, _TILE_VALUES // (wh * rows * wd)))
 
 
-def _conv3x3(xp, w, out, cols, rows):
+def _conv3x3(xp, w, out, cols):
     """3x3 conv, without bias, of padded channel-first rows into ``out``.
 
     ``xp`` is (B, C, H+2, W+2) and ``out`` (B, Co, H*W).  The whole patch
-    matrix ``cols`` (B, 9C, H*W), rows in (u, v, c) order, is filled
-    ``rows`` output rows at a time, and each band's columns are multiplied
-    as they are filled; the matrix outlives the call, for the backward.
+    matrix ``cols`` (B, 9C, H*W), rows in (u, v, c) order, is filled and
+    multiplied in one call; the matrix outlives the call, for the backward.
     """
     b, c, h, wd = xp.shape[0], xp.shape[1], xp.shape[2] - 2, xp.shape[3] - 2
-    wt = w.reshape(9 * c, -1).T
-    for r0 in range(0, h, rows):
-        n = min(rows, h - r0)
-        band = cols[:, :, r0 * wd:(r0 + n) * wd]
-        taps = band.reshape(b, 3, 3, c, n, wd)
-        for u in range(3):
-            for v in range(3):
-                taps[:, u, v] = xp[:, :, r0 + u:r0 + u + n, v:v + wd]
-        np.matmul(wt, band, out=out[:, :, r0 * wd:(r0 + n) * wd])
+    taps = cols.reshape(b, 3, 3, c, h, wd)
+    for u in range(3):
+        for v in range(3):
+            taps[:, u, v] = xp[:, :, u:u + h, v:v + wd]
+    np.matmul(w.reshape(9 * c, -1).T, cols, out=out)
 
 
 def _conv3x3_rows(planes, pitch, m, w, rows, ends, work, out, at):
@@ -321,7 +316,7 @@ def _conv3x3_rows(planes, pitch, m, w, rows, ends, work, out, at):
             xp = planes[:, :, _SLACK:_SLACK + (m + 2) * pitch].reshape(b, c, m + 2, pitch)
             pat = work[:b * 9 * c * n * wd].reshape(b, 9 * c, n * wd)
             res = np.empty((b, wt.shape[0], n * wd))
-            _conv3x3(xp[:, :, q:], w, res, pat, n)
+            _conv3x3(xp[:, :, q:], w, res, pat)
             dst = out[:, :, at + q * pitch:at + m * pitch].reshape(b, -1, n, pitch)
             dst[..., :wd] = res.reshape(b, -1, n, wd)
             break
@@ -467,11 +462,11 @@ def _forward_whole(ckpt, x_t, y0_up, ts):
     ap = np.empty((b, wh, h + 2, wd + 2))
     hid = np.empty((b, wh, h * wd))
     _stack_rows(zp, x_t, y0_up, 0, h)
-    _conv3x3(zp, p["w1"], hid, cols1, _band_rows(ci, h, wd))
+    _conv3x3(zp, p["w1"], hid, cols1)
     hid += p["b1"][:, None]
     np.maximum(hid.reshape(b, wh, h, wd), 0.0, out=ap[:, :, 1:-1, 1:-1])
     _fill_border(ap, top=True, bottom=True)
-    _conv3x3(ap, p["w2"], out, cols2, _band_rows(wh, h, wd))
+    _conv3x3(ap, p["w2"], out, cols2)
     out += p["b2"][:, None]
     out = np.ascontiguousarray(out.reshape(b, co, h, wd).transpose(0, 2, 3, 1))
     return out, (cols1, cols2, ap)
@@ -551,6 +546,12 @@ def _backward(spec, params, cache, gout):
     dh *= ap[:, :, 1:-1, 1:-1].transpose(0, 2, 3, 1) > 0.0
     dw1, db1 = _conv3x3_grads(cols1, dh)
     return np.concatenate([dw1.reshape(b, -1), db1, dw2.reshape(b, -1), db2], axis=1)
+
+
+def _item_loss(x0, x0_hat):
+    """The mean squared error of each item, over its last three axes."""
+    diff = x0_hat - x0
+    return np.mean(diff * diff, axis=(-3, -2, -1))
 
 
 def _losses_and_gradients(ckpt, items):

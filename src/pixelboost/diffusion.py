@@ -1,4 +1,4 @@
-"""Forward Brownian residual-shifting kernel, reverse posterior, sampler, loss.
+"""Forward Brownian residual-shifting kernel, reverse posterior and sampler.
 
 The forward chain degrades a HR image x_0 toward its upsampled LR
 counterpart by injecting a fraction alpha_t of the residual delta_0 plus
@@ -206,8 +206,3 @@ def reverse_sample(y0_up, denoiser, cfg, rng, keep_trajectory=False):
         if keep_trajectory:
             frames.append(x)
     return np.clip(x, 0.0, 1.0), frames
-
-
-def _item_loss(x0, x0_hat):
-    diff = x0_hat - x0
-    return np.mean(diff * diff, axis=(-3, -2, -1))

@@ -74,22 +74,12 @@ def _taps(n_in, n_out):
     return np.minimum(first + np.arange(4)[:, None], n_in - 1), weights
 
 
-def resize_weights(n_in, n_out):
-    """Dense (n_out, n_in) bicubic weight matrix of _taps; each row sums to 1."""
-    n_in = _require_int("n_in", n_in, 1)
-    n_out = _require_int("n_out", n_out, 1)
-    _require_size("n_out * n_in", n_out * n_in)
-    positions, taps = _taps(n_in, n_out)
-    weights = np.zeros((n_out, n_in), dtype=np.float64)
-    np.add.at(weights, (np.arange(n_out), positions), taps)
-    return weights
-
-
 # A resize sums each output's taps, columns then rows, as numpy 2.4's einsum
-# over resize_weights sums a C-contiguous image: from +0.0, a contiguous axis
-# (grey columns, one-value-wide rows) in two SIMD lanes, (even taps) + (odd
-# taps), any other in position order.  A lane's two taps commute, zero weights
-# change no sum, and the +0.0 start turns -0.0 into +0.0.  A band's taps: 256 KiB.
+# over the dense (n_out, n_in) matrices of _taps (the tests' reference) sums
+# a C-contiguous image: from +0.0, a contiguous axis (grey columns,
+# one-value-wide rows) in two SIMD lanes, (even taps) + (odd taps), any
+# other in position order.  A lane's two taps commute, zero weights change
+# no sum, and the +0.0 start turns -0.0 into +0.0.  A band's taps: 256 KiB.
 _BAND_VALUES = 1 << 13
 
 

@@ -81,12 +81,13 @@ def build_schedule(steps, t_mid=None, mode="normalized"):
     t_mid = _require_positive("t_mid", t_mid, below=steps)
 
     t = np.arange(steps + 1, dtype=np.float64)
-    s = 1.0 / (1.0 + np.exp(-(t - t_mid)))
+    # past t_mid = ln(DBL_MAX) the exp overflows at t = 0 to +inf, so s = 0.0
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-(t - t_mid)))
     # Schedule refuses any mode but these two, first of its checks
     if isinstance(mode, str) and mode == "normalized":
+        # exactly 0 and 1 at the ends: 0/x and x/x
         etas = (s - s[0]) / (s[-1] - s[0])
-        etas[0] = 0.0   # exact boundaries (the formula already gives 0 and 1,
-        etas[-1] = 1.0  # pinned here against any rounding in the subtraction)
     else:
         etas = s
     return Schedule(t_mid=t_mid, etas=etas, mode=mode)

@@ -14,7 +14,7 @@ import pytest
 
 import pixelboost as pb
 from pixelboost import CheckpointError, CheckpointVersionError
-from pixelboost.analysis import FIT_FAMILIES
+from pixelboost.noise import FAMILIES as FIT_FAMILIES
 from pixelboost.cli import main as cli_main
 from pixelboost.denoiser import item_loss_value
 from pixelboost.noise import (STREAM_ANALYSIS, STREAM_DATASET, STREAM_FORWARD,

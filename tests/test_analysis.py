@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from pixelboost import DegenerateFitError, ParameterError
-from pixelboost.analysis import (DEFAULT_BIN_COUNT, FIT_FAMILIES,
-                                 MIN_SAMPLES_PER_BIN, REFERENCE_STATISTICS,
+from pixelboost.analysis import (DEFAULT_BIN_COUNT, MIN_SAMPLES_PER_BIN,
                                  FitReport, chi_square, noise_fit_report)
-from pixelboost.noise import NoiseKind, RngStream, sample_noise
+from pixelboost.noise import FAMILIES, NoiseKind, RngStream, sample_noise
 
 
 class TestHistogramSpec:
@@ -138,14 +137,11 @@ class TestFitReport:
         assert rows[1] == "brownian,0.1"
         assert len(rows) == 5
 
-    def test_reference_table_covers_every_family(self):
-        assert tuple(REFERENCE_STATISTICS) == FIT_FAMILIES
-
 
 class TestNoiseFitReport:
     def test_recovers_generating_family(self):
         rng = RngStream(11, 5)
-        for k, family in enumerate(FIT_FAMILIES):
+        for k, family in enumerate(FAMILIES):
             kind = NoiseKind(family, sigma=1.5)
             observed = sample_noise(kind, (100_000,), rng.substream(100 + k))
             rep = noise_fit_report(observed, 1.5, rng.substream(200 + k))
@@ -171,7 +167,7 @@ class TestNoiseFitReport:
         assert rep.sample_count == 2000
         assert rep.bin_count == DEFAULT_BIN_COUNT
         assert type(rep.sigma) is float and rep.sigma == 2.0
-        assert set(rep.statistics) == set(FIT_FAMILIES)
+        assert set(rep.statistics) == set(FAMILIES)
 
     def test_too_few_observations(self):
         need = MIN_SAMPLES_PER_BIN * DEFAULT_BIN_COUNT

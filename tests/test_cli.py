@@ -272,6 +272,18 @@ class TestSchedule:
         assert peak < 1_000_000
         assert not out.exists()
 
+    def test_midpoint_past_exp_overflow_writes_no_warning(self):
+        # a fresh interpreter, where numpy's overflow warning would reach stderr
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "pixelboost", "schedule", "--steps", "711",
+             "--t-mid", "710.3"], env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0
+        assert run.stderr == ""
+        assert len(run.stdout.splitlines()) == 712
+
     def test_file_output_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["schedule", "--steps", "9", "--mode", "raw",

@@ -342,10 +342,12 @@ def _mixed_dataset(seed=0):
 class TestBatchedCore:
     """The batched core against the per-item reference, bit for bit."""
 
-    # taller than one second-conv band, so each weight gradient reads a patch
-    # matrix that the forward filled band by band; with colour, the first
-    # conv runs in bands too
+    # taller than one of predict's second-conv bands (with colour, first-conv
+    # bands too), which training's convs fill and multiply in one call
     MULTI_BAND_SHAPES = [(64, 64), (40, 128), (200, 16)]
+    # as tall, with H*W not a multiple of 8, so that BLAS leaves the last
+    # columns of each whole-matrix call over
+    RAGGED_SHAPES = [(41, 513), (37, 335)]
 
     @pytest.mark.parametrize("kind", ["conv2"])
     def test_train_matches_reference(self, kind):
@@ -397,18 +399,48 @@ class TestBatchedCore:
     def test_multi_band_shapes_span_several_bands(self):
         assert [_band_rows(8, h, w) for h, w in self.MULTI_BAND_SHAPES] == [28, 14, 113]
 
-    @pytest.mark.parametrize("channels,hidden", [(1, 8), (3, 8), (3, 1)])
-    def test_multi_band_train_matches_reference(self, channels, hidden):
+    @pytest.mark.parametrize("channels,hidden,shapes", [
+        (1, 8, MULTI_BAND_SHAPES), (3, 8, MULTI_BAND_SHAPES), (3, 1, MULTI_BAND_SHAPES),
+        (1, 8, RAGGED_SHAPES), (3, 8, RAGGED_SHAPES)],
+        ids=["1-8", "3-8", "3-1", "1-8-ragged", "3-8-ragged"])
+    def test_multi_band_train_matches_reference(self, channels, hidden, shapes):
         cfg = pb.make_config(steps=15, sigma=1.5, seed=5)
         opt = pb.TrainOptions(step_size=0.2, steps=3, batch_size=4)
         spec = pb.spec_for_images("conv2", image_channels=channels, hidden_width=hidden)
         rng = pb.RngStream(5, STREAM_DATASET)
         data = [tuple(rng.uniform(0.0, 1.0, (h, w, channels)) for _ in range(2))
-                for h, w in self.MULTI_BAND_SHAPES]
+                for h, w in shapes]
         ckpt, history = pb.train(data, cfg, opt, spec)
         params, ref_history = _ref_train(data, cfg, opt, spec)
         assert history == ref_history
         np.testing.assert_array_equal(ckpt.params, params)
+
+    def test_colour_97x45_within_bound_of_reference(self):
+        # The one place found where training is not bit-exact against the
+        # reference: colour at 97x45 and 45x97, and at none of 64x64,
+        # 100x100, 128x128, 256x256, 41x513 or 200x333.  The reference's
+        # einsum takes the input gradient's three-output products with its
+        # operands swapped (uvco,hwo->hwuvc), and about 40 of its 314280
+        # products there round otherwise than np.matmul's.  A few gradient
+        # values then differ, by at most 0.012 eps x max|gradient| over 4
+        # seeds and 3 timesteps, on one and on two BLAS threads; the loss is
+        # equal.  A batch still equals its items run alone, bit for bit.
+        ckpt = pb.init_checkpoint(pb.spec_for_images("conv2", image_channels=3),
+                                  pb.make_config(seed=2))
+        rng = pb.RngStream(2, STREAM_DATASET)
+        items = []
+        for k, (h, w) in enumerate([(97, 45), (16, 16), (97, 45), (45, 97)]):
+            x0, y0_up, x_t = (rng.uniform(0.0, 1.0, (h, w, 3)) for _ in range(3))
+            items.append((x0, y0_up, 1 + 7 * k % 15, x_t))
+        losses, grads = _losses_and_gradients(ckpt, items)
+        for item, loss, grad in zip(items, losses, grads):
+            alone_losses, alone_grads = _losses_and_gradients(ckpt, [item])
+            assert loss == alone_losses[0]
+            np.testing.assert_array_equal(grad, alone_grads[0])
+            ref_loss, ref_grad = _ref_loss_and_gradient(ckpt, *item)
+            assert loss == ref_loss
+            bound = np.finfo(np.float64).eps * np.abs(ref_grad).max()
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=bound)
 
     # down to one pixel, one row and one column, where the taps' slices are
     # mostly padding
@@ -548,10 +580,6 @@ class TestBands:
         assert all(h > rows[h, w] for h, w in BAND_SHAPES[:-1])
         assert any(h % rows[h, w] for h, w in BAND_SHAPES[:-1])
         assert {333, 335, 513} <= {w for _, w in BAND_SHAPES}
-
-    @pytest.mark.parametrize("c", [3, 8])
-    def test_training_images_fit_one_band(self, c):
-        assert _band_rows(c, 16, 16) == 16
 
     def test_every_shape_matches_reference_on_one_blas_thread(self):
         # grey and colour, two-image stacks: bit-exact on every shape once

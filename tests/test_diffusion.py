@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pixelboost as pb
-from pixelboost import ParameterError, ShapeError, diffusion
+from pixelboost import ParameterError, ShapeError, denoiser, diffusion
 from pixelboost.diffusion import CONVENTIONS
 from pixelboost.noise import STREAM_FORWARD, STREAM_SAMPLER
 
@@ -343,7 +343,7 @@ class TestLosses:
     def test_uniform_mse_is_mean_square(self):
         x0 = np.zeros((2, 2, 1))
         x0_hat = np.full((2, 2, 1), 0.5)
-        assert diffusion._item_loss(x0, x0_hat) == 0.25
+        assert denoiser._item_loss(x0, x0_hat) == 0.25
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (5, 7, 1), (5, 7, 3),
                                        (13, 9, 3), (97, 103, 3)])
@@ -351,7 +351,7 @@ class TestLosses:
         # training scores each shape group of a batch in one call
         rng = _rng(11)
         x0, x0_hat = (rng.uniform(0.0, 1.0, (4,) + shape) for _ in range(2))
-        losses = diffusion._item_loss(x0, x0_hat)
+        losses = denoiser._item_loss(x0, x0_hat)
         assert losses.shape == (4,)
         for k in range(4):
             diff = x0_hat[k] - x0[k]

@@ -11,7 +11,10 @@ everywhere.  Likewise every draw comes from a ``noise.RngStream``, and
 ``noise.py`` is the one module that touches ``numpy.random``, so that a
 draw's key is set in one place.  And ``cli.py`` orders no ``cfg`` field
 but the seed and sweep's counts, the bounds the CLI owns: every other
-bound belongs to the library call that the field configures.
+bound belongs to the library call that the field configures.  Every name
+that ``__init__.py`` re-exports is read by the package, a demo, a tool,
+the benchmark or the acceptance battery, so that no public name is only
+a test's.
 """
 
 import ast
@@ -128,3 +131,46 @@ def test_scan_finds_cfg_field_orderings():
 def test_cli_orders_only_the_fields_it_owns():
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert set(cfg_field_orderings(source)) <= set(CLI_BOUNDS)
+
+
+# where a name that __init__.py re-exports must be read: the package, the
+# demos, the tools, the benchmark outside its frozen copy of an old
+# release, and the acceptance battery
+READERS = sorted(
+    [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "demos").glob("*.py"))
+    + list((ROOT / "tools").glob("*.py"))
+    + [p for p in (ROOT / "bench").rglob("*.py")
+       if "frozen" not in p.relative_to(ROOT / "bench").parts]
+    + [ROOT / "tests" / "test_acceptance.py"])
+
+
+def unread_exports(init_source, sources):
+    """Names ``init_source`` re-exports that none of ``sources`` reads, in
+    import order; a name is read as a ``Name``, an ``Attribute`` or an
+    ``ImportFrom`` alias."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return [a.asname or a.name for node in ast.walk(ast.parse(init_source))
+            if isinstance(node, ast.ImportFrom) for a in node.names
+            if (a.asname or a.name) not in read]
+
+
+def test_scan_finds_unread_exports():
+    init = "from .a import b, c\nfrom .d import e as f, g\nfrom .h import planted\n"
+    sources = ["import pkg\npkg.b(g)\n", "from pkg import f\n"]
+    assert unread_exports(init, sources) == ["c", "planted"]
+
+
+def test_every_export_is_read():
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    sources = [p.read_text(encoding="utf-8") for p in READERS]
+    assert unread_exports(init, sources) == []
+    assert unread_exports(init + "from .noise import planted\n", sources) == ["planted"]

@@ -8,7 +8,6 @@ import pytest
 from scipy import stats
 
 from pixelboost import ParameterError
-from pixelboost.analysis import FIT_FAMILIES
 from pixelboost.noise import FAMILIES, NoiseKind, RngStream, sample_noise
 
 
@@ -94,7 +93,6 @@ class TestNoiseKind:
     def test_family_tuple(self):
         # noise_fit_report draws family k from substream k, in this order
         assert FAMILIES == ("brownian", "gaussian", "laplacian", "poisson")
-        assert FIT_FAMILIES is FAMILIES
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ParameterError):

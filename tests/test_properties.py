@@ -299,7 +299,6 @@ CALLS = {
         kind=pb.NoiseKind("gaussian"), shape=(3,), rng=_rng())),
     "as_image": _row(pb.as_image, lambda: dict(arr=IMG)),
     "bicubic_resize": _row(pb.bicubic_resize, lambda: dict(img=IMG, scale=0.5)),
-    "resize_weights": _row(pb.resize_weights, lambda: dict(n_in=4, n_out=2)),
     "make_lr_pair": _row(pb.make_lr_pair, lambda: dict(hr=IMG)),
     "synth_dataset": _row(pb.synth_dataset, lambda: dict(
         kind="mixed", count=1, size=8, rng=_rng())),
@@ -392,11 +391,11 @@ def test_public_call_returns_or_refuses(name, data):
 
     The library's own objects (cfg, ckpt, spec, opt, a NoiseKind, and the
     rng of sample_noise, synth_dataset and noise_fit_report) draw the edge
-    set too, as do the work-sizing integers (counts, sizes, shapes, bins and
-    resize_weights' sizes), which one shared bound refuses before anything
-    is allocated.  Left out of the table: file paths, whose errors are
-    OSError; boolean flags; the draw methods of RngStream, which pass their
-    arguments to numpy.  TrainOptions(steps=10**18) is valid and allocates
+    set too, as do the work-sizing integers (counts, sizes, shapes and
+    bins), which one shared bound refuses before anything is allocated.
+    Left out of the table: file paths, whose errors are OSError; boolean
+    flags; the draw methods of RngStream, which pass their arguments to
+    numpy.  TrainOptions(steps=10**18) is valid and allocates
     nothing, so no row trains with a huge step count.
     """
     fn, base, args = CALLS[name]
@@ -433,7 +432,6 @@ NAMED_REFUSALS = [
     (pb.noise_fit_report, (SAMPLE, 1.5, None, 4), "rng"),
     (pb.sample_noise, (GAUSSIAN, 10**18, _rng()), "shape"),
     (pb.sample_noise, (GAUSSIAN, (2**20, 2**20), _rng()), "shape"),
-    (pb.resize_weights, (4, 10**10), "n_out * n_in"),
     (pb.chi_square, (SAMPLE, SAMPLE, 10**10), "bins"),
     (pb.synth_dataset, ("mixed", 10**18, 8, _rng()), "count * size**2"),
     (pb.synth_dataset, ("mixed", 1, 4 * 10**9, _rng()), "count * size**2"),

@@ -1,7 +1,9 @@
 """Sigmoidal shifting-sequence construction and its exact anchor values."""
 
+import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +141,21 @@ class TestValidation:
     def test_schedule_rejects_non_monotone_etas(self):
         with pytest.raises(ParameterError):
             Schedule(t_mid=1.5, etas=np.array([0.0, 0.8, 0.5]), mode="raw")
+
+    def test_midpoint_past_exp_overflow_keeps_its_bits(self):
+        # past t_mid = ln(DBL_MAX) ~ 709.78 the sigmoid's exp overflows at t = 0
+        # to +inf, so s_0 = 0.0, silently; the digest was recorded while
+        # the overflow still warned, with warnings suppressed
+        etas = build_schedule(711, t_mid=710.3).etas
+        assert etas[0] == 0.0 and etas[-1] == 1.0
+        assert hashlib.sha256(etas.tobytes()).hexdigest() == (
+            "a004be588c8101ea598bd6c9a5e07c39521dc08af22544d7c3d8c8b88206fb25")
+
+    def test_saturated_midpoint_refused_not_warned(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="strictly increasing"):
+                build_schedule(900, t_mid=850)
 
     def test_normalized_requires_exact_anchors(self):
         with pytest.raises(ParameterError):
