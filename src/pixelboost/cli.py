@@ -15,7 +15,8 @@ Configuration precedence: command-line flags > ``--config`` JSON file >
 ``PIXELBOOST_SEED`` environment variable (seed only) > built-in
 defaults.  A config key the command does not take is a usage error, and
 so is a value that the library setting it configures refuses: each
-command builds those settings before it reads input or trains.
+command builds those settings before it reads input or trains, and the
+refusal names the flags the setting reads.
 """
 
 import argparse
@@ -30,7 +31,7 @@ import numpy as np
 from .analysis import DEFAULT_BIN_COUNT, _bin_count, noise_fit_report
 from .denoiser import (DenoiserSpec, TrainOptions, _batch_size, as_denoiser,
                        load_checkpoint, save_checkpoint, train)
-from .diffusion import CONVENTIONS, forward_chain, make_config, reverse_sample
+from .diffusion import CONVENTIONS, DiffusionConfig, forward_chain, reverse_sample
 from .errors import CodecError, ParameterError, PixelBoostError, ShapeError, _require_arrays
 from .imagedata import (bicubic_resize, make_lr_pair, read_image, synth_dataset,
                         write_image, SYNTH_KINDS)
@@ -38,7 +39,7 @@ from .metrics import (EDGE_PATCH_DEFAULT, LOE_GRID_DEFAULT, _edge_patch, _loe_gr
                       edge_report, grid_csv, metric_report)
 from .noise import (STREAM_ANALYSIS, STREAM_DATASET, STREAM_FORWARD,
                     STREAM_SAMPLER, NoiseKind, RngStream)
-from .schedule import MODES, build_schedule
+from .schedule import MODES, _steps, build_schedule
 
 SEED_ENV = "PIXELBOOST_SEED"
 # RngStream keys Philox with a list that numpy casts through float64 once a
@@ -171,19 +172,24 @@ def _resolve(args):
     return cfg
 
 
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
 def _require(cfg, *names):
     for name in names:
         if getattr(cfg, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise _UsageError(f"{cfg.command} requires {flag}")
+            raise _UsageError(f"{cfg.command} requires {_flag(name)}")
 
 
-def _setting(build, *args, **kwargs):
-    """A library setting built from flags; a value it refuses is a usage error."""
+def _setting(names, build, *args, **kwargs):
+    """A library setting built from the flags of the RunConfig fields
+    ``names`` (space-separated); a value it refuses is a usage error that
+    names those flags before the library's own message."""
     try:
         return build(*args, **kwargs)
     except ParameterError as exc:
-        raise _UsageError(exc) from exc
+        raise _UsageError(f"{', '.join(map(_flag, names.split()))}: {exc}") from exc
 
 
 def _write_text(path, text):
@@ -198,21 +204,37 @@ def _img_name(stem, img):
     return stem + (".pgm" if img.shape[2] == 1 else ".ppm")
 
 
-def _diffusion_config(cfg):
-    return make_config(steps=cfg.steps, sigma=cfg.sigma, t_mid=cfg.t_mid,
-                       mode=cfg.mode, seed=cfg.seed)
+def _schedule(cfg):
+    """The schedule of --steps and --t-mid: --steps alone, then the two together."""
+    _setting("steps", _steps, cfg.steps)
+    return _setting("steps t_mid", build_schedule, cfg.steps, t_mid=cfg.t_mid,
+                    mode=cfg.mode)
+
+
+def _diffusion_config(cfg, sigma_flag="sigma"):
+    """The DiffusionConfig of the flags, its sigma set by flag ``sigma_flag``."""
+    return _setting(sigma_flag, DiffusionConfig, sigma=cfg.sigma,
+                    schedule=_schedule(cfg), seed=cfg.seed)
+
+
+# TrainOptions' fields and the flags that set them
+_TRAIN_OPTIONS = (("step_size", "step_size"), ("steps", "train_steps"),
+                  ("batch_size", "batch_size"))
 
 
 def _training(cfg):
-    return (TrainOptions(step_size=cfg.step_size, steps=cfg.train_steps,
-                         batch_size=cfg.batch_size),
-            DenoiserSpec(hidden_width=cfg.hidden_width))
+    """TrainOptions and DenoiserSpec of the flags, each value checked alone."""
+    options = {field: getattr(cfg, name) for field, name in _TRAIN_OPTIONS}
+    for field, name in _TRAIN_OPTIONS:
+        _setting(name, TrainOptions, **{field: options[field]})
+    return (TrainOptions(**options),
+            _setting("hidden_width", DenoiserSpec, hidden_width=cfg.hidden_width))
 
 
 # --- subcommands ---------------------------------------------------------
 
 def cmd_schedule(cfg):
-    sched = _setting(build_schedule, cfg.steps, t_mid=cfg.t_mid, mode=cfg.mode)
+    sched = _schedule(cfg)
     lines = ["t,eta,alpha"]
     for t in range(1, sched.steps + 1):
         lines.append(f"{t},{float(sched.etas[t])!r},{float(sched.alphas[t - 1])!r}")
@@ -233,7 +255,7 @@ def cmd_degrade(cfg):
 
 def cmd_forward(cfg):
     _require(cfg, "input", "out")
-    dcfg = _setting(_diffusion_config, cfg)
+    dcfg = _diffusion_config(cfg)
     pair = make_lr_pair(read_image(cfg.input))
     rng = RngStream(cfg.seed, STREAM_FORWARD)
     _, frames = forward_chain(pair.hr, pair.delta0, dcfg, rng, keep_trajectory=True,
@@ -273,8 +295,8 @@ def _load_manifest(path):
 
 def cmd_train(cfg):
     _require(cfg, "manifest", "checkpoint")
-    dcfg = _setting(_diffusion_config, cfg)
-    opt, spec = _setting(_training, cfg)
+    dcfg = _diffusion_config(cfg)
+    opt, spec = _training(cfg)
     images = _load_manifest(cfg.manifest)
     dataset = [(p.hr, p.lr_up) for p in map(make_lr_pair, images)]
     # a width that fits grey images may not fit colour ones: exit 1
@@ -304,8 +326,8 @@ def cmd_sr(cfg):
 
 
 def cmd_analyze_noise(cfg):
-    _setting(NoiseKind, "brownian", cfg.sigma)  # the one candidate sigma scales
-    bins = _setting(_bin_count, cfg.bins)
+    _setting("sigma", NoiseKind, "brownian", cfg.sigma)  # the one candidate sigma scales
+    bins = _setting("bins", _bin_count, cfg.bins)
     if cfg.input is not None:
         size = os.path.getsize(cfg.input)
         if size % 8:
@@ -325,7 +347,7 @@ def cmd_analyze_noise(cfg):
 
 def cmd_metrics(cfg):
     _require(cfg, "gt", "test")
-    grid = _setting(_loe_grid, cfg.grid)
+    grid = _setting("grid", _loe_grid, cfg.grid)
     gt, test = read_image(cfg.gt), read_image(cfg.test)
     report = metric_report(gt, test, gt_id=cfg.gt, test_id=cfg.test, grid=grid)
     _write_text(cfg.out, report.csv())
@@ -334,7 +356,7 @@ def cmd_metrics(cfg):
 
 def cmd_edge_report(cfg):
     _require(cfg, "gt", "test", "out")
-    patch = _setting(_edge_patch, cfg.patch)
+    patch = _setting("patch", _edge_patch, cfg.patch)
     gt, test = read_image(cfg.gt), read_image(cfg.test)
     report = edge_report(test, gt, patch=patch)
     os.makedirs(cfg.out, exist_ok=True)
@@ -372,13 +394,13 @@ def cmd_sweep(cfg):
     _require(cfg, "sigmas")
     for name in ("count", "eval_count"):
         if getattr(cfg, name) < 1:
-            raise _UsageError(f"--{name.replace('_', '-')} must be >= 1, "
-                              f"got {getattr(cfg, name)}")
-    dcfgs = [_setting(_diffusion_config, replace(cfg, sigma=s)) for s in cfg.sigmas]
-    opt, spec = _setting(_training, cfg)
-    _setting(_loe_grid, cfg.grid)
-    pairs = _setting(_run_pairs, cfg)  # synthesis reads no input
-    _setting(_batch_size, spec, opt.batch_size, cfg.size ** 2)
+            raise _UsageError(f"{_flag(name)} must be >= 1, got {getattr(cfg, name)}")
+    dcfgs = [_diffusion_config(replace(cfg, sigma=s), "sigmas") for s in cfg.sigmas]
+    opt, spec = _training(cfg)
+    _setting("grid", _loe_grid, cfg.grid)
+    pairs = _setting("count eval_count size", _run_pairs, cfg)  # synthesis reads no input
+    _setting("batch_size size hidden_width", _batch_size, spec, opt.batch_size,
+             cfg.size ** 2)
     rows = ["sigma,psnr_db,ssim,loe"]
     for dcfg in dcfgs:
         _, _, means = _run_model(cfg, dcfg, *pairs)

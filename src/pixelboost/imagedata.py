@@ -152,57 +152,111 @@ def make_lr_pair(hr):
 
 # --- synthetic datasets ------------------------------------------------------
 
-SYNTH_KINDS = ("gradients", "checkers", "blobs", "mixed")
+# An image is filled a band of rows at a time, about this many values a
+# band, in a few band-sized work arrays that stay in cache.  Each kind
+# draws its scalars before it fills any pixel, as no draw depends on one,
+# and its filler computes a pixel by the operations, operands and order of
+# one whole-image expression, so no value depends on the band size.
+_SYNTH_BAND = 1 << 15
 
 
-def _synth_gradient(size, rng):
-    y, x = np.ogrid[0:size, 0:size]
-    y, x = y / (size - 1), x / (size - 1)
+def _gradient(size, rng):
+    """A linear ramp at a random angle, stretched to [lo, hi + 0.05]."""
+    axis = np.arange(size) / (size - 1)
     theta = rng.uniform(0.0, 2.0 * np.pi)
-    ramp = np.cos(theta) * x + np.sin(theta) * y
+    cols, rows = np.cos(theta) * axis, np.sin(theta) * axis  # ramp = cols + rows
     lo, hi = np.sort(rng.uniform(0.0, 1.0, 2))
-    rmin, rmax = ramp.min(), ramp.max()
-    img = lo + (hi - lo + 0.05) * (ramp - rmin) / (rmax - rmin)
-    return np.clip(img, 0.0, 1.0)[:, :, None]
+    # rounding is monotone, so these are the whole ramp's extremes bit for bit
+    rmin, rmax = cols.min() + rows.min(), cols.max() + rows.max()
+    gain, span = hi - lo + 0.05, rmax - rmin
+
+    def fill(out, band, work):
+        np.add(cols, rows[band, None], out=out)
+        np.subtract(out, rmin, out=out)
+        np.multiply(gain, out, out=out)
+        np.divide(out, span, out=out)
+        np.add(lo, out, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
+    return fill
 
 
-def _synth_checker(size, rng):
-    # cells and phases snap to the x4 grid: cells of >= 8 px stay >= 2 px
-    # after downsampling, and aligned edges make the round trip blurry but
-    # unambiguous, so the board is structure a model can re-sharpen
+def _checker(size, rng):
+    """A two-level board whose cells and phases snap to the x4 grid."""
+    # cells of >= 8 px stay >= 2 px after downsampling, and aligned edges
+    # make the round trip blurry but unambiguous, so the board is structure
+    # a model can re-sharpen
     cell = 4 * int(rng.integers(2, size // 4 + 1))
     phase_y = 4 * int(rng.integers(0, cell // 4))
     phase_x = 4 * int(rng.integers(0, cell // 4))
     lo = rng.uniform(0.0, 0.4)
     hi = rng.uniform(0.6, 1.0)
-    y, x = np.ogrid[0:size, 0:size]
-    parity = (((y + phase_y) // cell) + ((x + phase_x) // cell)) % 2
-    return np.where(parity > 0, hi, lo)[:, :, None]
+    axis = np.arange(size)
+    # a pixel's parity is its row's plus its column's, mod 2: an even row
+    # reads levels[0], an odd one levels[1]
+    rows = (axis + phase_y) // cell % 2
+    cols = (axis + phase_x) // cell % 2
+    levels = np.where(np.stack([cols, 1 - cols]) > 0, hi, lo)
+
+    def fill(out, band, work):
+        # mode="clip" writes to out unbuffered; every index is 0 or 1
+        levels.take(rows[band], axis=0, out=out, mode="clip")
+    return fill
 
 
-def _synth_blobs(size, rng):
+def _blobs(size, rng):
+    """One to four Gaussian bumps on a flat base."""
     # widths of >= 2 px survive x4 decimation as blurred bumps whose lost
     # peak amplitude a model can restore
     base = rng.uniform(0.05, 0.35)
-    img = np.full((size, size), base)
-    y, x = np.ogrid[0:size, 0:size]
+    axis = np.arange(size)
+    bumps = []
     for _ in range(int(rng.integers(1, 5))):
         cy = rng.uniform(0.15 * size, 0.85 * size)
         cx = rng.uniform(0.15 * size, 0.85 * size)
         width = rng.uniform(0.13 * size, 0.3 * size)
         amp = rng.uniform(0.3, 0.65)
-        img = img + amp * np.exp(-((y - cy) ** 2 + (x - cx) ** 2) / (2 * width**2))
-    return np.clip(img, 0.0, 1.0)[:, :, None]
+        bumps.append(((axis - cy) ** 2, (axis - cx) ** 2, 2 * width**2, amp))
+
+    def fill(out, band, work):
+        term = work[0]
+        out.fill(base)
+        for dy2, dx2, spread, amp in bumps:
+            np.add(dy2[band, None], dx2, out=term)
+            np.negative(term, out=term)
+            np.divide(term, spread, out=term)
+            np.exp(term, out=term)
+            np.multiply(amp, term, out=term)
+            np.add(out, term, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
+    return fill
 
 
-def _synth_mixed(size, rng):
+def _mixed(size, rng):
+    """A checkerboard modulated by a ramp and blobs."""
     # superpose all three structures, edge-dominant: a checkerboard base
     # modulated by smooth ramps and blobs keeps difficulty homogeneous
     # and leaves recoverable sharp structure in every image
-    smooth = 0.55 * _synth_gradient(size, rng) + 0.45 * _synth_blobs(size, rng)
+    gradient, blobs = _gradient(size, rng), _blobs(size, rng)
     weight = rng.uniform(0.65, 0.9)
-    img = weight * _synth_checker(size, rng) + (1 - weight) * smooth
-    return np.clip(img, 0.0, 1.0)
+    checker = _checker(size, rng)
+
+    def fill(out, band, work):
+        smooth, board = work[0], work[1]
+        gradient(out, band, work)
+        blobs(smooth, band, work[1:])
+        np.multiply(0.55, out, out=out)
+        np.multiply(0.45, smooth, out=smooth)
+        np.add(out, smooth, out=out)
+        checker(board, band, work)
+        np.multiply(weight, board, out=board)
+        np.multiply(1 - weight, out, out=out)
+        np.add(board, out, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
+    return fill
+
+
+SYNTH_KINDS = ("gradients", "checkers", "blobs", "mixed")
+_SYNTH_FILLERS = dict(zip(SYNTH_KINDS, (_gradient, _checker, _blobs, _mixed)))
 
 
 def synth_dataset(kind, count, size, rng):
@@ -217,9 +271,17 @@ def synth_dataset(kind, count, size, rng):
         raise ParameterError(f"size must be at least 8, got {size}")
     _require_size("count * size**2", count * size * size)
     _require_type("rng", rng, RngStream)
-    makers = {"gradients": _synth_gradient, "checkers": _synth_checker,
-              "blobs": _synth_blobs, "mixed": _synth_mixed}
-    return [makers[kind](size, rng) for _ in range(count)]
+    rows = min(size, max(1, _SYNTH_BAND // size))
+    work = np.empty((2, rows, size))
+    images = []
+    for _ in range(count):
+        fill = _SYNTH_FILLERS[kind](size, rng)
+        img = np.empty((size, size))
+        for r0 in range(0, size, rows):
+            band = slice(r0, min(r0 + rows, size))
+            fill(img[band], band, work[:, :band.stop - r0])
+        images.append(img[:, :, None])
+    return images
 
 
 # --- PGM (P5) / PPM (P6) codec, binary, maxval 255 ---------------------------

@@ -64,6 +64,13 @@ def default_t_mid(steps):
     return _require_int("steps", steps) / 2.0 + 0.5
 
 
+def _steps(steps):
+    steps = _require_int("steps", steps)
+    if not 2 <= steps <= MAX_STEPS:
+        raise ParameterError(f"steps must lie in 2..{MAX_STEPS}, got {steps}")
+    return steps
+
+
 def build_schedule(steps, t_mid=None, mode="normalized"):
     """Build the sigmoidal shifting sequence.
 
@@ -73,9 +80,7 @@ def build_schedule(steps, t_mid=None, mode="normalized"):
     ``t_mid`` defaults to steps/2 + 0.5 so a 15-step schedule crosses 0.5
     at t = 8.
     """
-    steps = _require_int("steps", steps)
-    if not 2 <= steps <= MAX_STEPS:
-        raise ParameterError(f"steps must lie in 2..{MAX_STEPS}, got {steps}")
+    steps = _steps(steps)
     if t_mid is None:
         t_mid = default_t_mid(steps)
     t_mid = _require_positive("t_mid", t_mid, below=steps)

@@ -885,61 +885,71 @@ _SAMPLE = np.linspace(-1.0, 1.0, 1000)
 _IMG = np.full((16, 16, 1), 0.5)
 
 # each command and flag value the library refuses, whatever the input holds,
-# and the library call that refuses it; OUT is the path written on success
+# the flags the refusal names (those the refusing setting reads, the typed
+# one among them) and the library call that refuses it; OUT is the path
+# written on success
 FLAG_REFUSALS = [
-    ("schedule --steps 1 --out OUT", lambda: build_schedule(1)),
-    ("schedule --steps 5000000 --out OUT", lambda: build_schedule(5000000)),
-    ("schedule --t-mid -1 --out OUT", lambda: build_schedule(15, t_mid=-1.0)),
-    ("schedule --t-mid 15 --out OUT", lambda: build_schedule(15, t_mid=15.0)),
-    ("forward --input hr.pgm --out OUT --sigma 0", lambda: make_config(sigma=0.0)),
-    ("forward --input hr.pgm --out OUT --steps 1", lambda: build_schedule(1)),
-    ("forward --input hr.pgm --out OUT --sigma 1e200",
+    ("schedule --steps 1 --out OUT", "--steps", lambda: build_schedule(1)),
+    ("schedule --steps 5000000 --out OUT", "--steps", lambda: build_schedule(5000000)),
+    ("schedule --t-mid -1 --out OUT", "--steps, --t-mid",
+     lambda: build_schedule(15, t_mid=-1.0)),
+    ("schedule --t-mid 15 --out OUT", "--steps, --t-mid",
+     lambda: build_schedule(15, t_mid=15.0)),
+    ("forward --input hr.pgm --out OUT --sigma 0", "--sigma",
+     lambda: make_config(sigma=0.0)),
+    ("forward --input hr.pgm --out OUT --steps 1", "--steps", lambda: build_schedule(1)),
+    ("forward --input hr.pgm --out OUT --sigma 1e200", "--sigma",
      lambda: make_config(sigma=1e200)),
-    ("train --manifest m.txt --checkpoint OUT --sigma nan",
+    ("train --manifest m.txt --checkpoint OUT --sigma nan", "--sigma",
      lambda: make_config(sigma=float("nan"))),
-    ("train --manifest m.txt --checkpoint OUT --t-mid 0",
+    ("train --manifest m.txt --checkpoint OUT --t-mid 0", "--steps, --t-mid",
      lambda: build_schedule(15, t_mid=0.0)),
-    ("train --manifest m.txt --checkpoint OUT --step-size 0",
+    ("train --manifest m.txt --checkpoint OUT --step-size 0", "--step-size",
      lambda: TrainOptions(step_size=0.0)),
-    ("train --manifest m.txt --checkpoint OUT --batch-size 0",
+    ("train --manifest m.txt --checkpoint OUT --batch-size 0", "--batch-size",
      lambda: TrainOptions(batch_size=0)),
-    ("train --manifest m.txt --checkpoint OUT --train-steps -1",
+    ("train --manifest m.txt --checkpoint OUT --train-steps -1", "--train-steps",
      lambda: TrainOptions(steps=-1)),
-    ("train --manifest m.txt --checkpoint OUT --hidden-width 0",
+    ("train --manifest m.txt --checkpoint OUT --hidden-width 0", "--hidden-width",
      lambda: DenoiserSpec(hidden_width=0)),
     # 37 * 300 + 1 parameters: too many for grey images, and so for any
-    ("train --manifest m.txt --checkpoint OUT --hidden-width 300",
+    ("train --manifest m.txt --checkpoint OUT --hidden-width 300", "--hidden-width",
      lambda: DenoiserSpec(hidden_width=300)),
-    ("analyze-noise --input r.f64 --out OUT --sigma 1e301",
+    ("analyze-noise --input r.f64 --out OUT --sigma 1e301", "--sigma",
      lambda: NoiseKind("brownian", 1e301)),
-    ("analyze-noise --gt gt.pgm --test t.pgm --out OUT --sigma -1",
+    ("analyze-noise --gt gt.pgm --test t.pgm --out OUT --sigma -1", "--sigma",
      lambda: NoiseKind("brownian", -1.0)),
-    ("analyze-noise --input r.f64 --out OUT --bins 1",
+    ("analyze-noise --input r.f64 --out OUT --bins 1", "--bins",
      lambda: chi_square(_SAMPLE, _SAMPLE, 1)),
     ("analyze-noise --gt gt.pgm --test t.pgm --out OUT --bins 100000000",
+     "--bins",
      lambda: chi_square(_SAMPLE, _SAMPLE, 100000000)),
-    ("metrics --gt gt.pgm --test t.pgm --out OUT --grid 0",
+    ("metrics --gt gt.pgm --test t.pgm --out OUT --grid 0", "--grid",
      lambda: metric_report(_IMG, _IMG, grid=0)),
-    ("metrics --gt gt.pgm --test t.pgm --out OUT --grid 65",
+    ("metrics --gt gt.pgm --test t.pgm --out OUT --grid 65", "--grid",
      lambda: metric_report(_IMG, _IMG, grid=65)),
-    ("edge-report --gt gt.pgm --test t.pgm --out OUT --patch 1",
+    ("edge-report --gt gt.pgm --test t.pgm --out OUT --patch 1", "--patch",
      lambda: edge_report(_IMG, _IMG, patch=1)),
-    ("sweep --out OUT --sigmas -1", lambda: make_config(sigma=-1.0)),
-    ("sweep --out OUT --sigmas 1.5,inf", lambda: make_config(sigma=float("inf"))),
-    ("sweep --out OUT --sigmas 1.5 --steps 1", lambda: build_schedule(1)),
+    ("sweep --out OUT --sigmas -1", "--sigmas", lambda: make_config(sigma=-1.0)),
+    ("sweep --out OUT --sigmas 1.5,inf", "--sigmas",
+     lambda: make_config(sigma=float("inf"))),
+    ("sweep --out OUT --sigmas 1.5 --steps 1", "--steps", lambda: build_schedule(1)),
     # sweep synthesizes its default --count 16 and --eval-count 4 images at once
-    ("sweep --out OUT --sigmas 1.5 --size 10",
+    ("sweep --out OUT --sigmas 1.5 --size 10", "--count, --eval-count, --size",
      lambda: synth_dataset("mixed", 20, 10, RngStream(0))),
-    ("sweep --out OUT --sigmas 1.5 --size 100000",
+    ("sweep --out OUT --sigmas 1.5 --size 100000", "--count, --eval-count, --size",
      lambda: synth_dataset("mixed", 20, 100000, RngStream(0))),
-    ("sweep --out OUT --sigmas 1.5 --step-size 0", lambda: TrainOptions(step_size=0.0)),
-    ("sweep --out OUT --sigmas 1.5 --hidden-width 0",
+    ("sweep --out OUT --sigmas 1.5 --step-size 0", "--step-size",
+     lambda: TrainOptions(step_size=0.0)),
+    ("sweep --out OUT --sigmas 1.5 --hidden-width 0", "--hidden-width",
      lambda: DenoiserSpec(hidden_width=0)),
-    ("sweep --out OUT --sigmas 1.5 --batch-size 0", lambda: TrainOptions(batch_size=0)),
+    ("sweep --out OUT --sigmas 1.5 --batch-size 0", "--batch-size",
+     lambda: TrainOptions(batch_size=0)),
     # sweep trains on its default --size 16 images
     ("sweep --out OUT --sigmas 1.5 --batch-size 300000",
+     "--batch-size, --size, --hidden-width",
      lambda: train([(_IMG, _IMG)], make_config(), TrainOptions(batch_size=300000))),
-    ("sweep --out OUT --sigmas 1.5 --grid 65",
+    ("sweep --out OUT --sigmas 1.5 --grid 65", "--grid",
      lambda: metric_report(_IMG, _IMG, grid=65)),
 ]
 
@@ -955,11 +965,11 @@ class TestFlagValues:
     input is read or any model trained; a refusal that depends on what the
     input holds is a runtime failure."""
 
-    @pytest.mark.parametrize("argv,call", FLAG_REFUSALS,
-                             ids=[argv for argv, _ in FLAG_REFUSALS])
+    @pytest.mark.parametrize("argv,flags,call", FLAG_REFUSALS,
+                             ids=[argv for argv, *_ in FLAG_REFUSALS])
     def test_refused_value_exits_2_before_reading(self, tmp_path, capsys,
-                                                  monkeypatch, argv, call):
-        message = _refusal(call)
+                                                  monkeypatch, argv, flags, call):
+        message = f"{flags}: {_refusal(call)}"
         for module, name in ((cli, "read_image"), (np, "fromfile"),
                              (cli, "load_checkpoint"), (cli, "train")):
             monkeypatch.setattr(module, name, _refuse(name))
@@ -973,7 +983,8 @@ class TestFlagValues:
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"steps": 1}))
         assert main(["schedule", "--config", str(config)]) == 2
-        assert capsys.readouterr().err == f"error: {_refusal(lambda: build_schedule(1))}\n"
+        message = _refusal(lambda: build_schedule(1))
+        assert capsys.readouterr().err == f"error: --steps: {message}\n"
 
     @staticmethod
     def _patch_larger_than_image(tmp_path):

@@ -26,7 +26,9 @@ def _digest(*arrays):
 
 # SHA-256 of the set-up path's outputs as rebuilt-per-call weight matrices
 # and dense index grids made them; the cached matrices and broadcast grids
-# must reproduce every value bit for bit
+# must reproduce every value bit for bit.  The 512 and 516 entries other
+# than ("mixed", 512) are the whole-image fills' outputs, which the banded
+# fills must reproduce: 516 rows end in a short band.
 SYNTH_DIGESTS = {
     ("gradients", 16): "7ee3bae7515b7b5f84f5be6c6cf407792132635ac5694ccd8685e10186394855",
     ("gradients", 64): "05a21df24bcf07c29eb7c672c3293f81f9b5c6235cb87de57ae1b60c06d8ffb2",
@@ -37,6 +39,34 @@ SYNTH_DIGESTS = {
     ("mixed", 16): "743d211026bb0406dc6c4cec7ff5a0259431d3355bef3790170e56f76f2ab366",
     ("mixed", 64): "bece1a45b3e51d8423c2c1032721765209e767e6c2d4090863bd4dba5c5ba8d0",
     ("mixed", 512): "099f36965253bd2da02e1a511587e5bf23bd365f27ef27353d7d6aac28a536ab",
+    ("gradients", 512): "987d9757e86a34c555b3cd6ae01dfd3767dad3b43f6991af56f11f36db7e8b76",
+    ("checkers", 512): "5be8da294c4ba6f78bd3d78b9ac104add9a28b10d8e48581a89ebbcebcc04908",
+    ("blobs", 512): "7d8b492b0347342be980fd028303876751f18ae6758b94243a1dcdc68a9187ce",
+    ("gradients", 516): "826508034a256a9dfbcc28ba0d6672ef000e1273399530ea76c712b99bf66eb2",
+    ("checkers", 516): "fcbc46bdc359c7f30a6b01355f27046e27cbb5ccfe977ded4aaafbfccc3412c9",
+    ("blobs", 516): "cea4616da0c1b282c019f62a698cacfbf5d416942bb5721ca9448851f5227c32",
+    ("mixed", 516): "3dd55cc1507c0cdf3496cfc581f96a35e2090a4a41c82a16f18697ea18198b2f",
+}
+# where each SYNTH_DIGESTS call leaves its stream, as _stream_state reads it:
+# a change in the order or number of draws shows here even where the pixels
+# happen to agree
+SYNTH_STATES = {
+    ("gradients", 16): (15, 0, 0, 0, 4, 0, 0),
+    ("gradients", 64): (4, 0, 0, 0, 3, 0, 0),
+    ("checkers", 16): (18, 0, 0, 0, 2, 0, 1047867252),
+    ("checkers", 64): (5, 0, 0, 0, 2, 1, 2390086224),
+    ("blobs", 16): (53, 0, 0, 0, 2, 0, 3585451296),
+    ("blobs", 64): (12, 0, 0, 0, 4, 1, 1651007263),
+    ("mixed", 16): (96, 0, 0, 0, 4, 0, 2904963979),
+    ("mixed", 64): (25, 0, 0, 0, 1, 0, 3483281650),
+    ("mixed", 512): (6, 0, 0, 0, 1, 0, 4048072561),
+    ("gradients", 512): (1, 0, 0, 0, 3, 0, 0),
+    ("checkers", 512): (1, 0, 0, 0, 4, 1, 1637616587),
+    ("blobs", 512): (5, 0, 0, 0, 2, 1, 1637616587),
+    ("gradients", 516): (1, 0, 0, 0, 3, 0, 0),
+    ("checkers", 516): (1, 0, 0, 0, 4, 1, 1637616587),
+    ("blobs", 516): (5, 0, 0, 0, 2, 1, 1637616587),
+    ("mixed", 516): (6, 0, 0, 0, 1, 0, 4048072561),
 }
 PAIR_DIGESTS = {  # (lr, lr_up)
     16: ("f6afbee32c876dd4cf8924b5425c2ef3474b175ca0361708a681fd221125b0f0",
@@ -48,6 +78,14 @@ PAIR_DIGESTS = {  # (lr, lr_up)
     "colour": ("2bfcd48bf14790065b709542932790d7bc1794aec22357aba5632b535ebd0c0c",
                "abdf247c35b9844b3ed2cb81c2a7f361c2f73b85e4ad52d0113d83cb9fbe7416"),
 }
+
+
+def _stream_state(rng):
+    """Philox's block counter, the next word of its buffered block, and its
+    held 32-bit half, if any: where the stream's next draw starts."""
+    state = rng.bit_generator.state
+    return (*map(int, state["state"]["counter"]), state["buffer_pos"],
+            state["has_uint32"], state["uinteger"])
 
 
 def _pair_input(key):
@@ -296,6 +334,20 @@ class TestSynthDataset:
         with pytest.raises(ParameterError):
             pb.synth_dataset("mixed", 0, 16, _rng())
 
+    @pytest.mark.parametrize("kind", pb.SYNTH_KINDS)
+    def test_peak_memory(self, kind):
+        # the 2 MiB image and at most 1 MiB of band work arrays: the
+        # whole-image fills held 4.3-8 MiB
+        rng = _rng(6)
+        tracemalloc.start()
+        try:
+            (img,) = pb.synth_dataset(kind, 1, 512, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert img.flags.c_contiguous and img.shape == (512, 512, 1)
+        assert peak <= img.nbytes + 2**20
+
     @pytest.mark.parametrize("count, size", [(2.5, 16), (True, 16), (1, 16.0),
                                              (1, 16.5), ("2", 16)])
     def test_non_integer_count_or_size_refused(self, count, size):
@@ -306,9 +358,11 @@ class TestSynthDataset:
 class TestBitIdentityPins:
     @pytest.mark.parametrize("kind,size", sorted(SYNTH_DIGESTS))
     def test_synth_dataset(self, kind, size):
-        count = {16: 20, 64: 5, 512: 1}[size]
-        images = pb.synth_dataset(kind, count, size, _rng(11))
+        count = {16: 20, 64: 5, 512: 1, 516: 1}[size]
+        rng = _rng(11)
+        images = pb.synth_dataset(kind, count, size, rng)
         assert _digest(*images) == SYNTH_DIGESTS[kind, size]
+        assert _stream_state(rng) == SYNTH_STATES[kind, size]
 
     @pytest.mark.parametrize("key", list(PAIR_DIGESTS), ids=str)
     def test_make_lr_pair(self, key):
