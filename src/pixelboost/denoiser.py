@@ -197,6 +197,9 @@ def as_denoiser(ckpt):
 # Training keeps each conv's whole patch matrix (B, 9C, H*W), columns in
 # the reference's pixel order, because the backward's gemv and gemm take it
 # as the reference's operands; _conv3x3 fills it and multiplies it at once.
+# loss_gradient and item_loss_value run this whole-image forward too, so a
+# loss and its gradient come from the same bits; the tiled forward below
+# serves predict alone.
 #
 # predict never holds a whole patch matrix (151 MB for the second conv at
 # 512x512): it runs each conv in bands of about _BAND_VALUES patch values
@@ -583,21 +586,25 @@ def predict(ckpt, x_t, y0_up, t):
     return _forward_tiled(ckpt, x_t[None], y0_up[None], [t])[0]
 
 
-def loss_gradient(ckpt, item, t, x_t):
-    """Analytic gradient of the single-item loss w.r.t. every parameter."""
+def _checked_item(ckpt, item, t, x_t):
+    """One item's checked (x0, y0_up, t, x_t), refused past the size bound."""
     x0, y0_up, x_t = _check_images(_check_ckpt(ckpt).spec, *_as_pairs([item])[0],
                                    x_t)
     t = _check_t(t, ckpt.schedule().steps)
-    _, grads = _losses_and_gradients(ckpt, [(x0, y0_up, t, x_t)])
+    _batch_size(ckpt.spec, 1, x0.shape[0] * x0.shape[1])
+    return x0, y0_up, t, x_t
+
+
+def loss_gradient(ckpt, item, t, x_t):
+    """Analytic gradient of the single-item loss w.r.t. every parameter."""
+    _, grads = _losses_and_gradients(ckpt, [_checked_item(ckpt, item, t, x_t)])
     return grads[0]
 
 
 def item_loss_value(ckpt, item, t, x_t):
     """The loss whose gradient loss_gradient returns, as a Python float."""
-    x0, y0_up, x_t = _check_images(_check_ckpt(ckpt).spec, *_as_pairs([item])[0],
-                                   x_t)
-    t = _check_t(t, ckpt.schedule().steps)
-    out = _forward_tiled(ckpt, x_t[None], y0_up[None], [t])
+    x0, y0_up, t, x_t = _checked_item(ckpt, item, t, x_t)
+    out, _ = _forward_whole(ckpt, x_t[None], y0_up[None], [t])
     return float(_item_loss(x0, out[0]))
 
 

@@ -162,8 +162,8 @@ def posterior_params(x_t, x0_hat, t, cfg):
     mean = (eta_{t-1}/eta_t) x_t + (alpha_t/eta_t) x0_hat
     var  = sigma^2 * eta_{t-1} * alpha_t / eta_t
 
-    Exact for schedules anchored at eta_0 = 0; at t=1 the posterior
-    collapses to the prediction with zero variance.
+    Exact for normalized schedules; at t=1 the posterior collapses to the
+    prediction with zero variance.
     """
     x_t, x0_hat = _require_arrays(x_t, x0_hat)
     c_t, c_0, variance = _posterior_step(_check_t(t, _check_cfg(cfg).steps), cfg)
@@ -185,7 +185,7 @@ def reverse_sample(y0_up, denoiser, cfg, rng, keep_trajectory=False):
     image is clamped to [0, 1]; intermediate states are not.
     """
     sched = _check_cfg(cfg).schedule
-    if sched.etas[0] != 0.0 or sched.etas[-1] != 1.0:
+    if sched.mode != "normalized":
         raise ParameterError("reverse sampling requires a normalized schedule")
     if not callable(denoiser):
         raise ParameterError(f"denoiser must be callable, got {denoiser!r}")

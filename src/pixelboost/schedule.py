@@ -7,11 +7,11 @@ which makes the reverse process terminate deterministically and the
 forward marginal reach the residual-shifted endpoint at T.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _require_arrays, _require_int, _require_positive
+from .errors import ParameterError, _require_int, _require_positive
 
 MODES = ("raw", "normalized")
 
@@ -22,36 +22,42 @@ MAX_STEPS = 1000
 
 @dataclass(frozen=True)
 class Schedule:
-    """Immutable shifting sequence.
+    """Immutable shifting sequence, fixed by its three numbers.
 
-    ``etas`` holds T+1 values eta_0..eta_T; eta_0 is the synthetic start
-    anchor needed so that alpha_1 = eta_1 - eta_0 is well defined.
+    raw mode:        eta_t = 1 / (1 + exp(-(t - t_mid)))
+    normalized mode: the same curve shifted/scaled so eta_0 = 0, eta_T = 1.
+
+    ``t_mid`` defaults to steps/2 + 0.5 so a 15-step schedule crosses 0.5
+    at t = 8.  ``etas`` holds the T+1 values eta_0..eta_T, computed here
+    and nowhere else; eta_0 is the synthetic start anchor needed so that
+    alpha_1 = eta_1 - eta_0 is well defined.  Schedules compare and hash
+    by (steps, t_mid, mode), the three values a checkpoint records.
     """
 
-    t_mid: float
-    etas: np.ndarray
-    mode: str
+    steps: int
+    t_mid: float = None
+    mode: str = "normalized"
+    etas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        steps = _steps(self.steps)
+        t_mid = default_t_mid(steps) if self.t_mid is None else self.t_mid
+        t_mid = _require_positive("t_mid", t_mid, below=steps)
         if not isinstance(self.mode, str) or self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        (etas,) = _require_arrays(self.etas)
-        etas.setflags(write=False)
-        object.__setattr__(self, "etas", etas)
-        if etas.ndim != 1 or etas.size < 2:
-            raise ParameterError(
-                f"need a 1-D sequence of at least 2 eta values, got shape {etas.shape}")
+        t = np.arange(steps + 1, dtype=np.float64)
+        # past t_mid = ln(DBL_MAX) the exp overflows at t = 0 to +inf, so s = 0.0
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(-(t - t_mid)))
+        # exactly 0 and 1 at the ends: 0/x and x/x
+        etas = (s - s[0]) / (s[-1] - s[0]) if self.mode == "normalized" else s
+        # a saturated midpoint gives a flat run of equal values
         if not np.all(np.diff(etas) > 0):
             raise ParameterError("eta sequence must be strictly increasing")
-        if etas[0] < 0 or etas[-1] > 1:
-            raise ParameterError("eta values must lie in [0, 1]")
-        if self.mode == "normalized" and (etas[0] != 0.0 or etas[-1] != 1.0):
-            raise ParameterError("normalized schedule must have eta_0 = 0, eta_T = 1")
-
-    @property
-    def steps(self):
-        """T, the number of steps."""
-        return self.etas.size - 1
+        etas.setflags(write=False)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "t_mid", t_mid)
+        object.__setattr__(self, "etas", etas)
 
     @property
     def alphas(self):
@@ -72,27 +78,5 @@ def _steps(steps):
 
 
 def build_schedule(steps, t_mid=None, mode="normalized"):
-    """Build the sigmoidal shifting sequence.
-
-    raw mode:        eta_t = 1 / (1 + exp(-(t - t_mid)))
-    normalized mode: the same curve shifted/scaled so eta_0 = 0, eta_T = 1.
-
-    ``t_mid`` defaults to steps/2 + 0.5 so a 15-step schedule crosses 0.5
-    at t = 8.
-    """
-    steps = _steps(steps)
-    if t_mid is None:
-        t_mid = default_t_mid(steps)
-    t_mid = _require_positive("t_mid", t_mid, below=steps)
-
-    t = np.arange(steps + 1, dtype=np.float64)
-    # past t_mid = ln(DBL_MAX) the exp overflows at t = 0 to +inf, so s = 0.0
-    with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-(t - t_mid)))
-    # Schedule refuses any mode but these two, first of its checks
-    if isinstance(mode, str) and mode == "normalized":
-        # exactly 0 and 1 at the ends: 0/x and x/x
-        etas = (s - s[0]) / (s[-1] - s[0])
-    else:
-        etas = s
-    return Schedule(t_mid=t_mid, etas=etas, mode=mode)
+    """The sigmoidal shifting sequence of ``steps`` steps (see Schedule)."""
+    return Schedule(steps, t_mid, mode)

@@ -2,6 +2,7 @@
 gradients against finite differences, SGD training, and the checkpoint
 file format."""
 
+import dataclasses
 import json
 import math
 import os
@@ -159,7 +160,43 @@ class TestPredict:
                                       pb.predict(ckpt, x_t, y, 4))
 
 
+# seeded grey shapes, and one whose loss item_loss_value once took from
+# predict's tiled forward, 1 ulp off on two BLAS threads
+LOSS_SHAPES = [(126, 63)] + [tuple(int(n) for n in hw) for hw in
+                             pb.RngStream(23, STREAM_DATASET).integers(1, 160, (24, 2))]
+
+
+def _loss_mismatches():
+    """The LOSS_SHAPES whose item_loss_value differs in any bit from the loss
+    that _losses_and_gradients returns with its gradient, at hidden width 16."""
+    ckpt = _ckpt(hidden_width=16)
+    ckpt.params[...] = np.random.default_rng(5).standard_normal(ckpt.params.size)
+    rng = pb.RngStream(24, STREAM_DATASET)
+    bad = []
+    for h, w in LOSS_SHAPES:
+        x0, y, x_t = (rng.uniform(0.0, 1.0, (h, w, 1)) for _ in range(3))
+        loss = item_loss_value(ckpt, (x0, y), 6, x_t)
+        if loss != _losses_and_gradients(ckpt, [(x0, y, 6, x_t)])[0][0]:
+            bad.append((h, w))
+    return bad
+
+
 class TestGradients:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_loss_value_is_the_gradient_loss(self, threads):
+        assert _with_blas_threads(threads, "_loss_mismatches()") == "[]"
+
+    @pytest.mark.parametrize("fn", [pb.loss_gradient, item_loss_value])
+    def test_item_past_the_size_bound_refused_before_a_forward(self, monkeypatch, fn):
+        # a grey 1024^2 item's patch matrices hold 9 * (3 + 8) * 2**20 values
+        def refuse(*args):
+            raise AssertionError("a forward was reached")
+        monkeypatch.setattr(denoiser, "_forward_whole", refuse)
+        monkeypatch.setattr(denoiser, "_forward_tiled", refuse)
+        x = np.zeros((1024, 1024, 1))
+        with pytest.raises(ParameterError, match="^batch_size 1 at 1048576 pixels"):
+            fn(_ckpt(), (x, x), 3, x)
+
     @pytest.mark.parametrize("kind", ["conv2"])
     def test_analytic_matches_finite_difference(self, kind):
         ckpt = _ckpt(kind=kind, hidden_width=4, seed=11)
@@ -234,6 +271,14 @@ class TestInit:
         ckpt.train_config["sigma"] = -1.0
         with pytest.raises(CheckpointError):
             ckpt.config()
+
+    def test_every_schedule_field_is_recorded(self):
+        # DenoiserCheckpoint.schedule() rebuilds the schedule from these keys
+        ckpt = _ckpt(steps=11)
+        names = [f.name for f in dataclasses.fields(pb.Schedule) if f.init]
+        assert names == ["steps", "t_mid", "mode"]
+        for name in names:
+            assert ckpt.train_config[name] == getattr(ckpt.config().schedule, name)
 
     def test_train_config_records_schedule(self):
         ckpt = _ckpt(sigma=0.7, steps=11)
@@ -883,6 +928,15 @@ class TestCheckpointIO:
         assert back.spec == ckpt.spec
         assert back.step_count == ckpt.step_count
         assert back.train_config == ckpt.train_config
+
+    @pytest.mark.parametrize("steps,t_mid", [(2, None), (2, 1.3), (15, None),
+                                             (15, 7.25), (76, None), (76, 38.7)])
+    @pytest.mark.parametrize("sigma", [0.01, 1.5])
+    def test_every_config_survives_a_file(self, tmp_path, steps, t_mid, sigma):
+        cfg = pb.make_config(steps=steps, sigma=sigma, t_mid=t_mid, seed=3)
+        path = tmp_path / "ckpt.pxbk"
+        pb.save_checkpoint(pb.init_checkpoint(pb.DenoiserSpec(), cfg), path)
+        assert pb.load_checkpoint(path).config(3) == cfg
 
     def test_file_bytes_are_stable(self, tmp_path):
         ckpt = _ckpt(seed=6)

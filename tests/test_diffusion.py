@@ -58,6 +58,13 @@ class TestConfig:
         with pytest.raises(ParameterError, match="seed must be an integer"):
             pb.DiffusionConfig(sigma=1.5, schedule=pb.build_schedule(15), seed=seed)
 
+    def test_equal_configs_compare_and_hash_equal(self):
+        assert pb.make_config() == pb.make_config()
+        assert hash(pb.make_config()) == hash(pb.make_config(t_mid=8.0))
+        assert pb.make_config(seed=1) != pb.make_config()
+        assert pb.make_config(steps=16) != pb.make_config()
+        assert len({pb.make_config(), pb.make_config(), pb.make_config(sigma=0.5)}) == 2
+
     def test_unknown_convention(self):
         # make_config's closed forms are eq5_variance; only forward_step and
         # forward_chain take another convention

@@ -288,8 +288,7 @@ CALLS = {
     "build_schedule": _row(pb.build_schedule,
                            lambda: dict(steps=4, t_mid=2.5, mode="normalized")),
     "default_t_mid": _row(pb.default_t_mid, lambda: dict(steps=4)),
-    "Schedule": _row(pb.Schedule, lambda: dict(t_mid=2.5, etas=[0.0, 0.2, 0.7, 1.0],
-                                               mode="normalized")),
+    "Schedule": _row(pb.Schedule, lambda: dict(steps=4, t_mid=2.5, mode="normalized")),
     "RngStream": _row(pb.RngStream, lambda: dict(seed=0, stream_id=0), [],
                       seed=KEYS, stream_id=KEYS),
     "RngStream.substream": _row(lambda k: pb.RngStream(0, 3).substream(k),

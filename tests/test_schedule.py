@@ -116,12 +116,7 @@ class TestValidation:
         assert peak < 1_000_000
 
     def test_steps_property_counts_etas(self):
-        sched = Schedule(t_mid=1.5, etas=np.array([0.0, 0.4, 1.0]),
-                         mode="normalized")
-        assert sched.steps == 2
         assert build_schedule(40).steps == 40
-        with pytest.raises(ParameterError, match="1-D"):
-            Schedule(t_mid=1.5, etas=np.zeros((2, 2)), mode="raw")
 
     @pytest.mark.parametrize("t_mid", [0.0, -3.0, 15.0, 99.0])
     def test_t_mid_outside_range(self, t_mid):
@@ -138,10 +133,6 @@ class TestValidation:
         with pytest.raises(ParameterError, match="steps must be an integer"):
             build_schedule(steps)
 
-    def test_schedule_rejects_non_monotone_etas(self):
-        with pytest.raises(ParameterError):
-            Schedule(t_mid=1.5, etas=np.array([0.0, 0.8, 0.5]), mode="raw")
-
     def test_midpoint_past_exp_overflow_keeps_its_bits(self):
         # past t_mid = ln(DBL_MAX) ~ 709.78 the sigmoid's exp overflows at t = 0
         # to +inf, so s_0 = 0.0, silently; the digest was recorded while
@@ -157,7 +148,60 @@ class TestValidation:
             with pytest.raises(ParameterError, match="strictly increasing"):
                 build_schedule(900, t_mid=850)
 
-    def test_normalized_requires_exact_anchors(self):
-        with pytest.raises(ParameterError):
-            Schedule(t_mid=1.5, etas=np.array([0.1, 0.5, 1.0]),
-                     mode="normalized")
+    def test_normalized_ends_at_exact_anchors(self):
+        built = 0
+        for steps in range(2, MAX_STEPS + 1):
+            for t_mid in [None, 0.5, 1.0, 3.7, steps / 3, steps - 0.5]:
+                try:
+                    etas = build_schedule(steps, t_mid).etas
+                except ParameterError:
+                    continue  # past saturation, or t_mid outside (0, steps)
+                assert etas[0] == 0.0 and etas[-1] == 1.0
+                built += 1
+        assert built > 900
+
+
+# every build_schedule outcome over this grid, valid or refused, hashes to
+# GRID_DIGEST; recorded while Schedule still took a hand-built etas array
+GRID_STEPS = [*range(2, 1001), 0, 1, 1001, 15.5, "15", None]
+GRID_T_MIDS = [None, 0.5, 1, 3.7, 8, 15.0, 76.0, 710.3, -1.0, float("nan")]
+GRID_MODES = ["normalized", "raw", "linear", 5]
+GRID_DIGEST = "9e2d47a5515e2e753a7c476f8b550b3166eb86701971caf31ce7764cf5b83fbe"
+
+
+def _grid_digest():
+    """SHA-256 of each grid call's (steps, t_mid, mode) and etas bytes, or of
+    its refusal's type and message, with warnings as errors."""
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for steps in GRID_STEPS:
+            for t_mid in GRID_T_MIDS:
+                for mode in GRID_MODES:
+                    try:
+                        s = build_schedule(steps, t_mid, mode)
+                    except Exception as exc:
+                        digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+                    else:
+                        digest.update(f"{(s.steps, s.t_mid, s.mode)!r}\n".encode())
+                        digest.update(s.etas.tobytes())
+    return digest.hexdigest()
+
+
+class TestThreeNumbers:
+    def test_grid_matches_recorded_digest(self):
+        assert _grid_digest() == GRID_DIGEST
+
+    def test_etas_are_not_an_argument(self):
+        with pytest.raises(TypeError):
+            Schedule(t_mid=1.5, etas=np.array([0.0, 0.4, 1.0]), mode="normalized")
+
+    def test_equal_schedules_compare_and_hash_equal(self):
+        assert Schedule(15) == Schedule(15, 8.0) == build_schedule(15, 8, "normalized")
+        assert hash(Schedule(15)) == hash(Schedule(15, 8.0))
+        assert len({Schedule(15), Schedule(15, 8), build_schedule(15)}) == 1
+
+    @pytest.mark.parametrize("other", [(16,), (15, 7.5), (15, None, "raw")])
+    def test_schedules_differing_in_a_number_differ(self, other):
+        assert Schedule(15) != Schedule(*other)
+        assert len({Schedule(15), Schedule(*other)}) == 2
