@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _threads
 from .diffusion import DiffusionConfig, _check_cfg, _check_t, _marginal
 from .errors import (CheckpointError, CheckpointVersionError, ParameterError,
                      ShapeError, TrainingError, _require_arrays, _require_int,
@@ -227,12 +228,12 @@ def as_denoiser(ckpt):
 # pitched last call early so that its length is H*W mod 8 does not do:
 # one pixel wide, the left-over block spans more than the last row.)
 # With one BLAS thread the forward then equals the whole-image reference
-# on every shape.  With T threads OpenBLAS splits a call into T near-equal
-# shares, and where H*W is not a multiple of 8 the reference's shares or
-# the short last band's can end off a block boundary: a few outputs then
-# differ from the reference in the last bit, at 97x1029 with 2 threads 2
-# to 4 of 99813, by at most 7e-18.  On 2 threads, all 70 shapes tried
-# whose H*W is a multiple of 8 matched.
+# on every shape, and predict holds numpy's bundled OpenBLAS at one thread
+# (_threads), so its bytes do not depend on OPENBLAS_NUM_THREADS.  With T
+# threads OpenBLAS splits a call into T near-equal shares, which where H*W
+# is not a multiple of 8 can end off a block boundary: the reference run on
+# 2 threads differs from predict at 97x1029 in 2 to 4 of 99813 outputs, by
+# at most 7e-18.
 #
 # The forward runs one tile of output rows at a time through both convs
 # (_tile_rows), so no image-sized activation exists: a 512x512 predict
@@ -583,7 +584,8 @@ def predict(ckpt, x_t, y0_up, t):
     """x0 prediction; the timestep enters as a constant eta_t channel."""
     x_t, y0_up = _check_images(_check_ckpt(ckpt).spec, x_t, y0_up)
     t = _check_t(t, ckpt.schedule().steps)
-    return _forward_tiled(ckpt, x_t[None], y0_up[None], [t])[0]
+    with _threads.one_blas_thread():
+        return _forward_tiled(ckpt, x_t[None], y0_up[None], [t])[0]
 
 
 def _checked_item(ckpt, item, t, x_t):

@@ -13,16 +13,20 @@ sigma^2 eta_t I).  The reverse chain samples the Gaussian posterior of
 x_{t-1} given x_t and a denoiser's x0 prediction.
 """
 
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 from .errors import (NumericError, ParameterError, ShapeError, _require_arrays,
                      _require_int, _require_positive, _require_type)
 from .imagedata import as_image
+from .noise import RngStream
 from .schedule import Schedule, build_schedule
 
 CONVENTIONS = ("eq5_variance", "eq4_literal")
+_AHEAD_VALUES = 1 << 16  # fewer are drawn faster on the calling thread (64x64)
 
 
 @dataclass(frozen=True)
@@ -177,6 +181,40 @@ def _posterior_step(t, cfg):
     return eta_prev / eta_t, a_t / eta_t, float(cfg.sigma**2 * eta_prev * a_t / eta_t)
 
 
+class _Fields:
+    """The chain's standard-normal fields from ``rng``.  Ahead, each is drawn
+    on a worker thread, into a buffer allocated in this thread's heap, while
+    the steps before it run; Philox gives the same bits on any thread.
+    ``close`` ends the worker and gives back the field drawn but not added:
+    the stream state goes back to where inline draws leave it."""
+
+    def __init__(self, rng, shape, ahead):
+        self.rng, self.shape, self.pool = rng, shape, None
+        if ahead:
+            from concurrent.futures import ThreadPoolExecutor
+            self.pool, self.buf = ThreadPoolExecutor(1, "pixelboost"), np.empty(shape)
+            self._draw()
+
+    def _draw(self):
+        self.state = self.rng.bit_generator.state
+        self.drawn = self.pool.submit(self.rng.standard_normal, out=self.buf)
+
+    def add_to(self, x, scale):
+        """x += scale * the next field, the bits of x + scale * field."""
+        if self.pool is None:
+            x += scale * self.rng.standard_normal(self.shape)
+        else:
+            self.drawn.result()
+            self.buf *= scale
+            x += self.buf
+            self._draw()
+
+    def close(self):
+        if self.pool is not None:
+            self.pool.shutdown()  # waits for the draw in flight
+            self.rng.bit_generator.state = self.state
+
+
 def reverse_sample(y0_up, denoiser, cfg, rng, keep_trajectory=False):
     """Run the full reverse chain from x_T = y0_up + noise down to x_0.
 
@@ -192,17 +230,21 @@ def reverse_sample(y0_up, denoiser, cfg, rng, keep_trajectory=False):
     y0_up = as_image(y0_up)
     x = y0_up + cfg.sigma * np.sqrt(sched.etas[-1]) * _noise_for(rng)(y0_up.shape)
     frames = [x] if keep_trajectory else None
-    for t in range(cfg.steps, 0, -1):
-        (x0_hat,) = _require_arrays(denoiser(x, y0_up, t))
-        if x0_hat.shape != x.shape:
-            raise ShapeError(
-                f"denoiser returned shape {x0_hat.shape}, expected {x.shape}")
-        c_t, c_0, var = _posterior_step(t, cfg)
-        x = c_t * x + c_0 * x0_hat
-        if var > 0.0:
-            x = x + np.sqrt(var) * rng.standard_normal(x.shape)
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"non-finite values at reverse step t={t}")
-        if keep_trajectory:
-            frames.append(x)
+    # ahead only where BLAS has a core to spare, which predict's hold frees
+    ahead = (isinstance(rng, RngStream) and x.size >= _AHEAD_VALUES
+             and _threads.blas_threads() > 1)
+    with closing(_Fields(rng, x.shape, ahead)) as fields:
+        for t in range(cfg.steps, 0, -1):
+            (x0_hat,) = _require_arrays(denoiser(x, y0_up, t))
+            if x0_hat.shape != x.shape:
+                raise ShapeError(
+                    f"denoiser returned shape {x0_hat.shape}, expected {x.shape}")
+            c_t, c_0, var = _posterior_step(t, cfg)
+            x = c_t * x + c_0 * x0_hat  # a new array: the last may be a frame
+            if var > 0.0:
+                fields.add_to(x, np.sqrt(var))
+            if not np.all(np.isfinite(x)):
+                raise NumericError(f"non-finite values at reverse step t={t}")
+            if keep_trajectory:
+                frames.append(x)
     return np.clip(x, 0.0, 1.0), frames

@@ -123,4 +123,7 @@ def sample_noise(kind, shape, rng):
         # variance of Laplace(b) is 2 b^2; b = 1/sqrt(2) standardizes it
         return rng.laplace(0.0, 1.0 / np.sqrt(2.0), shape)
     lam = _POISSON_RATE  # poisson, the last of NoiseKind's families
-    return (rng.poisson(lam, shape).astype(np.float64) - lam) / np.sqrt(lam)
+    v = rng.poisson(lam, shape).astype(np.float64)
+    v -= lam
+    v /= np.sqrt(lam)
+    return v

@@ -3,6 +3,7 @@ gradients against finite differences, SGD training, and the checkpoint
 file format."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import pixelboost as pb
 from pixelboost import (CheckpointError, CheckpointVersionError,
                         ParameterError, ShapeError, TrainingError)
-from pixelboost import denoiser, diffusion
+from pixelboost import _threads, denoiser, diffusion
 from pixelboost.denoiser import (_BAND_VALUES, CHECKPOINT_MAGIC,
                                  INIT_WEIGHT_HALF_RANGE, _band_rows,
                                  _conv3x3_input_grad, _forward_tiled,
@@ -591,6 +592,23 @@ def _band_mismatches(channels, shapes=BAND_SHAPES + TILE_SHAPES + LEFTOVER_SHAPE
     return bad
 
 
+# the shapes whose predict, unpinned, differed between one BLAS thread and two
+THREAD_SHAPES = [(15, 1029), (71, 1029), (71, 999)]
+
+
+def _predict_digest():
+    """SHA-256 of the bench checkpoint's predict over LEFTOVER_SHAPES and
+    THREAD_SHAPES at t = 1, 8 and 15."""
+    ckpt = pb.load_checkpoint(BENCH_CHECKPOINT)
+    digest = hashlib.sha256()
+    for h, w in LEFTOVER_SHAPES + THREAD_SHAPES:
+        rng = pb.RngStream(12, STREAM_DATASET)
+        x_t, y0_up = (rng.uniform(0.0, 1.0, (h, w, 1)) for _ in range(2))
+        for t in (1, 8, 15):
+            digest.update(pb.predict(ckpt, x_t, y0_up, t).tobytes())
+    return digest.hexdigest()
+
+
 def _with_blas_threads(threads, expression):
     """What a fresh interpreter with ``threads`` BLAS threads prints for an
     expression over this module's names."""
@@ -630,6 +648,14 @@ class TestBands:
         # grey and colour, two-image stacks: bit-exact on every shape once
         # BLAS splits no call between threads
         assert _with_blas_threads(1, "_band_mismatches(1) + _band_mismatches(3)") == "[]"
+
+    def test_predict_bytes_ignore_the_blas_thread_count(self):
+        # predict runs BLAS on the calling thread (see _threads), where it
+        # finds numpy's bundled OpenBLAS
+        if not _threads._blas_functions():
+            pytest.skip("numpy's BLAS exposes no thread count")
+        assert _with_blas_threads(1, "_predict_digest()") == \
+            _with_blas_threads(2, "_predict_digest()")
 
     def test_grey_within_tolerance_of_threaded_reference(self):
         # One output takes BLAS gemv, and with several BLAS threads the
