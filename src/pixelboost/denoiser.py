@@ -10,8 +10,9 @@ import json
 import math
 import os
 import struct
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -84,65 +85,63 @@ def spec_for_images(kind, image_channels=1, hidden_width=8):
     return DenoiserSpec(image_channels=image_channels, hidden_width=hidden_width)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenoiserCheckpoint:
-    """Flat float64 parameter bundle plus the metadata needed to use it."""
+    """Flat float64 parameter bundle plus the metadata needed to use it: a
+    value, checked once when built.  The metadata must hold a valid training
+    config (steps, t_mid, mode, sigma), no convention but eq5_variance, and
+    encode as JSON.  ``params`` is a read-only copy and ``train_config`` a
+    read-only mapping; dataclasses.replace derives a new checkpoint."""
 
-    spec: DenoiserSpec
-    params: np.ndarray
-    step_count: int = 0
-    train_config: dict = field(default_factory=dict)
+    spec: DenoiserSpec = field(compare=False)
+    params: np.ndarray = field(compare=False)
+    step_count: int = field(default=0, compare=False)
+    train_config: Mapping = field(default_factory=dict, compare=False)
+    # what save_checkpoint writes, by which checkpoints compare and hash
+    _content: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         _require_type("spec", self.spec, DenoiserSpec)
-        _require_type("train_config", self.train_config, dict)
+        _require_type("train_config", self.train_config, Mapping)
         # the file stores the count as a u64
-        self.step_count = _require_int("step_count", self.step_count, 0)
-        if self.step_count >= 1 << 64:
-            raise ParameterError(f"step_count must be below 2**64, got {self.step_count}")
-        self.params = _require_arrays(self.params)[0].reshape(-1)
-        if self.params.size != self.spec.param_count():
+        step_count = _require_int("step_count", self.step_count, 0)
+        if step_count >= 1 << 64:
+            raise ParameterError(f"step_count must be below 2**64, got {step_count}")
+        params = np.array(_require_arrays(self.params)[0].reshape(-1))
+        if params.size != self.spec.param_count():
             raise CheckpointError(
-                f"parameter count {self.params.size} does not match spec "
+                f"parameter count {params.size} does not match spec "
                 f"({self.spec.param_count()})")
-        self._schedule_cache = None
+        params.setflags(write=False)
+        tc = dict(self.train_config)
+        try:
+            schedule = build_schedule(tc["steps"], t_mid=tc["t_mid"], mode=tc["mode"])
+            config = DiffusionConfig(sigma=float(tc["sigma"]), schedule=schedule)
+            meta = json.dumps(tc, sort_keys=True, separators=(",", ":")).encode()
+        except KeyError as exc:
+            raise CheckpointError(f"checkpoint lacks metadata {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointError(f"invalid checkpoint metadata: {exc}") from exc
+        if tc.get("convention", "eq5_variance") != "eq5_variance":
+            raise CheckpointError(f"convention {tc['convention']!r} is not eq5_variance")
+        content = self.spec, step_count, meta, params.astype("<f8").tobytes()
+        for name, value in (("step_count", step_count), ("params", params),
+                            ("train_config", MappingProxyType(tc)),
+                            ("_config", config), ("_content", content)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # rebuilt through the constructor: a mapping proxy does not pickle
+        return DenoiserCheckpoint, (self.spec, self.params, self.step_count,
+                                    dict(self.train_config))
 
     def schedule(self):
-        """Rebuild the shifting sequence recorded at training time."""
-        if self._schedule_cache is None:
-            tc = self.train_config
-            with _metadata_errors():
-                self._schedule_cache = build_schedule(
-                    tc["steps"], t_mid=tc["t_mid"], mode=tc["mode"])
-        return self._schedule_cache
+        """The shifting sequence recorded at training time."""
+        return self._config.schedule
 
     def config(self, seed=0):
-        """The diffusion config recorded at training time, with the given seed.
-
-        Missing or invalid metadata, or a convention other than the
-        eq5_variance that training and sampling implement, raises
-        CheckpointError; a seed that is not an integer, ParameterError.
-        """
-        seed = _require_int("seed", seed)
-        schedule = self.schedule()
-        tc = self.train_config
-        convention = tc.get("convention", "eq5_variance")
-        if convention != "eq5_variance":
-            raise CheckpointError(f"convention {convention!r} is not eq5_variance")
-        with _metadata_errors():
-            return DiffusionConfig(sigma=float(tc["sigma"]), schedule=schedule,
-                                   seed=seed)
-
-
-@contextmanager
-def _metadata_errors():
-    """Report missing or malformed training metadata as a CheckpointError."""
-    try:
-        yield
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint lacks metadata {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CheckpointError(f"invalid checkpoint metadata: {exc}") from exc
+        """The diffusion config recorded at training time, with the integer ``seed``."""
+        return replace(self._config, seed=seed)
 
 
 class OracleDenoiser:
@@ -444,14 +443,14 @@ def _stack_rows(zp, x_t, y0_up, r0, r1):
     _fill_border(zp[:, :, :r1 - r0 + 2], top=r0 == 0, bottom=r1 == h)
 
 
-def _forward_whole(ckpt, x_t, y0_up, ts):
+def _forward_whole(spec, schedule, params, x_t, y0_up, ts):
     """The whole-image forward of training on checked (B, H, W, C) inputs.
 
     Returns the network output (B, H, W, Co) and _backward's cache: both
     convs' whole patch matrices and the padded activation.
     """
-    etas = ckpt.schedule().etas[ts]
-    p = ckpt.spec._unpack(ckpt.params)
+    etas = schedule.etas[ts]
+    p = spec._unpack(params)
     b, h, wd, c = x_t.shape
     ci, wh, co = 2 * c + 1, p["b1"].size, p["b2"].size
     # what may outlive the call first, in one buffer: the temporaries then
@@ -476,7 +475,7 @@ def _forward_whole(ckpt, x_t, y0_up, ts):
     return out, (cols1, cols2, ap)
 
 
-def _forward_tiled(ckpt, x_t, y0_up, ts):
+def _forward_tiled(spec, schedule, params, x_t, y0_up, ts):
     """The forward of predict on checked (B, H, W, C) inputs, one tile of
     output rows at a time (see the comment above _fill_border).
 
@@ -487,8 +486,8 @@ def _forward_tiled(ckpt, x_t, y0_up, ts):
     starts at row r0.  Every buffer is allocated once and reused by each
     tile and band.
     """
-    etas = ckpt.schedule().etas[ts]
-    p = ckpt.spec._unpack(ckpt.params)
+    etas = schedule.etas[ts]
+    p = spec._unpack(params)
     b, h, wd, c = x_t.shape
     ci, wh, co = 2 * c + 1, p["b1"].size, p["b2"].size
     pitch = wd + 2
@@ -558,24 +557,24 @@ def _item_loss(x0, x0_hat):
     return np.mean(diff * diff, axis=(-3, -2, -1))
 
 
-def _losses_and_gradients(ckpt, items):
+def _losses_and_gradients(spec, schedule, params, items):
     """Per-item losses (B,) and gradients (B, P) of checked (x0, y0_up, t, x_t) items.
 
     Items of one image shape share a forward, a backward and an item_loss call.
     """
     losses = np.empty(len(items))
-    grads = np.empty((len(items), ckpt.params.size))
+    grads = np.empty((len(items), params.size))
     groups = {}
     for k, item in enumerate(items):
         groups.setdefault(item[0].shape, []).append(k)
     for ks in groups.values():
         x0, y0_up, x_t = (np.stack([items[k][j] for k in ks]) for j in (0, 1, 3))
         ts = [items[k][2] for k in ks]
-        out, cache = _forward_whole(ckpt, x_t, y0_up, ts)
+        out, cache = _forward_whole(spec, schedule, params, x_t, y0_up, ts)
         diff = out - x0
         # d mean((prediction - x0)^2) / d prediction = 2 / size * (prediction - x0)
         gout = (2.0 / diff[0].size) * diff
-        grads[ks] = _backward(ckpt.spec, ckpt.params, cache, gout)
+        grads[ks] = _backward(spec, params, cache, gout)
         losses[ks] = _item_loss(x0, out)
     return losses, grads
 
@@ -585,7 +584,8 @@ def predict(ckpt, x_t, y0_up, t):
     x_t, y0_up = _check_images(_check_ckpt(ckpt).spec, x_t, y0_up)
     t = _check_t(t, ckpt.schedule().steps)
     with _threads.one_blas_thread():
-        return _forward_tiled(ckpt, x_t[None], y0_up[None], [t])[0]
+        return _forward_tiled(ckpt.spec, ckpt.schedule(), ckpt.params,
+                              x_t[None], y0_up[None], [t])[0]
 
 
 def _checked_item(ckpt, item, t, x_t):
@@ -599,14 +599,16 @@ def _checked_item(ckpt, item, t, x_t):
 
 def loss_gradient(ckpt, item, t, x_t):
     """Analytic gradient of the single-item loss w.r.t. every parameter."""
-    _, grads = _losses_and_gradients(ckpt, [_checked_item(ckpt, item, t, x_t)])
+    item = _checked_item(ckpt, item, t, x_t)
+    _, grads = _losses_and_gradients(ckpt.spec, ckpt.schedule(), ckpt.params, [item])
     return grads[0]
 
 
 def item_loss_value(ckpt, item, t, x_t):
     """The loss whose gradient loss_gradient returns, as a Python float."""
     x0, y0_up, t, x_t = _checked_item(ckpt, item, t, x_t)
-    out, _ = _forward_whole(ckpt, x_t[None], y0_up[None], [t])
+    out, _ = _forward_whole(ckpt.spec, ckpt.schedule(), ckpt.params,
+                            x_t[None], y0_up[None], [t])
     return float(_item_loss(x0, out[0]))
 
 
@@ -619,8 +621,8 @@ class TrainOptions:
     batch_size: int = 8
 
     def __post_init__(self):
-        _require_positive("step_size", self.step_size)
-        # stored as plain ints, so checkpoints record them as JSON
+        # stored as a plain float and ints, so checkpoints record them as JSON
+        object.__setattr__(self, "step_size", _require_positive("step_size", self.step_size))
         object.__setattr__(self, "steps", _require_int("steps", self.steps, 0))
         object.__setattr__(self, "batch_size",
                            _require_int("batch_size", self.batch_size, 1))
@@ -640,13 +642,12 @@ def init_checkpoint(spec, cfg):
         "t_mid": cfg.schedule.t_mid,
         "mode": cfg.schedule.mode,
         "sigma": cfg.sigma,
-        # the one forward kernel training and sampling implement; config()
-        # refuses any other recorded value
+        # the one forward kernel training and sampling implement; a
+        # checkpoint refuses any other recorded value
         "convention": "eq5_variance",
         "seed": cfg.seed,
     }
-    return DenoiserCheckpoint(spec=spec, params=params, step_count=0,
-                              train_config=train_config)
+    return DenoiserCheckpoint(spec=spec, params=params, train_config=train_config)
 
 
 def _batch_size(spec, batch_size, pixels):
@@ -670,11 +671,8 @@ def train(dataset, cfg, opt=None, spec=None):
     dataset = [_check_images(spec, x0, y0_up) for x0, y0_up in dataset]
     _batch_size(spec, opt.batch_size, max(x0.shape[0] * x0.shape[1] for x0, _ in dataset))
 
-    ckpt = init_checkpoint(spec, cfg)
-    # every checkpoint is trained on the one loss; the key stays in the metadata
-    ckpt.train_config.update(step_size=opt.step_size, batch_size=opt.batch_size,
-                             weighting="uniform_mse")
-    params = ckpt.params
+    init = init_checkpoint(spec, cfg)
+    params = np.array(init.params)
     rng = RngStream(cfg.seed, STREAM_TRAIN)
     history = []
     n = len(dataset)
@@ -686,7 +684,7 @@ def train(dataset, cfg, opt=None, spec=None):
             t = int(rng.integers(1, cfg.steps + 1))
             x_t = _marginal(x0, y0_up - x0, t, cfg, rng.standard_normal(x0.shape))
             items.append((x0, y0_up, t, x_t))
-        losses, grads = _losses_and_gradients(ckpt, items)
+        losses, grads = _losses_and_gradients(spec, cfg.schedule, params, items)
         # both sums add the items in order, as the per-item reference does:
         # np.sum would pair the losses, and sum() compensates from Python 3.12
         loss = float(np.cumsum(losses)[-1]) / opt.batch_size
@@ -696,8 +694,11 @@ def train(dataset, cfg, opt=None, spec=None):
                 f"{opt.step_size}; try a smaller step size")
         params -= opt.step_size * (grads.sum(axis=0) / opt.batch_size)
         history.append(loss)
-    ckpt.step_count = opt.steps
-    return ckpt, history
+    # every checkpoint is trained on the one loss; the key stays in the metadata
+    train_config = dict(init.train_config, step_size=opt.step_size,
+                        batch_size=opt.batch_size, weighting="uniform_mse")
+    return replace(init, params=params, step_count=opt.steps,
+                   train_config=train_config), history
 
 
 # --- checkpoint file format --------------------------------------------------
@@ -707,20 +708,17 @@ def train(dataset, cfg, opt=None, spec=None):
 # (conv2) and kernel size 3 load.
 
 def save_checkpoint(ckpt, path):
-    _check_ckpt(ckpt)
-    meta = json.dumps(ckpt.train_config, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    spec = ckpt.spec
+    spec, step_count, meta, raw = _check_ckpt(ckpt)._content
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<BBII", _CONV2_CODE, spec.image_channels,
                              spec.hidden_width, _KERNEL_SIZE))
-        fh.write(struct.pack("<Q", ckpt.step_count))
+        fh.write(struct.pack("<Q", step_count))
         fh.write(struct.pack("<I", len(meta)))
         fh.write(meta)
-        fh.write(struct.pack("<Q", ckpt.params.size))
-        fh.write(ckpt.params.astype("<f8").tobytes())
+        fh.write(struct.pack("<Q", len(raw) // 8))
+        fh.write(raw)
 
 
 def _read_exact(fh, n, what):
@@ -772,8 +770,4 @@ def load_checkpoint(path):
         spec = DenoiserSpec(image_channels=img_c, hidden_width=hidden)
     except ParameterError as exc:
         raise CheckpointError(f"inconsistent spec fields: {exc}") from exc
-    params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    ckpt = DenoiserCheckpoint(spec=spec, params=params, step_count=step_count,
-                              train_config=meta)
-    ckpt.config()  # refuse missing or invalid metadata now, not on first use
-    return ckpt
+    return DenoiserCheckpoint(spec, np.frombuffer(raw, dtype="<f8"), step_count, meta)

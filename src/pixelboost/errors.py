@@ -80,11 +80,15 @@ def _require_int(name, value, low=None):
 
 def _require_positive(name, value, below=sys.float_info.max):
     """``value`` as a float; refused unless a real number, not a bool, in (0, below)."""
-    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not 0 < value < below):
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:  # compared as a float: a numpy float32 would cast ``below`` to its type
+        x = float(value) if real else 0.0
+    except OverflowError:  # an int or Fraction past the float range
+        x = 0.0
+    if not 0 < x < below:
         bound = "" if below == sys.float_info.max else f", below {below:g}"
         raise ParameterError(f"{name} must be positive and finite{bound}, got {value!r}")
-    return float(value)
+    return x
 
 
 def _require_arrays(*arrays):

@@ -95,8 +95,9 @@ class NoiseKind:
         if not isinstance(self.tag, str) or self.tag not in FAMILIES:
             raise ParameterError(f"unknown noise family {self.tag!r}")
         if self.tag == "brownian":
-            # sigma times a standard normal draw stays finite
-            _require_positive("brownian strength sigma", self.sigma, 1e300)
+            # a plain float, whose product with a standard normal draw stays finite
+            object.__setattr__(self, "sigma", _require_positive(
+                "brownian strength sigma", self.sigma, 1e300))
 
 
 def sample_noise(kind, shape, rng):

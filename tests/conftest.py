@@ -9,6 +9,7 @@ expensive, so results are computed lazily and cached for the session.
 
 import functools
 import shutil
+import struct
 import tempfile
 from dataclasses import replace
 
@@ -47,6 +48,16 @@ def pytest_configure(config):
     home = tempfile.mkdtemp(prefix="pixelboost-hypothesis-")
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
     set_hypothesis_home_dir(home)
+
+
+def with_metadata(path, meta):
+    """Rewrite a saved checkpoint's JSON metadata block in place with the
+    text ``meta``, which DenoiserCheckpoint may refuse to hold."""
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack_from("<I", raw, 26)
+    blob = meta.encode("utf-8")
+    path.write_bytes(raw[:26] + struct.pack("<I", len(blob)) + blob
+                     + raw[30 + meta_len:])
 
 
 @functools.lru_cache(maxsize=len(TOY_SEEDS))

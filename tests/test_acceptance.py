@@ -8,6 +8,7 @@ reasoning behind each tolerance lives next to the assertion.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,13 +128,14 @@ def test_criterion_06_gradient_check():
     analytic = pb.loss_gradient(ckpt, (x0, y), t, x_t)
     eps = 1e-6
     base = ckpt.params.copy()
+    params = base.copy()
     fd = np.zeros_like(base)
     for i in range(base.size):
-        ckpt.params[i] = base[i] + eps
-        hi = item_loss_value(ckpt, (x0, y), t, x_t)
-        ckpt.params[i] = base[i] - eps
-        lo = item_loss_value(ckpt, (x0, y), t, x_t)
-        ckpt.params[i] = base[i]
+        params[i] = base[i] + eps
+        hi = item_loss_value(replace(ckpt, params=params), (x0, y), t, x_t)
+        params[i] = base[i] - eps
+        lo = item_loss_value(replace(ckpt, params=params), (x0, y), t, x_t)
+        params[i] = base[i]
         fd[i] = (hi - lo) / (2 * eps)
     rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-8)
     assert np.max(rel) < 1e-4

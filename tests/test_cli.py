@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ from pixelboost import (STREAM_DATASET, DenoiserSpec, NoiseKind, ParameterError,
                         write_image)
 from pixelboost import cli, denoiser
 from pixelboost.cli import SEED_ENV, RunConfig, main
+
+from conftest import with_metadata
 
 
 def _make_image(path, seed=0, size=16, kind="mixed"):
@@ -548,9 +551,10 @@ class TestTrainAndSr:
     def test_checkpoint_without_sigma(self, tmp_path, capsys):
         cfg = make_config(seed=0)
         ckpt = init_checkpoint(spec_for_images("conv2"), cfg)
-        del ckpt.train_config["sigma"]
         ckpt_path = tmp_path / "nosigma.pxbk"
         save_checkpoint(ckpt, ckpt_path)
+        with_metadata(ckpt_path, json.dumps({k: v for k, v in ckpt.train_config.items()
+                                             if k != "sigma"}))
         lr_path = tmp_path / "lr.pgm"
         _make_image(lr_path, size=8)
         assert main(["sr", "--input", str(lr_path), "--checkpoint", str(ckpt_path),
@@ -565,7 +569,7 @@ class TestTrainAndSr:
         _make_image(lr_path, size=8)
         outs = []
         for weighting in ("uniform_mse", "exact_kl"):
-            ckpt.train_config["weighting"] = weighting
+            ckpt = replace(ckpt, train_config=dict(ckpt.train_config, weighting=weighting))
             ckpt_path = tmp_path / f"{weighting}.pxbk"
             save_checkpoint(ckpt, ckpt_path)
             assert load_checkpoint(ckpt_path).train_config["weighting"] == weighting
@@ -578,9 +582,10 @@ class TestTrainAndSr:
     def test_eq4_literal_checkpoint_refused_before_upsampling(self, tmp_path, capsys,
                                                               monkeypatch):
         ckpt = init_checkpoint(spec_for_images("conv2"), make_config(seed=0))
-        ckpt.train_config["convention"] = "eq4_literal"
         ckpt_path = tmp_path / "eq4.pxbk"
         save_checkpoint(ckpt, ckpt_path)
+        with_metadata(ckpt_path, json.dumps(dict(ckpt.train_config,
+                                                 convention="eq4_literal")))
         lr_path = tmp_path / "lr.pgm"
         _make_image(lr_path, size=8)
         monkeypatch.setattr(cli, "bicubic_resize", _no_resizing)

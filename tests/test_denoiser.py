@@ -2,16 +2,19 @@
 gradients against finite differences, SGD training, and the checkpoint
 file format."""
 
+import copy
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import pickle
 import resource
 import struct
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +32,8 @@ from pixelboost.denoiser import (_BAND_VALUES, CHECKPOINT_MAGIC,
                                  item_loss_value)
 from pixelboost.errors import _MAX_VALUES
 from pixelboost.noise import STREAM_DATASET, STREAM_SAMPLER, STREAM_TRAIN
+
+from conftest import with_metadata
 
 BENCH_CHECKPOINT = (Path(__file__).resolve().parents[1]
                     / "bench" / "data" / "conv2_toy_seed0.pxbk")
@@ -52,13 +57,14 @@ def _item(size=6, seed=0):
 
 def _fd_gradient(ckpt, item, t, x_t, eps=1e-6):
     base = ckpt.params.copy()
+    params = base.copy()
     grad = np.zeros_like(base)
     for i in range(base.size):
-        ckpt.params[i] = base[i] + eps
-        hi = item_loss_value(ckpt, item, t, x_t)
-        ckpt.params[i] = base[i] - eps
-        lo = item_loss_value(ckpt, item, t, x_t)
-        ckpt.params[i] = base[i]
+        params[i] = base[i] + eps
+        hi = item_loss_value(dataclasses.replace(ckpt, params=params), item, t, x_t)
+        params[i] = base[i] - eps
+        lo = item_loss_value(dataclasses.replace(ckpt, params=params), item, t, x_t)
+        params[i] = base[i]
         grad[i] = (hi - lo) / (2 * eps)
     return grad
 
@@ -101,7 +107,7 @@ class TestPredict:
     def test_zero_parameters_give_zero_output(self):
         # no residual path: the net's output is entirely parameter-driven
         ckpt = _ckpt()
-        ckpt.params[:] = 0.0
+        ckpt = dataclasses.replace(ckpt, params=np.zeros_like(ckpt.params))
         x0, y, x_t = _item()
         out = pb.predict(ckpt, x_t, y, 8)
         np.testing.assert_array_equal(out, np.zeros_like(x0))
@@ -113,9 +119,10 @@ class TestPredict:
 
     def test_bias_only_network_is_constant(self):
         ckpt = _ckpt()
-        ckpt.params[:] = 0.0
-        views = ckpt.spec._unpack(ckpt.params)
+        params = np.zeros_like(ckpt.params)
+        views = ckpt.spec._unpack(params)
         views["b2"][:] = 0.25
+        ckpt = dataclasses.replace(ckpt, params=params)
         x0, y, x_t = _item()
         np.testing.assert_allclose(pb.predict(ckpt, x_t, y, 8), 0.25,
                                    rtol=0, atol=1e-15)
@@ -171,13 +178,15 @@ def _loss_mismatches():
     """The LOSS_SHAPES whose item_loss_value differs in any bit from the loss
     that _losses_and_gradients returns with its gradient, at hidden width 16."""
     ckpt = _ckpt(hidden_width=16)
-    ckpt.params[...] = np.random.default_rng(5).standard_normal(ckpt.params.size)
+    ckpt = dataclasses.replace(
+        ckpt, params=np.random.default_rng(5).standard_normal(ckpt.params.size))
     rng = pb.RngStream(24, STREAM_DATASET)
     bad = []
     for h, w in LOSS_SHAPES:
         x0, y, x_t = (rng.uniform(0.0, 1.0, (h, w, 1)) for _ in range(3))
         loss = item_loss_value(ckpt, (x0, y), 6, x_t)
-        if loss != _losses_and_gradients(ckpt, [(x0, y, 6, x_t)])[0][0]:
+        if loss != _losses_and_gradients(ckpt.spec, ckpt.schedule(), ckpt.params,
+                                         [(x0, y, 6, x_t)])[0][0]:
             bad.append((h, w))
     return bad
 
@@ -263,15 +272,14 @@ class TestInit:
     @pytest.mark.parametrize("key", ["steps", "sigma", "t_mid", "mode"])
     def test_config_needs_metadata(self, key):
         ckpt = _ckpt()
-        del ckpt.train_config[key]
+        meta = {k: v for k, v in ckpt.train_config.items() if k != key}
         with pytest.raises(CheckpointError, match=key):
-            ckpt.config()
+            dataclasses.replace(ckpt, train_config=meta)
 
     def test_config_rejects_invalid_metadata(self):
         ckpt = _ckpt()
-        ckpt.train_config["sigma"] = -1.0
         with pytest.raises(CheckpointError):
-            ckpt.config()
+            dataclasses.replace(ckpt, train_config=dict(ckpt.train_config, sigma=-1.0))
 
     def test_every_schedule_field_is_recorded(self):
         # DenoiserCheckpoint.schedule() rebuilds the schedule from these keys
@@ -358,10 +366,11 @@ def _ref_loss_and_gradient(ckpt, x0, y0_up, t, x_t):
 
 def _ref_train(dataset, cfg, opt, spec):
     ckpt = pb.init_checkpoint(spec, cfg)
-    params = ckpt.params
+    params = ckpt.params.copy()
     rng = pb.RngStream(cfg.seed, STREAM_TRAIN)
     history = []
     for _ in range(opt.steps):
+        ckpt = dataclasses.replace(ckpt, params=params)
         idx = rng.integers(0, len(dataset), opt.batch_size)
         grad = np.zeros_like(params)
         loss_acc = 0.0
@@ -436,7 +445,8 @@ class TestBatchedCore:
         for k, (h, w) in enumerate(shapes + 2 * self.MULTI_BAND_SHAPES):
             x0, y0_up, x_t = (rng.uniform(0.0, 1.0, (h, w, channels)) for _ in range(3))
             items.append((x0, y0_up, 1 + (2 * k) % 15, x_t))
-        losses, grads = _losses_and_gradients(ckpt, items)
+        losses, grads = _losses_and_gradients(ckpt.spec, ckpt.schedule(), ckpt.params,
+                                              items)
         for (x0, y0_up, t, x_t), loss, grad in zip(items, losses, grads):
             ref_loss, ref_grad = _ref_loss_and_gradient(ckpt, x0, y0_up, t, x_t)
             assert loss == ref_loss
@@ -478,9 +488,10 @@ class TestBatchedCore:
         for k, (h, w) in enumerate([(97, 45), (16, 16), (97, 45), (45, 97)]):
             x0, y0_up, x_t = (rng.uniform(0.0, 1.0, (h, w, 3)) for _ in range(3))
             items.append((x0, y0_up, 1 + 7 * k % 15, x_t))
-        losses, grads = _losses_and_gradients(ckpt, items)
+        model = ckpt.spec, ckpt.schedule(), ckpt.params
+        losses, grads = _losses_and_gradients(*model, items)
         for item, loss, grad in zip(items, losses, grads):
-            alone_losses, alone_grads = _losses_and_gradients(ckpt, [item])
+            alone_losses, alone_grads = _losses_and_gradients(*model, [item])
             assert loss == alone_losses[0]
             np.testing.assert_array_equal(grad, alone_grads[0])
             ref_loss, ref_grad = _ref_loss_and_gradient(ckpt, *item)
@@ -524,7 +535,7 @@ class TestBatchedCore:
         shape = (5, 12, 9, ckpt.spec.image_channels)
         x_t, y0_up = (rng.uniform(0.0, 1.0, shape) for _ in range(2))
         ts = [1, 4, 4, 9, 15]
-        out = _forward_tiled(ckpt, x_t, y0_up, ts)
+        out = _forward_tiled(ckpt.spec, ckpt.schedule(), ckpt.params, x_t, y0_up, ts)
         for i, t in enumerate(ts):
             np.testing.assert_array_equal(out[i], pb.predict(ckpt, x_t[i], y0_up[i], t))
 
@@ -585,7 +596,8 @@ def _band_mismatches(channels, shapes=BAND_SHAPES + TILE_SHAPES + LEFTOVER_SHAPE
     for h, w in shapes:
         rng = pb.RngStream(12, STREAM_DATASET)
         x_t, y0_up = (rng.uniform(0.0, 1.0, (2, h, w, channels)) for _ in range(2))
-        out = _forward_tiled(ckpt, x_t, y0_up, [3, 15])
+        out = _forward_tiled(ckpt.spec, ckpt.schedule(), ckpt.params, x_t, y0_up,
+                             [3, 15])
         if not all(np.array_equal(out[i], _ref_forward(ckpt, x_t[i], y0_up[i], t)[0])
                    for i, t in enumerate([3, 15])):
             bad.append((h, w))
@@ -872,6 +884,21 @@ class TestTrain:
             pb.train(data, pb.make_config(seed=3),
                      pb.TrainOptions(steps=2, batch_size=2))[0].params)
 
+    @pytest.mark.parametrize("step_size", [Fraction(1, 8), np.float32(0.125)])
+    def test_step_size_of_another_real_type_trains_and_saves(self, tmp_path, step_size):
+        # a Fraction step size used to end in a UFuncTypeError, and an
+        # np.float32 one was recorded as is, and json refused it
+        data = _dataset(seed=3)
+        opt = pb.TrainOptions(step_size=step_size, steps=2)
+        assert type(opt.step_size) is float
+        ckpt, _ = pb.train(data, pb.make_config(seed=3), opt)
+        path = tmp_path / "m.pxbk"
+        pb.save_checkpoint(ckpt, path)
+        loaded = pb.load_checkpoint(path)
+        assert type(loaded.train_config["step_size"]) is float
+        assert loaded == pb.train(data, pb.make_config(seed=3),
+                                  pb.TrainOptions(step_size=0.125, steps=2))[0]
+
     def test_losses_are_python_floats(self):
         # a batch's losses are scored as one array; what train() records
         # and item_loss_value returns stay plain floats
@@ -940,6 +967,73 @@ class TestTrain:
         for earlier, later in zip(quarters, quarters[1:]):
             assert later <= 1.05 * earlier
         assert tail[-1] < tail[0]
+
+
+class TestCheckpointValue:
+    """A checkpoint is checked when it is built, cannot change afterwards,
+    and compares by what save_checkpoint writes."""
+
+    def test_metadata_is_read_only(self, tmp_path):
+        # writing steps = 11 after schedule() used to leave config() at 15
+        # while save_checkpoint wrote 11
+        ckpt = _ckpt(steps=15)
+        ckpt.schedule()
+        with pytest.raises(TypeError):
+            ckpt.train_config["steps"] = 11
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ckpt.step_count = 3
+        path = tmp_path / "m.pxbk"
+        pb.save_checkpoint(ckpt, path)
+        assert ckpt.config().steps == pb.load_checkpoint(path).config().steps == 15
+
+    def test_params_are_a_read_only_copy(self):
+        ckpt = _ckpt()
+        params = ckpt.params.copy()
+        made = pb.DenoiserCheckpoint(ckpt.spec, params, 0, ckpt.train_config)
+        params[0] = 1.0
+        assert made.params[0] == ckpt.params[0] != 1.0
+        with pytest.raises(ValueError):
+            made.params[0] = 1.0
+        assert made.params.dtype == np.float64
+
+    def test_compares_by_content(self, tmp_path):
+        # == used to raise ValueError on the parameter arrays
+        ckpt = _ckpt()
+        path = tmp_path / "m.pxbk"
+        pb.save_checkpoint(ckpt, path)
+        same = pb.load_checkpoint(path)
+        assert same == ckpt and hash(same) == hash(ckpt)
+        params = ckpt.params.copy()
+        params[-1] = np.nextafter(params[-1], 1.0)
+        for other in (dataclasses.replace(ckpt, params=params),
+                      dataclasses.replace(ckpt, step_count=1), _ckpt(seed=1)):
+            assert other != ckpt
+        assert ckpt != ckpt.spec
+
+    def test_missing_metadata_refused_when_built(self):
+        # an empty train_config used to pass, and fail at the first predict
+        ckpt = _ckpt()
+        with pytest.raises(CheckpointError, match="lacks metadata 'steps'"):
+            pb.DenoiserCheckpoint(ckpt.spec, ckpt.params, train_config={})
+
+    def test_metadata_must_encode_as_json(self):
+        # an np.float32 value used to pass, and fail in save_checkpoint
+        ckpt = _ckpt()
+        meta = dict(ckpt.train_config, step_size=np.float32(0.5))
+        with pytest.raises(CheckpointError, match="invalid checkpoint metadata"):
+            dataclasses.replace(ckpt, train_config=meta)
+
+    @pytest.mark.parametrize("copier", [lambda c: pickle.loads(pickle.dumps(c)),
+                                        copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_copies_equal_the_original_and_stay_read_only(self, copier):
+        ckpt = pb.load_checkpoint(BENCH_CHECKPOINT)
+        back = copier(ckpt)
+        assert back == ckpt
+        assert not back.params.flags.writeable
+        with pytest.raises(TypeError):
+            back.train_config["sigma"] = 0.5
+        assert back.config(3) == ckpt.config(3)
 
 
 class TestCheckpointIO:
@@ -1031,19 +1125,10 @@ class TestCheckpointIO:
         pb.save_checkpoint(pb.load_checkpoint(BENCH_CHECKPOINT), path)
         assert path.read_bytes() == src
 
-    @staticmethod
-    def _with_metadata(path, meta):
-        """Rewrite a saved checkpoint's JSON metadata block in place."""
-        raw = path.read_bytes()
-        (meta_len,) = struct.unpack_from("<I", raw, 26)
-        blob = meta.encode("utf-8")
-        path.write_bytes(raw[:26] + struct.pack("<I", len(blob)) + blob
-                         + raw[30 + meta_len:])
-
     def test_metadata_must_be_an_object(self, tmp_path):
         path = tmp_path / "list.pxbk"
         pb.save_checkpoint(_ckpt(), path)
-        self._with_metadata(path, "[]")
+        with_metadata(path, "[]")
         with pytest.raises(CheckpointError, match="JSON object"):
             pb.load_checkpoint(path)
 
@@ -1052,17 +1137,18 @@ class TestCheckpointIO:
         # training and sampling implement only the eq5_variance kernel; an
         # eq4_literal checkpoint used to load and fail at its first reverse step
         ckpt = _ckpt()
-        ckpt.train_config["convention"] = convention
         path = tmp_path / "conv.pxbk"
         pb.save_checkpoint(ckpt, path)
+        with_metadata(path, json.dumps(dict(ckpt.train_config, convention=convention)))
         with pytest.raises(CheckpointError, match="convention"):
             pb.load_checkpoint(path)
 
     def test_metadata_checked_on_load(self, tmp_path):
         ckpt = _ckpt()
-        del ckpt.train_config["sigma"]
         path = tmp_path / "nosigma.pxbk"
         pb.save_checkpoint(ckpt, path)
+        with_metadata(path, json.dumps({k: v for k, v in ckpt.train_config.items()
+                                        if k != "sigma"}))
         with pytest.raises(CheckpointError, match="sigma"):
             pb.load_checkpoint(path)
 
@@ -1071,7 +1157,7 @@ class TestCheckpointIO:
         ckpt = _ckpt()
         pb.save_checkpoint(ckpt, path)
         meta = dict(ckpt.train_config, steps=float("inf"))
-        self._with_metadata(path, json.dumps(meta))
+        with_metadata(path, json.dumps(meta))
         with pytest.raises(CheckpointError, match="invalid checkpoint metadata"):
             pb.load_checkpoint(path)
 
@@ -1079,16 +1165,16 @@ class TestCheckpointIO:
         # int() used to rebuild a 15-step schedule from 15.5
         path = tmp_path / "steps.pxbk"
         ckpt = _ckpt()
-        ckpt.train_config["steps"] = 15.5
         pb.save_checkpoint(ckpt, path)
+        with_metadata(path, json.dumps(dict(ckpt.train_config, steps=15.5)))
         with pytest.raises(CheckpointError, match="steps must be an integer"):
             pb.load_checkpoint(path)
 
     def test_huge_steps_refused_before_allocating(self, tmp_path):
         path = tmp_path / "steps.pxbk"
         ckpt = _ckpt()
-        ckpt.train_config["steps"] = 5_000_000
         pb.save_checkpoint(ckpt, path)
+        with_metadata(path, json.dumps(dict(ckpt.train_config, steps=5_000_000)))
         tracemalloc.start()
         try:
             with pytest.raises(CheckpointError, match="steps must lie in"):

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -168,6 +169,15 @@ class TestBrownianField:
 
     def test_field_is_sigma_times_standard_normal(self):
         x = sample_noise(NoiseKind("brownian", sigma=1.5), (64,), RngStream(44, 9))
+        np.testing.assert_array_equal(x, 1.5 * RngStream(44, 9).standard_normal(64))
+
+    @pytest.mark.parametrize("sigma", [Fraction(3, 2), np.float32(1.5)])
+    def test_sigma_of_another_real_type_is_stored_as_a_float(self, sigma):
+        # a Fraction sigma used to give an object-dtype field
+        kind = NoiseKind("brownian", sigma=sigma)
+        assert type(kind.sigma) is float
+        x = sample_noise(kind, (64,), RngStream(44, 9))
+        assert x.dtype == np.float64
         np.testing.assert_array_equal(x, 1.5 * RngStream(44, 9).standard_normal(64))
 
     def test_increment_independence(self):

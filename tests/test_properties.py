@@ -16,6 +16,7 @@ import re
 import shutil
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -252,12 +253,13 @@ def test_damaged_checkpoint_is_refused_or_well_shaped(scratch, raw):
 # --- the library's public calls ---------------------------------------------
 
 # ROADMAP item 18's edge set: None, a string, a bool, NaN, +-inf, negative,
-# zero, fractional and huge numbers, and 0-sized, 1-D, 2-D, 4-D, object and
-# complex arrays
+# zero, fractional (also as a numpy float32 and a Fraction) and huge numbers,
+# and 0-sized, 1-D, 2-D, 4-D, object and complex arrays
 EDGES = [None, "x", True, float("nan"), float("inf"), float("-inf"), -1, -1.5,
-         0, 0.5, 1e300, 10**18, np.zeros((0, 4, 1)), np.zeros(3), np.zeros((4, 4)),
-         np.zeros((2, 2, 2, 2)), np.array([0.5, None], dtype=object),
-         np.array(["x"], dtype=object), np.array([0.5 + 1j])]
+         0, 0.5, np.float32(0.5), Fraction(1, 2), 1e300, 10**18,
+         np.zeros((0, 4, 1)), np.zeros(3), np.zeros((4, 4)), np.zeros((2, 2, 2, 2)),
+         np.array([0.5, None], dtype=object), np.array(["x"], dtype=object),
+         np.array([0.5 + 1j])]
 # RngStream keys Philox through a float64 cast: a negative key, or one that
 # rounds to 2**64, warns (ROADMAP item 10); test_philox_key_edges keeps them
 KEYS = [v for v in EDGES if not (isinstance(v, int) and v < 0)]
@@ -340,7 +342,7 @@ CALLS = {
     "spec_for_images": _row(pb.spec_for_images, lambda: dict(
         kind="conv2", image_channels=1, hidden_width=2)),
     "DenoiserCheckpoint": _row(pb.DenoiserCheckpoint, lambda: dict(
-        spec=SPEC, params=CKPT.params, step_count=0, train_config={})),
+        spec=SPEC, params=CKPT.params, step_count=0, train_config=CKPT.train_config)),
     "DenoiserCheckpoint.config": _row(CKPT.config, lambda: dict(seed=0)),
     "OracleDenoiser": _row(pb.OracleDenoiser, lambda: dict(x0=IMG)),
     "init_checkpoint": _row(pb.init_checkpoint, lambda: dict(spec=SPEC, cfg=CFG)),
