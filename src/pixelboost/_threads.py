@@ -33,17 +33,6 @@ def _blas_functions():
     return _blas
 
 
-def _count():
-    blas = _blas_functions()
-    return blas[0]() if blas else 1
-
-
-def blas_threads():
-    """OpenBLAS's thread count outside any hold; 1 where it is not found."""
-    with _lock:
-        return _found if _held else _count()
-
-
 @contextmanager
 def one_blas_thread():
     """Hold BLAS at one thread, process-wide: of nested or concurrent holds
@@ -51,7 +40,7 @@ def one_blas_thread():
     global _held, _found
     with _lock:
         if _held == 0:
-            _found = _count()
+            _found = _blas[0]() if _blas_functions() else 1
             if _found > 1:
                 _blas[1](1)
         _held += 1

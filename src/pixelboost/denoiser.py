@@ -90,8 +90,9 @@ class DenoiserCheckpoint:
     """Flat float64 parameter bundle plus the metadata needed to use it: a
     value, checked once when built.  The metadata must hold a valid training
     config (steps, t_mid, mode, sigma), no convention but eq5_variance, and
-    encode as JSON.  ``params`` is a read-only copy and ``train_config`` a
-    read-only mapping; dataclasses.replace derives a new checkpoint."""
+    encode as JSON with no array or object value.  ``params`` is a read-only
+    copy and ``train_config`` a read-only mapping; dataclasses.replace
+    derives a new checkpoint."""
 
     spec: DenoiserSpec = field(compare=False)
     params: np.ndarray = field(compare=False)
@@ -122,6 +123,9 @@ class DenoiserCheckpoint:
             raise CheckpointError(f"checkpoint lacks metadata {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"invalid checkpoint metadata: {exc}") from exc
+        for key, value in tc.items():  # which a read-only mapping would leave mutable
+            if isinstance(value, (list, tuple, dict)):
+                raise CheckpointError(f"metadata {key!r} is a JSON array or object")
         if tc.get("convention", "eq5_variance") != "eq5_variance":
             raise CheckpointError(f"convention {tc['convention']!r} is not eq5_variance")
         content = self.spec, step_count, meta, params.astype("<f8").tobytes()

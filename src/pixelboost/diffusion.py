@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _threads
 from .errors import (NumericError, ParameterError, ShapeError, _require_arrays,
                      _require_int, _require_positive, _require_type)
 from .imagedata import as_image
@@ -182,15 +181,16 @@ def _posterior_step(t, cfg):
 
 
 class _Fields:
-    """The chain's standard-normal fields from ``rng``.  Ahead, each is drawn
-    on a worker thread, into a buffer allocated in this thread's heap, while
-    the steps before it run; Philox gives the same bits on any thread.
-    ``close`` ends the worker and gives back the field drawn but not added:
-    the stream state goes back to where inline draws leave it."""
+    """The chain's standard-normal fields from ``rng``.  From an RngStream and
+    at least _AHEAD_VALUES values, each is drawn ahead on a worker thread, into
+    a buffer allocated in this thread's heap, while the steps before it run;
+    Philox gives the same bits on any thread.  ``close`` ends the worker and
+    gives back the field drawn but not added: the stream state goes back to
+    where inline draws leave it."""
 
-    def __init__(self, rng, shape, ahead):
+    def __init__(self, rng, shape):
         self.rng, self.shape, self.pool = rng, shape, None
-        if ahead:
+        if isinstance(rng, RngStream) and np.prod(shape) >= _AHEAD_VALUES:
             from concurrent.futures import ThreadPoolExecutor
             self.pool, self.buf = ThreadPoolExecutor(1, "pixelboost"), np.empty(shape)
             self._draw()
@@ -230,10 +230,7 @@ def reverse_sample(y0_up, denoiser, cfg, rng, keep_trajectory=False):
     y0_up = as_image(y0_up)
     x = y0_up + cfg.sigma * np.sqrt(sched.etas[-1]) * _noise_for(rng)(y0_up.shape)
     frames = [x] if keep_trajectory else None
-    # ahead only where BLAS has a core to spare, which predict's hold frees
-    ahead = (isinstance(rng, RngStream) and x.size >= _AHEAD_VALUES
-             and _threads.blas_threads() > 1)
-    with closing(_Fields(rng, x.shape, ahead)) as fields:
+    with closing(_Fields(rng, x.shape)) as fields:
         for t in range(cfg.steps, 0, -1):
             (x0_hat,) = _require_arrays(denoiser(x, y0_up, t))
             if x0_hat.shape != x.shape:

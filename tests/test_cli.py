@@ -561,6 +561,17 @@ class TestTrainAndSr:
                      "--out", str(tmp_path / "o.pgm")]) == 1
         assert "sigma" in capsys.readouterr().err
 
+    def test_checkpoint_with_nested_metadata(self, tmp_path, capsys):
+        ckpt = init_checkpoint(spec_for_images("conv2"), make_config(seed=0))
+        ckpt_path = tmp_path / "nested.pxbk"
+        save_checkpoint(ckpt, ckpt_path)
+        with_metadata(ckpt_path, json.dumps(dict(ckpt.train_config, notes=[1])))
+        lr_path = tmp_path / "lr.pgm"
+        _make_image(lr_path, size=8)
+        assert main(["sr", "--input", str(lr_path), "--checkpoint", str(ckpt_path),
+                     "--out", str(tmp_path / "o.pgm")]) == 1
+        assert "'notes'" in capsys.readouterr().err
+
     def test_recorded_weighting_does_not_change_sampling(self, tmp_path):
         # checkpoints once trained under exact_kl still load and sample;
         # sampling never reads the recorded weighting

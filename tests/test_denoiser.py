@@ -807,6 +807,32 @@ def test_wide_hidden_within_bound_of_reference(threads, channels, hidden):
     assert error <= WIDE_EPS
 
 
+# wide shapes whose H*W is a multiple of 8: the whole image's call has no
+# left-over columns, and with each band rounded up to a multiple of 8
+# columns (see _conv3x3_rows) no band's call has any either
+WHOLE_SHAPES = [(7, 512), (31, 512), (64, 512), (123, 64)]
+
+
+def _wide_whole_mismatches():
+    """(channels, hidden, H, W) whose predict differs from _forward_whole."""
+    bad = []
+    for channels in (1, 3):
+        for hidden in (16, 32):
+            ckpt = _ckpt(hidden_width=hidden, seed=9, image_channels=channels)
+            for h, w in WHOLE_SHAPES:
+                rng = pb.RngStream(12, STREAM_DATASET)
+                x_t, y0_up = (rng.uniform(0.0, 1.0, (h, w, channels)) for _ in range(2))
+                whole = denoiser._forward_whole(ckpt.spec, ckpt.schedule(), ckpt.params,
+                                                x_t[None], y0_up[None], [8])[0][0]
+                if not np.array_equal(pb.predict(ckpt, x_t, y0_up, 8), whole):
+                    bad.append((channels, hidden, h, w))
+    return bad
+
+
+def test_wide_hidden_matches_whole_forward_on_one_blas_thread():
+    assert _with_blas_threads(1, "_wide_whole_mismatches()") == "[]"
+
+
 def _train_faults_per_step(hidden, steps=100):
     """Minor page faults per step of a warmed-up batch-8 16x16 train()."""
     spec = pb.spec_for_images("conv2", hidden_width=hidden)
@@ -1023,6 +1049,14 @@ class TestCheckpointValue:
         with pytest.raises(CheckpointError, match="invalid checkpoint metadata"):
             dataclasses.replace(ckpt, train_config=meta)
 
+    @pytest.mark.parametrize("notes", [[1], (1,), {"a": 1}])
+    def test_nested_metadata_refused_when_built(self, notes):
+        # a list under the read-only mapping used to take appends that
+        # save_checkpoint never wrote, while the saved file still compared equal
+        ckpt = _ckpt()
+        with pytest.raises(CheckpointError, match="'notes'"):
+            dataclasses.replace(ckpt, train_config=dict(ckpt.train_config, notes=notes))
+
     @pytest.mark.parametrize("copier", [lambda c: pickle.loads(pickle.dumps(c)),
                                         copy.deepcopy, copy.copy],
                              ids=["pickle", "deepcopy", "copy"])
@@ -1141,6 +1175,14 @@ class TestCheckpointIO:
         pb.save_checkpoint(ckpt, path)
         with_metadata(path, json.dumps(dict(ckpt.train_config, convention=convention)))
         with pytest.raises(CheckpointError, match="convention"):
+            pb.load_checkpoint(path)
+
+    def test_nested_metadata_refused_on_load(self, tmp_path):
+        ckpt = _ckpt()
+        path = tmp_path / "nested.pxbk"
+        pb.save_checkpoint(ckpt, path)
+        with_metadata(path, json.dumps(dict(ckpt.train_config, notes=[1])))
+        with pytest.raises(CheckpointError, match="'notes'"):
             pb.load_checkpoint(path)
 
     def test_metadata_checked_on_load(self, tmp_path):

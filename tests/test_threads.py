@@ -32,8 +32,8 @@ class _Plain:
 
 @pytest.fixture
 def worker(monkeypatch):
-    """A BLAS of two threads for predict's hold to lower, so that the chain
-    draws ahead on any host; yields the list of the worker's draws."""
+    """A BLAS of two threads for predict's hold to lower; yields the list of
+    the worker's draws."""
     threads = [2]
     monkeypatch.setattr(_threads, "_blas", (lambda: threads[-1], threads.append))
     calls = []
@@ -128,10 +128,15 @@ def test_small_chain_stays_on_the_calling_thread(worker):
     assert worker == []
 
 
-def test_chain_draws_inline_without_a_spare_blas_thread(worker, monkeypatch):
+def test_chain_draws_ahead_on_one_blas_thread(worker, monkeypatch):
+    # the draws' path reads the field and the stream alone, not BLAS
     monkeypatch.setattr(_threads, "_blas", (lambda: 1, lambda n: None))
-    _chain((256, 256), _sampler())
-    assert worker == []
+    ahead, inline = _sampler(), _sampler()
+    out, _ = _chain((256, 256), ahead)
+    assert len(worker) == 15
+    ref, _ = _chain((256, 256), _Plain(inline))
+    np.testing.assert_array_equal(out, ref)
+    assert _state(ahead) == _state(inline)
 
 
 def test_chain_holds_no_blas_thread_count_around_other_denoisers(worker):
