@@ -32,7 +32,8 @@ from .analysis import DEFAULT_BIN_COUNT, _bin_count, noise_fit_report
 from .denoiser import (DenoiserSpec, TrainOptions, _batch_size, as_denoiser,
                        load_checkpoint, save_checkpoint, train)
 from .diffusion import CONVENTIONS, DiffusionConfig, forward_chain, reverse_sample
-from .errors import CodecError, ParameterError, PixelBoostError, ShapeError, _require_arrays
+from .errors import (CodecError, ParameterError, PixelBoostError, ShapeError,
+                     _require_arrays, _require_size)
 from .imagedata import (bicubic_resize, make_lr_pair, read_image, synth_dataset,
                         write_image, SYNTH_KINDS)
 from .metrics import (EDGE_PATCH_DEFAULT, LOE_GRID_DEFAULT, _edge_patch, _loe_grid,
@@ -333,6 +334,7 @@ def cmd_analyze_noise(cfg):
         if size % 8:
             raise CodecError(f"{cfg.input} holds {size} bytes, "
                              "not a whole number of float64 values")
+        _require_size(cfg.input, size // 8)  # sample_noise's bound, before reading
         sample = np.fromfile(cfg.input, dtype="<f8")
     elif cfg.gt is not None and cfg.test is not None:
         gt, test = _require_arrays(read_image(cfg.gt), read_image(cfg.test))

@@ -8,7 +8,6 @@ are hand-derived and checked against finite differences in the tests.
 
 import json
 import math
-import os
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -19,8 +18,9 @@ import numpy as np
 from . import _threads
 from .diffusion import DiffusionConfig, _check_cfg, _check_t, _marginal
 from .errors import (CheckpointError, CheckpointVersionError, ParameterError,
-                     ShapeError, TrainingError, _require_arrays, _require_int,
-                     _require_positive, _require_size, _require_type)
+                     ShapeError, TrainingError, _read_exact, _require_arrays,
+                     _require_int, _require_positive, _require_size, _require_type,
+                     _shown)
 from .noise import STREAM_INIT, STREAM_TRAIN, RngStream
 from .schedule import build_schedule
 
@@ -53,9 +53,11 @@ class DenoiserSpec:
                            _require_int("image_channels", self.image_channels, 1))
         object.__setattr__(self, "hidden_width",
                            _require_int("hidden_width", self.hidden_width, 1))
+        if self.image_channels > 255:  # a checkpoint records it as a u8
+            raise ParameterError(f"image_channels {_shown(self.image_channels)} is over 255")
         if self.param_count() >= MAX_CONV2_PARAMS:
-            raise ParameterError(
-                f"conv2 parameter count {self.param_count()} exceeds {MAX_CONV2_PARAMS}")
+            raise ParameterError(f"conv2 parameter count {_shown(self.param_count())} "
+                                 f"exceeds {MAX_CONV2_PARAMS}")
 
     @property
     def channels(self):
@@ -81,7 +83,7 @@ def spec_for_images(kind, image_channels=1, hidden_width=8):
     # ``kind`` stays while the bench calls spec_for_images("conv2"); it goes
     # when the bench builds a DenoiserSpec itself
     if not isinstance(kind, str) or kind != "conv2":
-        raise ParameterError(f"the one denoiser kind is 'conv2', got {kind!r}")
+        raise ParameterError(f"the one denoiser kind is 'conv2', got {_shown(kind)}")
     return DenoiserSpec(image_channels=image_channels, hidden_width=hidden_width)
 
 
@@ -107,7 +109,7 @@ class DenoiserCheckpoint:
         # the file stores the count as a u64
         step_count = _require_int("step_count", self.step_count, 0)
         if step_count >= 1 << 64:
-            raise ParameterError(f"step_count must be below 2**64, got {step_count}")
+            raise ParameterError(f"step_count must be below 2**64, got {_shown(step_count)}")
         params = np.array(_require_arrays(self.params)[0].reshape(-1))
         if params.size != self.spec.param_count():
             raise CheckpointError(
@@ -428,7 +430,7 @@ def _as_pairs(dataset):
     except TypeError:
         pairs = []
     if not pairs or any(len(pair) != 2 for pair in pairs):
-        raise ParameterError(f"need a nonempty sequence of pairs, got {dataset!r:.40}")
+        raise ParameterError(f"need a nonempty sequence of pairs, got {_shown(dataset):.40}")
     return pairs
 
 
@@ -706,68 +708,49 @@ def train(dataset, cfg, opt=None, spec=None):
 
 
 # --- checkpoint file format --------------------------------------------------
-# magic "PXBK" | u32 version | u8 kind | u8 image_channels | u32 hidden_width
-# | u32 kernel_size | u64 step_count | u32 json_len | json train_config
-# | u64 param_count | param_count * f64, all little-endian.  Only kind code 2
-# (conv2) and kernel size 3 load.
+# _HEADER: magic "PXBK" | u32 version | u8 kind | u8 image_channels
+# | u32 hidden_width | u32 kernel_size | u64 step_count | u32 json_len; then
+# json train_config | u64 param_count | param_count * f64, all little-endian.
+# Only kind code 2 (conv2) and kernel size 3 load.
+_HEADER = struct.Struct("<4sIBBIIQI")
+
 
 def save_checkpoint(ckpt, path):
     spec, step_count, meta, raw = _check_ckpt(ckpt)._content
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<BBII", _CONV2_CODE, spec.image_channels,
-                             spec.hidden_width, _KERNEL_SIZE))
-        fh.write(struct.pack("<Q", step_count))
-        fh.write(struct.pack("<I", len(meta)))
-        fh.write(meta)
-        fh.write(struct.pack("<Q", len(raw) // 8))
-        fh.write(raw)
-
-
-def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint: short read in {what}")
-    return buf
-
-
-def _check_remaining(fh, n, what):
-    """Refuse a declared length before reading it if the file is shorter."""
-    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > remaining:
-        raise CheckpointError(
-            f"truncated checkpoint: {what} declares {n} bytes, {remaining} remain")
+    data = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _CONV2_CODE,
+                        spec.image_channels, spec.hidden_width, _KERNEL_SIZE, step_count,
+                        len(meta)) + meta + struct.pack("<Q", len(raw) // 8) + raw
+    with open(path, "wb") as fh:  # after the bytes: a failed save leaves no file
+        fh.write(data)
 
 
 def load_checkpoint(path):
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        head = fh.read(_HEADER.size)
+        # zero-filled, a cut-off version reads at most the version written
+        magic, version, kind_code, img_c, hidden, ksize, step_count, meta_len = (
+            _HEADER.unpack(head.ljust(_HEADER.size, b"\0")))
         if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"bad magic {magic!r}; not a checkpoint file")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+            raise CheckpointError(f"bad magic {head[:4]!r}; not a checkpoint file")
         if version > CHECKPOINT_VERSION:
-            raise CheckpointVersionError(
-                f"format version {version} is newer than supported "
-                f"({CHECKPOINT_VERSION})")
-        kind_code, img_c, hidden, ksize = struct.unpack(
-            "<BBII", _read_exact(fh, 10, "spec"))
+            raise CheckpointVersionError(f"format version {version} is newer than "
+                                         f"supported ({CHECKPOINT_VERSION})")
+        if len(head) < _HEADER.size:
+            raise CheckpointError(f"truncated checkpoint header of {len(head)} bytes")
         if kind_code != _CONV2_CODE:
             raise CheckpointError(f"unknown denoiser kind code {kind_code}")
         if ksize != _KERNEL_SIZE:
             raise CheckpointError(f"only 3x3 kernels load, got kernel size {ksize}")
-        (step_count,) = struct.unpack("<Q", _read_exact(fh, 8, "step count"))
-        (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
-        _check_remaining(fh, meta_len, "metadata")
         try:
-            meta = json.loads(_read_exact(fh, meta_len, "metadata").decode("utf-8"))
+            meta = json.loads(_read_exact(fh, meta_len, "checkpoint metadata",
+                                          CheckpointError).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"corrupt metadata: {exc}") from exc
         if not isinstance(meta, dict):
             raise CheckpointError("checkpoint metadata must be a JSON object")
-        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "parameter count"))
-        _check_remaining(fh, 8 * count, "parameter block")
-        raw = _read_exact(fh, 8 * count, "parameters")
+        (count,) = struct.unpack("<Q", _read_exact(fh, 8, "checkpoint parameter count",
+                                                   CheckpointError))
+        raw = _read_exact(fh, 8 * count, "checkpoint parameters", CheckpointError)
         if fh.read(1) != b"":
             raise CheckpointError("trailing bytes after parameter block")
     try:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (NumericError, ParameterError, ShapeError, _require_arrays,
-                     _require_int, _require_positive, _require_type)
+                     _require_int, _require_positive, _require_type, _shown)
 from .imagedata import as_image
 from .noise import RngStream
 from .schedule import Schedule, build_schedule
@@ -53,7 +53,7 @@ def make_config(steps=15, sigma=1.5, t_mid=None, mode="normalized",
     # this keyword goes when the bench rebuilds its config with ckpt.config()
     if not isinstance(convention, str) or convention != "eq5_variance":
         raise ParameterError(
-            f"the config's closed forms are eq5_variance, got {convention!r}")
+            f"the config's closed forms are eq5_variance, got {_shown(convention)}")
     sched = build_schedule(steps, t_mid=t_mid, mode=mode)
     return DiffusionConfig(sigma=sigma, schedule=sched, seed=seed)
 
@@ -65,14 +65,14 @@ def _check_cfg(cfg):
 def _check_t(t, steps):
     t = _require_int("t", t)
     if not 1 <= t <= steps:
-        raise ParameterError(f"t={t} outside 1..{steps}")
+        raise ParameterError(f"t={_shown(t)} outside 1..{steps}")
     return t
 
 
 def _check_convention(convention):
     if not isinstance(convention, str) or convention not in CONVENTIONS:
         raise ParameterError(
-            f"convention must be one of {CONVENTIONS}, got {convention!r}")
+            f"convention must be one of {CONVENTIONS}, got {_shown(convention)}")
 
 
 def step_increment(delta0, alpha_t, sigma, noise, convention="eq5_variance"):
@@ -100,7 +100,7 @@ def _noise_for(rng):
     """``rng``'s standard-normal draw; refused unless it has one."""
     draw = getattr(rng, "standard_normal", None)
     if not callable(draw):
-        raise ParameterError(f"need an rng with a standard_normal draw, got {rng!r}")
+        raise ParameterError(f"need an rng with a standard_normal draw, got {_shown(rng)}")
     return draw
 
 
@@ -226,7 +226,7 @@ def reverse_sample(y0_up, denoiser, cfg, rng, keep_trajectory=False):
     if sched.mode != "normalized":
         raise ParameterError("reverse sampling requires a normalized schedule")
     if not callable(denoiser):
-        raise ParameterError(f"denoiser must be callable, got {denoiser!r}")
+        raise ParameterError(f"denoiser must be callable, got {_shown(denoiser)}")
     y0_up = as_image(y0_up)
     x = y0_up + cfg.sigma * np.sqrt(sched.etas[-1]) * _noise_for(rng)(y0_up.shape)
     frames = [x] if keep_trajectory else None

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the argument checks."""
 
 import numbers
+import os
 import sys
 
 import numpy as np
@@ -52,17 +53,38 @@ class DegenerateFitError(PixelBoostError, ValueError):
 _MAX_VALUES = 1 << 26
 
 
+def _shown(value):
+    """``repr(value)`` for a refusal message, which never raises as a huge int's does."""
+    try:
+        return repr(value)
+    except ValueError:  # past Python's limit on an int's decimal digits
+        return f"<{type(value).__name__} too long to show>"
+
+
+def _read_exact(fh, n, what, error):
+    """The next ``n`` bytes of ``fh``.  ``error`` refuses a length past the
+    bytes left before reading, and a short read after (the file may shrink)."""
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > remaining:
+        raise error(f"truncated {what}: {n} bytes declared, {remaining} remain")
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise error(f"truncated {what}: {n} bytes declared, {len(buf)} read")
+    return buf
+
+
 def _require_size(name, values):
     """``values``, the array values an argument asks for; refused past _MAX_VALUES."""
     if values > _MAX_VALUES:
-        raise ParameterError(f"{name} asks for {values} values, more than {_MAX_VALUES}")
+        raise ParameterError(
+            f"{name} asks for {_shown(values)} values, more than {_MAX_VALUES}")
     return values
 
 
 def _require_type(name, value, kind):
     """``value``; refused unless an instance of ``kind``, one of the library's classes."""
     if not isinstance(value, kind):
-        raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r:.60}")
+        raise ParameterError(f"{name} must be a {kind.__name__}, got {_shown(value):.60}")
     return value
 
 
@@ -74,7 +96,7 @@ def _require_int(name, value, low=None):
     if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
             or (low is not None and value < low)):
         bound = "" if low is None else f" >= {low}"
-        raise ParameterError(f"{name} must be an integer{bound}, got {value!r}")
+        raise ParameterError(f"{name} must be an integer{bound}, got {_shown(value)}")
     return int(value)
 
 
@@ -87,7 +109,8 @@ def _require_positive(name, value, below=sys.float_info.max):
         x = 0.0
     if not 0 < x < below:
         bound = "" if below == sys.float_info.max else f", below {below:g}"
-        raise ParameterError(f"{name} must be positive and finite{bound}, got {value!r}")
+        raise ParameterError(
+            f"{name} must be positive and finite{bound}, got {_shown(value)}")
     return x
 
 

@@ -5,15 +5,15 @@ nominally in [0, 1].  Values may leave [0, 1] mid-diffusion; only the
 codec clamps, and only on write.
 """
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import (_MAX_VALUES, CodecError, ParameterError, ShapeError,
-                     UnsupportedFormatError, _require_arrays, _require_int,
-                     _require_positive, _require_size, _require_type)
+                     UnsupportedFormatError, _read_exact, _require_arrays,
+                     _require_int, _require_positive, _require_size, _require_type,
+                     _shown)
 from .noise import RngStream
 
 
@@ -262,7 +262,7 @@ _SYNTH_FILLERS = dict(zip(SYNTH_KINDS, (_gradient, _checker, _blobs, _mixed)))
 def synth_dataset(kind, count, size, rng):
     """Deterministic-per-seed synthetic HR images in [0, 1], shape (size, size, 1)."""
     if not isinstance(kind, str) or kind not in SYNTH_KINDS:
-        raise ParameterError(f"kind must be one of {SYNTH_KINDS}, got {kind!r}")
+        raise ParameterError(f"kind must be one of {SYNTH_KINDS}, got {_shown(kind)}")
     count = _require_int("count", count, 1)
     size = _require_int("size", size)
     if size % 4:
@@ -316,6 +316,8 @@ def _read_token(fh):
             if token:
                 return token
             continue
+        if len(token) == 20:  # a u64's digits; keeps the byte-at-a-time growth short
+            raise CodecError("header token longer than 20 bytes")
         token += ch
 
 
@@ -323,31 +325,18 @@ def read_image(path):
     """Read a binary PGM/PPM file back to a float image with values k/255."""
     with open(path, "rb") as fh:
         magic = fh.read(2)
-        if magic == b"P5":
-            channels = 1
-        elif magic == b"P6":
-            channels = 3
-        else:
+        channels = {b"P5": 1, b"P6": 3}.get(magic)
+        if channels is None:
             raise UnsupportedFormatError(f"unsupported magic {magic!r}; need P5 or P6")
         try:
-            width = int(_read_token(fh))
-            height = int(_read_token(fh))
-            maxval = int(_read_token(fh))
+            width, height, maxval = [int(_read_token(fh)) for _ in range(3)]
         except ValueError as exc:
             raise CodecError(f"malformed header: {exc}") from exc
         if width < 1 or height < 1:
             raise CodecError(f"bad dimensions {width}x{height}")
         if maxval != 255:
             raise UnsupportedFormatError(f"only maxval 255 is supported, got {maxval}")
-        size = width * height * channels
-        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-        if size > remaining:
-            raise CodecError(
-                f"truncated payload: expected {size} bytes, got {remaining}")
-        payload = fh.read(size)
-        if len(payload) != size:
-            raise CodecError(
-                f"truncated payload: expected {size} bytes, got {len(payload)}")
+        payload = _read_exact(fh, width * height * channels, "payload", CodecError)
     data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
     return data.astype(np.float64) / 255.0
 

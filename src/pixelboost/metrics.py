@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, _require_arrays, _require_int
+from .errors import ParameterError, ShapeError, _require_arrays, _require_int, _shown
 from .imagedata import _image_pair, as_image
 
 # the peak value of the [0, 1] image contract, which PSNR and SSIM assume
@@ -220,7 +220,7 @@ def _inversions(r):
 def _loe_grid(grid):
     grid = _require_int("grid", grid)
     if not 1 <= grid <= LOE_GRID_MAX:
-        raise ParameterError(f"grid must be in 1..{LOE_GRID_MAX}, got {grid}")
+        raise ParameterError(f"grid must be in 1..{LOE_GRID_MAX}, got {_shown(grid)}")
     return grid
 
 
@@ -335,7 +335,7 @@ def edge_report(a, b, patch=EDGE_PATCH_DEFAULT):
     patch = _edge_patch(patch)
     if a.shape[0] < patch or a.shape[1] < patch:
         raise ParameterError(
-            f"image {a.shape[:2]} is smaller than one {patch}x{patch} patch")
+            f"image {a.shape[:2]} is smaller than one {_shown(patch)}-wide patch")
     mag_a = _sobel(a.max(axis=2))
     mag_b = _sobel(b.max(axis=2))
     pm_a = _patch_means(mag_a, patch)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ParameterError, _require_int, _require_positive, _require_size,
-                     _require_type)
+                     _require_type, _shown)
 
 _MASK64 = (1 << 64) - 1
 
@@ -93,7 +93,7 @@ class NoiseKind:
 
     def __post_init__(self):
         if not isinstance(self.tag, str) or self.tag not in FAMILIES:
-            raise ParameterError(f"unknown noise family {self.tag!r}")
+            raise ParameterError(f"unknown noise family {_shown(self.tag)}")
         if self.tag == "brownian":
             # a plain float, whose product with a standard normal draw stays finite
             object.__setattr__(self, "sigma", _require_positive(

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _require_int, _require_positive
+from .errors import ParameterError, _require_int, _require_positive, _shown
 
 MODES = ("raw", "normalized")
 
@@ -44,7 +44,7 @@ class Schedule:
         t_mid = default_t_mid(steps) if self.t_mid is None else self.t_mid
         t_mid = _require_positive("t_mid", t_mid, below=steps)
         if not isinstance(self.mode, str) or self.mode not in MODES:
-            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ParameterError(f"mode must be one of {MODES}, got {_shown(self.mode)}")
         t = np.arange(steps + 1, dtype=np.float64)
         # past t_mid = ln(DBL_MAX) the exp overflows at t = 0 to +inf, so s = 0.0
         with np.errstate(over="ignore"):
@@ -66,14 +66,14 @@ class Schedule:
 
 
 def default_t_mid(steps):
-    """Curve midpoint placed halfway through the step range."""
-    return _require_int("steps", steps) / 2.0 + 0.5
+    """Curve midpoint placed halfway through a schedule's step range."""
+    return _steps(steps) / 2.0 + 0.5
 
 
 def _steps(steps):
     steps = _require_int("steps", steps)
     if not 2 <= steps <= MAX_STEPS:
-        raise ParameterError(f"steps must lie in 2..{MAX_STEPS}, got {steps}")
+        raise ParameterError(f"steps must lie in 2..{MAX_STEPS}, got {_shown(steps)}")
     return steps
 
 

@@ -111,6 +111,11 @@ class TestChiSquare:
         with pytest.raises(ParameterError):
             chi_square(good, np.array([np.nan, 0.0]))
 
+    def test_span_past_float_range(self):
+        # each sample is finite, but hi - lo overflows, so no bin edge is
+        with pytest.raises(ParameterError, match="too wide to bin"):
+            chi_square(np.array([-1e308, 0.0]), np.array([0.0, 1e308]))
+
 
 class TestFitReport:
     def _report(self):

@@ -18,7 +18,7 @@ from pixelboost import (STREAM_DATASET, DenoiserSpec, NoiseKind, ParameterError,
                         make_lr_pair, metric_report, noise_fit_report, read_image,
                         save_checkpoint, spec_for_images, synth_dataset, train,
                         write_image)
-from pixelboost import cli, denoiser
+from pixelboost import cli, denoiser, errors
 from pixelboost.cli import SEED_ENV, RunConfig, main
 
 from conftest import with_metadata
@@ -286,6 +286,13 @@ class TestSchedule:
         assert run.returncode == 0
         assert run.stderr == ""
         assert len(run.stdout.splitlines()) == 712
+
+    def test_null_config_t_mid_is_the_default(self, tmp_path):
+        cfg, a, b = tmp_path / "cfg.json", tmp_path / "a.csv", tmp_path / "b.csv"
+        cfg.write_text(json.dumps({"t_mid": None}))
+        assert main(["schedule", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["schedule", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_file_output_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -708,6 +715,16 @@ class TestAnalyzeNoise:
         assert main(["analyze-noise", "--input", str(sample),
                      "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_input_bounded_before_reading(self, tmp_path, capsys, monkeypatch):
+        # a file of more values than sample_noise takes is refused unread
+        sample = _residual_file(tmp_path / "big.f64")
+        monkeypatch.setattr(errors, "_MAX_VALUES", 639)
+        monkeypatch.setattr(np, "fromfile", _no_reading)
+        out = tmp_path / "x.csv"
+        assert main(["analyze-noise", "--input", str(sample), "--out", str(out)]) == 1
+        assert f"{sample} asks for 640 values, more than 639" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
     def test_sigma_refused_before_reading(self, tmp_path, capsys, monkeypatch,
                                           sigma):
@@ -828,6 +845,27 @@ class TestSweep:
                 "--step-size", "0.2", "--seed", "2", "--out", str(out)]
         assert main(argv) == 0
         assert _sha256(out) == SWEEP_CSV_SHA256
+
+    @pytest.mark.parametrize("sigmas", [[1.5, 0.01], "1.5,0.01"])
+    def test_config_sigmas_match_the_flag(self, tmp_path, sigmas):
+        # a config's sigmas may be a JSON list of numbers or the flag's string
+        argv = ["sweep", "--count", "2", "--eval-count", "1", "--size", "16",
+                "--train-steps", "2"]
+        flag, cfg = tmp_path / "flag.csv", tmp_path / "cfg.json"
+        assert main(argv + ["--sigmas", "1.5,0.01", "--out", str(flag)]) == 0
+        cfg.write_text(json.dumps({"sigmas": sigmas}))
+        out = tmp_path / "cfg.csv"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_bytes() == flag.read_bytes()
+
+    def test_nested_config_sigmas_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", _no_training)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sigmas": [[1.5]]}))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "bad --sigmas value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_row_does_not_depend_on_sigma_order(self, tmp_path):
         # each held-out image draws from its own substream for every sigma

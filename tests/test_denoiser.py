@@ -102,6 +102,14 @@ class TestSpec:
         with pytest.raises(ParameterError, match=f"{name} must be an integer"):
             pb.DenoiserSpec(**{name: value})
 
+    def test_channels_fit_the_header_byte(self):
+        # 300 channels at width 1 are 8410 parameters, under the budget, and
+        # used to build a checkpoint that save_checkpoint could not write
+        assert pb.DenoiserSpec(image_channels=255, hidden_width=1).param_count() < 10_000
+        for channels in (256, 300):
+            with pytest.raises(ParameterError, match="over 255"):
+                pb.DenoiserSpec(image_channels=channels, hidden_width=1)
+
 
 class TestPredict:
     def test_zero_parameters_give_zero_output(self):
@@ -1098,6 +1106,47 @@ class TestCheckpointIO:
         pb.save_checkpoint(ckpt, p1)
         pb.save_checkpoint(pb.load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_most_channels_survive_a_file(self, tmp_path):
+        ckpt = pb.init_checkpoint(pb.DenoiserSpec(image_channels=255, hidden_width=1),
+                                  pb.make_config(seed=4))
+        path = tmp_path / "wide.pxbk"
+        pb.save_checkpoint(ckpt, path)
+        assert pb.load_checkpoint(path) == ckpt
+
+    def test_failed_save_leaves_no_file(self, tmp_path, monkeypatch):
+        # the bytes are built before the path is opened
+        path = tmp_path / "none.pxbk"
+        with pytest.raises(ParameterError):
+            pb.save_checkpoint(None, path)
+        monkeypatch.setattr(denoiser, "_HEADER", struct.Struct("<4sIBBIIQ"))
+        with pytest.raises(struct.error):
+            pb.save_checkpoint(_ckpt(), path)
+        assert not path.exists()
+
+    def test_header_is_one_struct(self, tmp_path):
+        path = tmp_path / "h.pxbk"
+        ckpt = _ckpt(hidden_width=5, image_channels=3)
+        pb.save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        assert denoiser._HEADER.size == 30
+        meta_len = len(raw) - 30 - 8 - 8 * ckpt.spec.param_count()
+        assert denoiser._HEADER.unpack_from(raw) == (CHECKPOINT_MAGIC, 1, 2, 3, 5, 3,
+                                                     0, meta_len)
+
+    def test_newer_version_refused_in_a_cut_header(self, tmp_path):
+        # the version is checked before the rest of the header is missed
+        path = tmp_path / "v.pxbk"
+        pb.save_checkpoint(_ckpt(), path)
+        raw = bytearray(path.read_bytes())
+        raw[4] = 99
+        for cut in (5, 8, 20):
+            path.write_bytes(bytes(raw[:cut]))
+            with pytest.raises(CheckpointVersionError):
+                pb.load_checkpoint(path)
+        path.write_bytes(path.read_bytes()[:4] + b"\x01\x00\x00\x00")
+        with pytest.raises(CheckpointError, match="truncated checkpoint header of 8 bytes"):
+            pb.load_checkpoint(path)
 
     def test_magic_prefix(self, tmp_path):
         path = tmp_path / "m.pxbk"

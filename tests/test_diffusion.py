@@ -231,6 +231,13 @@ class TestForwardChain:
         # the literal kernel scales the noise by alpha*sigma, not sigma*sqrt(alpha)
         assert not np.array_equal(x_t, pb.forward_chain(x0, d, cfg, _rng(9))[0])
 
+    def test_non_finite_start_refused_at_first_step(self):
+        cfg = pb.make_config(steps=6, sigma=0.5)
+        x0 = np.full((4, 4, 1), 0.5)
+        x0[1, 2, 0] = np.nan
+        with pytest.raises(pb.NumericError, match="forward step 1$"):
+            pb.forward_chain(x0, np.zeros_like(x0), cfg, _rng(3))
+
 
 class TestPosterior:
     def test_t1_collapses_to_prediction(self):

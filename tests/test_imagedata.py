@@ -437,6 +437,21 @@ class TestCodec:
         with pytest.raises(CodecError):
             pb.read_image(path)
 
+    def test_zero_dimension(self, tmp_path):
+        path = tmp_path / "z.pgm"
+        path.write_bytes(b"P5 0 4 255\n")
+        with pytest.raises(CodecError, match="bad dimensions 0x4"):
+            pb.read_image(path)
+
+    @pytest.mark.parametrize("digits", [21, 10**6])
+    def test_long_header_token(self, tmp_path, digits):
+        # a token grows a byte at a time, so its length is bounded: 20 bytes,
+        # a u64's digits, as in test_oversized_dimensions
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5\n" + b"9" * digits + b" 1\n255\n\x00")
+        with pytest.raises(CodecError, match="header token longer than 20 bytes"):
+            pb.read_image(path)
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "h.pgm"
         path.write_bytes(b"P5\nxx yy\n255\n")

@@ -256,7 +256,7 @@ def test_damaged_checkpoint_is_refused_or_well_shaped(scratch, raw):
 # zero, fractional (also as a numpy float32 and a Fraction) and huge numbers,
 # and 0-sized, 1-D, 2-D, 4-D, object and complex arrays
 EDGES = [None, "x", True, float("nan"), float("inf"), float("-inf"), -1, -1.5,
-         0, 0.5, np.float32(0.5), Fraction(1, 2), 1e300, 10**18,
+         0, 0.5, np.float32(0.5), Fraction(1, 2), 1e300, 10**18, 10**5000,
          np.zeros((0, 4, 1)), np.zeros(3), np.zeros((4, 4)), np.zeros((2, 2, 2, 2)),
          np.array([0.5, None], dtype=object), np.array(["x"], dtype=object),
          np.array([0.5 + 1j])]
